@@ -231,6 +231,11 @@ class Trace:
         """All events of thread ``tid``, in program order."""
         return [self.events[i] for i in self._thread_events.get(tid, [])]
 
+    def eids_of(self, tid: Tid) -> Sequence[int]:
+        """The event ids of thread ``tid``, in program order, without
+        copying (read-only)."""
+        return self._thread_events.get(tid, ())
+
     def accesses(self) -> Iterator[Event]:
         """Iterate over the plain read/write events."""
         return (e for e in self.events if e.is_access)

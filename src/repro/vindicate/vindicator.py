@@ -150,7 +150,8 @@ def vindicate_race(
                 else:
                     verdict = Verdict.RACE
                     if check:
-                        with obs.span("vindicate.check_witness"):
+                        with obs.span("vindicate.check_witness") as sp:
+                            sp.annotate("events", len(witness))
                             check_witness(trace, witness, e1, e2)
                 vindication = Vindication(
                     race=race,

@@ -159,6 +159,11 @@ class TestAccessors:
         assert [e.eid for e in trace.events_of(1)] == [0, 1, 2, 3]
         assert trace.events_of("missing") == []
 
+    def test_eids_of(self):
+        trace = simple_trace()
+        assert list(trace.eids_of(1)) == [0, 1, 2, 3]
+        assert list(trace.eids_of("missing")) == []
+
     def test_local_time_counts_per_thread(self):
         trace = simple_trace()
         assert trace.local_time[0] == 1

@@ -65,6 +65,31 @@ class TestCARule:
             check_correct_reordering(trace, [trace[1]])
         assert err.value.rule == "CA"
 
+    def test_swap_error_names_both_events(self):
+        trace = TraceBuilder().wr(1, "x").wr(1, "y").rd(2, "x").build()
+        with pytest.raises(MalformedReorderingError,
+                           match=r"conflicting accesses wr\(x\)@T1#0 and "
+                                 r"rd\(x\)@T2#2 were swapped"):
+            check_correct_reordering(trace, pick(trace, 2, 0, 1))
+
+    def test_missing_predecessor_error_names_both_events(self):
+        trace = TraceBuilder().rd(1, "x").wr(1, "y").wr(2, "x").build()
+        with pytest.raises(MalformedReorderingError,
+                           match=r"wr\(x\)@T2#2 is included but its "
+                                 r"conflicting predecessor rd\(x\)@T1#0 "
+                                 r"is not"):
+            check_correct_reordering(trace, pick(trace, 2))
+
+    def test_earlier_predecessor_reached_through_write_chain(self):
+        # T3's read needs T2's write (its previous write), which in turn
+        # needs T1's read; omitting only that read must still be caught.
+        trace = (TraceBuilder()
+                 .rd(1, "x").wr(2, "x").rd(3, "x").build())
+        with pytest.raises(MalformedReorderingError) as err:
+            check_correct_reordering(trace, pick(trace, 1, 2))
+        assert err.value.rule == "CA"
+        assert "#1" in str(err.value) and "#0" in str(err.value)
+
     def test_read_read_pairs_may_swap(self):
         trace = TraceBuilder().rd(1, "x").rd(2, "x").build()
         check_correct_reordering(trace, [trace[1], trace[0]])
