@@ -24,22 +24,22 @@ lies on a cycle), matching :meth:`ConstraintGraph.descendants` /
 ``(node, window)`` so the paper's event-window optimisation
 (Section 6.1) gets its own cache entries.
 
-Invalidation is generation-based with selective pruning:
-:class:`ConstraintGraph` bumps :attr:`~ConstraintGraph.generation` on
-every edge add/remove and journals the mutation, and the index catches
-up lazily on the next query, dropping only the closures a mutated edge
-can actually affect — forward closures containing the edge's source,
-backward closures containing its sink (see :meth:`_sync` for the
-soundness argument). Query bursts between AddConstraints' tagged-edge
-insertions therefore keep most of the cache warm, and untagging a
-finished race's edges leaves the untouched remainder of the graph
-cached for the next race. The ``hits`` / ``misses`` /
-``invalidations`` counters are surfaced through the detector stats so
-benchmarks can report cache behaviour.
+Invalidation is scoped to the race. The closures that were exact when
+a race began form a read-only *base*; what the race computes goes into
+an *overlay*. :class:`ConstraintGraph` journals every edge add/remove;
+on the next query the index ORs each mutated edge's source and sink
+into race masks and prunes the overlay alone. A base closure is adopted
+into the overlay on first use only if it avoids those masks (see
+:meth:`_sync`). Untagging the race's edges restores the base's graph,
+so :meth:`restore` promotes the overlay into the base: upkeep per race
+is proportional to what the race touched, not to the cache. The
+``hits`` / ``misses`` / ``invalidations`` counters are surfaced through
+the detector stats.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.graph.constraint_graph import ConstraintGraph
@@ -48,19 +48,6 @@ from repro.graph.constraint_graph import ConstraintGraph
 #: int node keys — tuple hashing on the per-edge hot path is measurable.
 _Window = Optional[Tuple[int, int]]
 _Cache = Dict[int, int]
-
-#: Shared table of single-bit masks, grown on demand. ``_BITS[i]`` is
-#: ``1 << i`` — indexing reuses the same immutable int instead of
-#: allocating a fresh multi-word big-int per edge visit.
-_BITS = [1]
-
-
-def _bit_table(n: int):
-    bits = _BITS
-    while len(bits) < n:
-        bits.append(1 << len(bits))
-    return bits
-
 
 #: Bit positions set in each byte value, for fast mask expansion.
 _BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
@@ -90,37 +77,38 @@ class ReachabilityIndex:
     """Window-aware memoized reachability over one :class:`ConstraintGraph`.
 
     The index never mutates the graph; it watches
-    :attr:`ConstraintGraph.generation` and discards every cached closure
-    when the graph changes. One index instance is intended to be shared
-    across all queries of one vindication run (and across races — the
-    cache simply refills after each race's tagged edges are removed).
+    :attr:`ConstraintGraph.generation` and catches up with the graph's
+    mutation journal on the next query. One index instance is intended
+    to be shared across all queries of one vindication run, with each
+    race bracketed by :meth:`checkpoint` / :meth:`restore`.
     """
-
-    #: When True, a cache miss on an *unwindowed* query runs one SCC
-    #: pass over the whole reachable region and caches every node's
-    #: closure — best when many distinct roots inside one region are
-    #: queried, as AddConstraints' worklist does over a race region.
-    #: Windowed misses always cache only the queried root: windows are
-    #: short-lived (they grow as constraints are added) and their
-    #: regions small, so per-root walks that absorb cached closures win
-    #: there.
-    region_caching = True
 
     def __init__(self, graph: ConstraintGraph):
         self.graph = graph
         self._generation = graph.generation
         self._journal_pos = graph.journal_position
+        #: The overlay: closures exact for the current graph.
         self._fwd: Dict[_Window, _Cache] = {}
         self._bwd: Dict[_Window, _Cache] = {}
-        #: Materialised query results: (roots, include_roots, window,
-        #: forward) -> set. Returned as copies (callers mutate results).
+        #: The base: closures exact for the graph as of the last
+        #: checkpoint (between races, the pristine graph).
+        self._base_fwd: Dict[_Window, _Cache] = {}
+        self._base_bwd: Dict[_Window, _Cache] = {}
+        #: Sources and sinks of the edges mutated since the base's graph.
+        self._src_mask = 0
+        self._srcs: Set[int] = set()
+        self._snk_mask = 0
+        self._snks: Set[int] = set()
+        #: Query results by (roots, include_roots, window, forward),
+        #: overlay and base; handed out as copies.
         self._results: Dict[Tuple, Set[int]] = {}
+        self._base_results: Dict[Tuple, Set[int]] = {}
         #: Queries answered from a cached result or closure.
         self.hits = 0
         #: Closure computations (Tarjan region passes).
         self.misses = 0
-        #: Cache invalidations triggered by a graph generation change
-        #: (selective prune for edge adds, full flush for removals).
+        #: Queries that found the graph mutated since the previous one
+        #: while anything was cached.
         self.invalidations = 0
 
     # ------------------------------------------------------------------
@@ -129,58 +117,74 @@ class ReachabilityIndex:
     def _sync(self) -> None:
         """Catch up with graph mutations since the last query.
 
-        Both edge insertions and removals invalidate *selectively*: a
-        mutation of edge ``src → dst`` can only change a forward closure
-        whose node is ``src`` or contains ``src`` — no other closure
-        ever traverses that edge, and any cycle the edge creates or
-        breaks consists of nodes that reach ``src`` — and symmetrically
-        a backward closure whose node is/contains ``dst``. Everything
-        else stays cached. This is what makes the index pay off under
-        VindicateRace's churn: AddConstraints' tagged-edge insertions
-        land between query bursts, and untagging a finished race's
-        edges restores the pristine graph without discarding the
-        closures the race never touched, so later races start warm.
-        A full flush happens only when the graph's bounded journal has
-        overflowed since the last query.
+        Adding or removing edge ``src → dst`` can only change a forward
+        closure whose node is or contains ``src`` (no other closure
+        traverses the edge, and a cycle through it consists of nodes
+        that reach ``src``), and a backward closure whose node is or
+        contains ``dst``. The overlay drops exactly those; the base is
+        checked against the accumulated masks on use (:meth:`_lookup`).
+        If the journal overflowed, which mutations happened is unknown,
+        so both layers are flushed.
         """
         graph = self.graph
         if self._generation == graph.generation:
             return
         self._generation = graph.generation
         entries, self._journal_pos = graph.mutations_since(self._journal_pos)
-        if not (self._fwd or self._bwd or self._results):
-            return
-        self.invalidations += 1
-        if entries is None:
-            self._fwd.clear()
-            self._bwd.clear()
-            self._results.clear()
-            return
+        if (self._fwd or self._bwd or self._results or self._base_fwd
+                or self._base_bwd or self._base_results):
+            self.invalidations += 1
         self._results.clear()
-        bits = _bit_table(self.graph.num_events)
-        src_mask = 0
-        dst_mask = 0
-        srcs = set()
-        dsts = set()
-        for _, src, dst in entries:
-            src_mask |= bits[src]
-            dst_mask |= bits[dst]
-            srcs.add(src)
-            dsts.add(dst)
+        if entries is None:
+            for caches in (self._fwd, self._bwd, self._base_fwd,
+                           self._base_bwd, self._base_results):
+                caches.clear()
+            return
+        srcs = {src for _, src, _ in entries}
+        snks = {snk for _, _, snk in entries}
+        # Distinct bits, so the sum is the union.
+        src_mask = sum(1 << src for src in srcs)
+        snk_mask = sum(1 << snk for snk in snks)
         self._prune(self._fwd, src_mask, srcs)
-        self._prune(self._bwd, dst_mask, dsts)
+        self._prune(self._bwd, snk_mask, snks)
+        self._src_mask |= src_mask
+        self._snk_mask |= snk_mask
+        self._srcs |= srcs
+        self._snks |= snks
 
     @staticmethod
     def _prune(caches: Dict[_Window, _Cache], mask: int,
                nodes: Set[int]) -> None:
         """Drop every closure whose node is in ``nodes`` or whose bitset
-        intersects ``mask``; surviving entries are unaffected by the
-        edges the mask stands for, so they remain exact."""
+        intersects ``mask``; the rest never crossed those edges."""
         for cache in caches.values():
             dead = [node for node, closure in cache.items()
                     if closure & mask or node in nodes]
             for node in dead:
                 del cache[node]
+
+    def _lookup(self, forward: bool, window: _Window):
+        """The overlay cache for ``(forward, window)`` and a ``get`` that
+        falls back to the base, adopting a base closure when neither its
+        node nor its bitset holds a mutated source (sink, backward): the
+        :meth:`_sync` lemma over every mutation since the base's graph."""
+        cache = (self._fwd if forward else self._bwd).setdefault(window, {})
+        base = (self._base_fwd if forward else self._base_bwd).get(window)
+        if not base:
+            return cache, cache.get
+        mask, nodes = ((self._src_mask, self._srcs) if forward
+                       else (self._snk_mask, self._snks))
+
+        def lookup(node: int) -> Optional[int]:
+            found = cache.get(node)
+            if found is None:
+                found = base.get(node)
+                if found is not None:
+                    if node in nodes or found & mask:
+                        return None
+                    cache[node] = found
+            return found
+        return cache, lookup
 
     # ------------------------------------------------------------------
     # Core closure computation
@@ -192,51 +196,36 @@ class ReachabilityIndex:
         Matches :meth:`ConstraintGraph._bfs` seeded with one root: the
         root expands regardless of the window, discovered nodes are
         filtered by it, and the root's own bit is set only when an edge
-        inside the window leads back to it.
-
-        A miss walks the window-restricted region, *absorbing* every
-        already-cached closure it meets: when the walk discovers a node
-        whose closure is cached, that whole bitset is ORed in (one
-        C-speed big-int operation) and the subtree is never expanded.
-        Absorption is exact — a cached closure of ``w`` covers every
-        in-window node reachable from anything it contains, including
-        cycle members — so overlapping queries share work without the
-        index ever paying for closures nobody asks about.
+        inside the window leads back to it. A miss walks the region,
+        *absorbing* every cached closure it meets: the whole bitset is
+        ORed in and the subtree never expanded. Absorption is exact — a
+        cached closure covers everything reachable from what it contains.
         """
-        caches = self._fwd if forward else self._bwd
-        cache = caches.get(window)
-        if cache is None:
-            cache = caches[window] = {}
-        cached = cache.get(node)
+        cache, lookup = self._lookup(forward, window)
+        cached = lookup(node)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
         adj = (self.graph.successor_set if forward
                else self.graph.predecessor_set)
-        if window is not None:
-            lo, hi = window
-        else:
-            # Node ids are always < num_events, so a full-range window
-            # is equivalent to no window — one code path, no branch.
-            lo, hi = 0, self.graph.num_events
-        bits = _bit_table(self.graph.num_events)
-
-        if self.region_caching and window is None:
-            return self._closure_region(node, adj, cache, lo, hi, bits)
+        if window is None:
+            return self._closure_region(node, adj, cache, lookup)
+        # Windowed misses cache only the root: windows grow as
+        # constraints are added, so a region pass would rarely amortise.
+        lo, hi = window
         closure = 0
         stack = [node]
-        cache_get = cache.get
         while stack:
             for w in adj(stack.pop()):
                 if w < lo or w > hi:
                     continue
-                bit = bits[w]
+                bit = 1 << w
                 if closure & bit:
                     # Already discovered (or covered by an absorbed
                     # closure, which also covers everything below it).
                     continue
-                sub = cache_get(w)
+                sub = lookup(w)
                 if sub is not None:
                     closure |= bit | sub
                 else:
@@ -245,16 +234,12 @@ class ReachabilityIndex:
         cache[node] = closure
         return closure
 
-    def _closure_region(self, node: int, adj, cache: _Cache,
-                        lo: int, hi: int, bits) -> int:
-        """Whole-region variant of the closure miss path: one iterative
-        Tarjan SCC pass over the window-restricted region reachable from
-        ``node`` computes and caches the closure of *every* region node,
-        in reverse topological order of the condensation — each closure
-        is the OR of its out-neighbours' already-final closures. Later
-        queries rooted anywhere in the region are O(1) lookups, which is
-        the dominant access pattern of AddConstraints' worklist (many
-        distinct roots inside one race region)."""
+    def _closure_region(self, node: int, adj, cache: _Cache, lookup) -> int:
+        """Unwindowed miss path: one iterative Tarjan SCC pass over the
+        region reachable from ``node`` caches the closure of *every*
+        region node, in reverse topological order of the condensation
+        (each closure ORs its out-neighbours' final closures). That
+        suits AddConstraints' worklist: many roots in one race region."""
         index: Dict[int, int] = {node: 0}
         low: Dict[int, int] = {node: 0}
         counter = 1
@@ -265,10 +250,8 @@ class ReachabilityIndex:
             v, it = call_stack[-1]
             advanced = False
             for w in it:
-                if w < lo or w > hi:
-                    continue
                 if w not in index:
-                    if w in cache:
+                    if lookup(w) is not None:
                         # Already closed in an earlier pass; its closure
                         # is final and cannot share a cycle with v (or
                         # it would have been on v's stack back then).
@@ -303,15 +286,16 @@ class ReachabilityIndex:
                     # Every member lies on a cycle: strict closures
                     # include the whole component.
                     for m in members:
-                        scc_mask |= bits[m]
+                        scc_mask |= 1 << m
                 member_set = set(members)
                 closure = scc_mask
                 for m in members:
                     for w in adj(m):
-                        if w in member_set or w < lo or w > hi:
+                        if w in member_set:
                             continue
-                        # Cross-SCC edges point at finished components.
-                        closure |= bits[w] | cache[w]
+                        # Cross-SCC edges point at finished components
+                        # (or adopted closures), all in the overlay.
+                        closure |= (1 << w) | cache[w]
                 for m in members:
                     cache[m] = closure
         return cache[node]
@@ -333,6 +317,9 @@ class ReachabilityIndex:
         roots = tuple(roots)
         key = (roots, include_roots, within, forward)
         cached = self._results.get(key)
+        if cached is None and not self._srcs:
+            # No mutation since the base's graph: its results are exact.
+            cached = self._base_results.get(key)
         if cached is not None:
             self.hits += 1
             # Callers own (and mutate) the returned set.
@@ -382,80 +369,71 @@ class ReachabilityIndex:
     # ------------------------------------------------------------------
     # Checkpointing and state transfer
     # ------------------------------------------------------------------
-    def checkpoint(self) -> Tuple:
-        """Capture the cache state for :meth:`restore`.
+    def _promote(self) -> None:
+        """Fold the overlay into the base and clear the race masks (the
+        current graph must be the one the base is exact for)."""
+        for overlays, bases in ((self._fwd, self._base_fwd),
+                                (self._bwd, self._base_bwd)):
+            for window, cache in overlays.items():
+                bases.setdefault(window, {}).update(cache)
+            overlays.clear()
+        self._base_results.update(self._results)
+        self._results.clear()
+        self._src_mask = self._snk_mask = 0
+        self._srcs = set()
+        self._snks = set()
 
-        Used by :func:`repro.vindicate.vindicator.vindicate_race` to
-        bracket one race's tagged-edge churn: the constraint graph's
-        edge *set* is identical before AddConstraints and after the
-        race's edges are untagged, so restoring the checkpointed caches
-        is exact — and strictly better than :meth:`_sync`'s selective
-        prune, which must drop every closure the temporary edges
-        touched even though the final graph never contained them.
+    def checkpoint(self) -> int:
+        """Open a race: the current closures become the read-only base.
 
-        Closure bitsets are immutable ints and result sets are only
-        ever handed out as copies, so shallow per-window dict copies
-        suffice. The hit/miss/invalidation counters are *not* part of
-        the checkpoint: they keep accumulating across races.
+        :func:`repro.vindicate.vindicator.vindicate_race` brackets each
+        race's tagged-edge churn with this and :meth:`restore`. Nothing
+        is copied; between races the overlay is empty, so this is O(1).
+        Mutations made outside any bracket cost one prune of the base
+        here. Returns an opaque token; one race is open at a time.
         """
         self._sync()
-        return (
-            self._generation,
-            self._journal_pos,
-            {w: dict(c) for w, c in self._fwd.items()},
-            {w: dict(c) for w, c in self._bwd.items()},
-            dict(self._results),
-        )
+        if self._srcs:
+            self._prune(self._base_fwd, self._src_mask, self._srcs)
+            self._prune(self._base_bwd, self._snk_mask, self._snks)
+            self._base_results.clear()
+        self._promote()
+        return self._generation
 
-    def restore(self, cp: Tuple) -> None:
-        """Merge a :meth:`checkpoint` back in.
+    def restore(self, cp: int) -> None:
+        """Close the race opened by :meth:`checkpoint`.
 
-        Only sound when the graph's edge set equals what it was at
-        checkpoint time (the vindication loop guarantees this: every
-        edge added for a race is removed in its ``finally``).
-
-        This is a *merge*, not a reset: first the normal :meth:`_sync`
-        prune runs, keeping every closure computed since the checkpoint
-        that the churned edges never touched (those stay exact for the
-        restored graph — this is how the cache warms up across races);
-        then the checkpointed entries the prune had to drop are
-        resurrected. The result is a strict superset of what selective
-        pruning alone would leave.
+        Only sound when the graph's edge set is back to what it was at
+        checkpoint time (the vindication loop removes every edge it
+        added in a ``finally``). The base is then exact again, and every
+        overlay closure that survived the removals' prune is promoted
+        into it, which is how the cache warms up across races. Cost:
+        O(overlay), never O(cache). The counters keep accumulating.
         """
-        _, _, fwd, bwd, results = cp
         self._sync()
-        for source, target in ((fwd, self._fwd), (bwd, self._bwd)):
-            for window, cache in source.items():
-                current = target.setdefault(window, {})
-                for node, closure in cache.items():
-                    if node not in current:
-                        current[node] = closure
-        for key, result in results.items():
-            if key not in self._results:
-                self._results[key] = result
+        self._promote()
 
     def export_state(self) -> Dict[str, Dict[int, int]]:
         """Serialize the unwindowed closure caches for another process.
 
         Returns a picklable ``{"fwd": {node: bitset}, "bwd": ...}``
-        payload. Windowed caches and materialised result sets are
-        deliberately left out: windows are race-specific and short-lived,
-        while the unwindowed closures are what AddConstraints re-derives
-        from scratch in a cold index.
+        payload of every unwindowed closure exact for the current graph.
+        Windowed caches and result sets are race-specific and left out.
         """
         self._sync()
-        return {
-            "fwd": dict(self._fwd.get(None, {})),
-            "bwd": dict(self._bwd.get(None, {})),
-        }
+        state = {}
+        for name, forward, bases in (("fwd", True, self._base_fwd),
+                                     ("bwd", False, self._base_bwd)):
+            cache, lookup = self._lookup(forward, None)
+            for node in bases.get(None, ()):
+                lookup(node)
+            state[name] = dict(cache)
+        return state
 
     def import_state(self, state: Dict[str, Dict[int, int]]) -> None:
-        """Adopt closures exported by :meth:`export_state`.
-
-        The importing index must be bound to a graph with the *same
-        edge set* as the exporter's (the parallel engine rebuilds the
-        graph from its serialized arrays before importing).
-        """
+        """Adopt closures exported by :meth:`export_state`; the graph
+        must have the exporter's edge set (the parallel engine rebuilds
+        it from its serialized arrays first)."""
         self._sync()
         if state.get("fwd"):
             self._fwd.setdefault(None, {}).update(state["fwd"])
@@ -472,3 +450,14 @@ class ReachabilityIndex:
             "reach_misses": self.misses,
             "reach_invalidations": self.invalidations,
         }
+
+    def footprint(self) -> Dict[str, int]:
+        """Closure-cache size: entries in base and overlay, and bytes of
+        the distinct bitsets they hold (an SCC's members, and an
+        adopted closure's two entries, share one int). O(cache)."""
+        caches = [cache for side in (self._base_fwd, self._base_bwd,
+                                     self._fwd, self._bwd)
+                  for cache in side.values()]
+        closures = {id(c): c for cache in caches for c in cache.values()}
+        return {"closure_entries": sum(map(len, caches)),
+                "closure_bytes": sum(map(sys.getsizeof, closures.values()))}

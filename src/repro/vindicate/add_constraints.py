@@ -34,8 +34,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.events import Event, EventKind, Target, Tid
 from repro.core.trace import Trace
 from repro.graph.constraint_graph import ConstraintGraph
-from repro.graph.reachability import (ReachabilityIndex, _bit_table,
-                                      mask_to_set)
+from repro.graph.reachability import ReachabilityIndex, mask_to_set
 
 
 @dataclass
@@ -154,15 +153,15 @@ def _sync_event_masks(trace: Trace) -> Tuple[int, int]:
     scanning whole ancestor/descendant sets event by event."""
     masks = _sync_masks_cache.get(trace)
     if masks is None:
-        bits = _bit_table(len(trace))
-        acq = 0
-        rel = 0
+        size = (len(trace) + 7) // 8
+        acq = bytearray(size)
+        rel = bytearray(size)
         for e in trace:
             if e.kind is EventKind.ACQUIRE:
-                acq |= bits[e.eid]
+                acq[e.eid >> 3] |= 1 << (e.eid & 7)
             elif e.kind is EventKind.RELEASE:
-                rel |= bits[e.eid]
-        masks = (acq, rel)
+                rel[e.eid >> 3] |= 1 << (e.eid & 7)
+        masks = (int.from_bytes(acq, "little"), int.from_bytes(rel, "little"))
         _sync_masks_cache[trace] = masks
     return masks
 

@@ -120,8 +120,8 @@ def vindicate_race(
     with obs.span("vindicate.race") as span:
         # Bracket this race's tagged-edge churn: after the edges are
         # untagged the graph is back to its pre-race edge set, so the
-        # pre-race closures are reinstalled instead of being re-derived
-        # (the checkpoint merge keeps churn-independent closures too).
+        # pre-race closures stay valid and the race's surviving ones
+        # join them.
         cache_checkpoint = index.checkpoint()
         with obs.span("vindicate.add_constraints") as sp:
             constraints = add_constraints(graph, trace, e1, e2,
@@ -163,9 +163,11 @@ def vindicate_race(
                     elapsed_seconds=time.perf_counter() - start,
                 )
         finally:
-            for src, dst in reversed(constraints.added_edges):
-                graph.remove_edge(src, dst)
-            index.restore(cache_checkpoint)
+            with obs.span("vindicate.untag") as sp:
+                for src, dst in reversed(constraints.added_edges):
+                    graph.remove_edge(src, dst)
+                index.restore(cache_checkpoint)
+                sp.annotate("edges", len(constraints.added_edges))
         span.annotate("verdict_" + vindication.verdict.name.lower(), 1)
     reg = obs.metrics()
     if reg.enabled:
@@ -510,6 +512,8 @@ class Vindicator:
             for name, value in index.stats().items():
                 reg.add(f"graph.{name}", value)
             for name, value in dc.graph.stats().items():
+                reg.gauge(f"graph.{name}").track_max(value)
+            for name, value in index.footprint().items():
                 reg.gauge(f"graph.{name}").track_max(value)
         return report
 
