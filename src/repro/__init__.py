@@ -30,6 +30,8 @@ Public API layers:
 * :mod:`repro.stats` — event-distance statistics and table helpers.
 """
 
+from typing import TYPE_CHECKING
+
 from repro.core.events import Event, EventKind, conflicts
 from repro.core.trace import Trace, TraceBuilder
 from repro.core.vectorclock import Epoch, VectorClock
@@ -46,7 +48,6 @@ from repro.analysis.wcp import WCPDetector
 from repro.analysis.dc import DCDetector
 from repro.analysis.fasttrack import FastTrackDetector
 from repro.analysis.races import DynamicRace, RaceClass, RaceReport, static_races
-from repro.analysis.reference import ReferenceAnalysis
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.vindicate.vindicator import (
     Verdict,
@@ -58,7 +59,20 @@ from repro.vindicate.vindicator import (
 from repro.vindicate.verify import check_correct_reordering, check_witness
 from repro.vindicate.oracle import OracleBudgetExceededError, PredictabilityOracle
 
+if TYPE_CHECKING:
+    from repro.analysis.reference import ReferenceAnalysis
+
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: ReferenceAnalysis needs numpy, which costs a start-up
+    # that the CLI never uses; import it on first access instead.
+    if name == "ReferenceAnalysis":
+        from repro.analysis.reference import ReferenceAnalysis
+        return ReferenceAnalysis
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ConstraintGraph",

@@ -1,5 +1,7 @@
 """Race detection analyses: HB, WCP, DC (online) and reference engines."""
 
+from typing import TYPE_CHECKING
+
 from repro.analysis.base import AccessHistory, Detector
 from repro.analysis.hb import HBDetector
 from repro.analysis.fasttrack import FastTrackDetector
@@ -13,7 +15,9 @@ from repro.analysis.races import (
     classify,
     static_races,
 )
-from repro.analysis.reference import ReferenceAnalysis
+
+if TYPE_CHECKING:
+    from repro.analysis.reference import ReferenceAnalysis
 
 __all__ = [
     "AccessHistory",
@@ -31,3 +35,12 @@ __all__ = [
     "classify",
     "static_races",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: keep numpy (needed by ReferenceAnalysis only) off the
+    # import path of the detectors.
+    if name == "ReferenceAnalysis":
+        from repro.analysis.reference import ReferenceAnalysis
+        return ReferenceAnalysis
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,6 +24,13 @@ trace positions, adjacency is an event-id-indexed array of per-node sets:
 VindicateRace's add/remove-tagged-edges churn (one batch of temporary
 edges per vindicated race).
 
+The graph also keeps the set of its *backward* edges (``dst < src``).
+Every cycle has one, so the cycle search only has to look between the
+lowest backward target and the highest backward source
+(:meth:`ConstraintGraph.backward_span`). The DC detectors only add
+forward edges, so between races that set is empty and during a race it
+holds only the race's own constraints.
+
 Every successful mutation bumps :attr:`ConstraintGraph.generation` and
 is recorded in a bounded mutation journal;
 :class:`~repro.graph.reachability.ReachabilityIndex` uses the generation
@@ -53,6 +60,8 @@ class ConstraintGraph:
         self._succ: List[Set[int]] = [set() for _ in range(num_events)]
         self._pred: List[Set[int]] = [set() for _ in range(num_events)]
         self._edge_count = 0
+        #: The edges with ``dst < src``; see :meth:`backward_span`.
+        self._backward: Set[Edge] = set()
         self.num_events = num_events
         #: Bumped on every successful ``add_edge``/``remove_edge``; lets
         #: reachability caches detect staleness without subscriptions.
@@ -84,6 +93,8 @@ class ConstraintGraph:
             return False
         succ.add(dst)
         self._pred[dst].add(src)
+        if dst < src:
+            self._backward.add((src, dst))
         self._edge_count += 1
         self.generation += 1
         self._record(True, src, dst)
@@ -95,6 +106,8 @@ class ConstraintGraph:
             return
         self._succ[src].discard(dst)
         self._pred[dst].discard(src)
+        if dst < src:
+            self._backward.discard((src, dst))
         self._edge_count -= 1
         self.generation += 1
         self._record(False, src, dst)
@@ -158,6 +171,20 @@ class ConstraintGraph:
     @property
     def edge_count(self) -> int:
         return self._edge_count
+
+    def backward_edges(self) -> FrozenSet[Edge]:
+        """The edges ``src -> dst`` with ``dst < src``."""
+        return frozenset(self._backward)
+
+    def backward_span(self) -> Optional[Tuple[int, int]]:
+        """``(lowest backward dst, highest backward src)``, or None when
+        every edge points forward. Every cycle lies inside this span:
+        its highest node's out-edge and its lowest node's in-edge both
+        point backward (there are no self edges). O(backward edges)."""
+        if not self._backward:
+            return None
+        return (min(dst for _, dst in self._backward),
+                max(src for src, _ in self._backward))
 
     def stats(self) -> "dict[str, int]":
         """Structure counters for the metrics registry / reports."""
@@ -252,14 +279,20 @@ class ConstraintGraph:
         constrains the racing events). Returns the cycle's nodes or None.
 
         Implemented as an iterative DFS with colouring over the subgraph
-        induced by the ancestors of ``targets`` (targets included).
-        ``region`` optionally supplies that ancestor set precomputed (e.g.
-        by a :class:`~repro.graph.reachability.ReachabilityIndex`).
+        induced by the ancestors of ``targets`` (targets included) that
+        lie in :meth:`backward_span`; with no backward edge there is no
+        cycle and no search. ``region`` optionally supplies the ancestor
+        set precomputed (e.g. by a
+        :class:`~repro.graph.reachability.ReachabilityIndex`).
         """
+        span = self.backward_span()
+        if span is None:
+            return None
+        lo, hi = span
         if region is None:
             region = self.ancestors(targets, include_roots=True)
-        region = set(region)
-        region.update(targets)
+        region = {node for node in region if lo <= node <= hi}
+        region.update(node for node in targets if lo <= node <= hi)
         WHITE, GRAY, BLACK = 0, 1, 2
         color: "dict[int, int]" = {}
         parent: "dict[int, int]" = {}
@@ -335,6 +368,8 @@ class ConstraintGraph:
             succ[node].update(row)
             for dst in row:
                 pred[dst].add(node)
+                if dst < node:
+                    graph._backward.add((node, dst))
         graph._edge_count = len(targets)
         return graph
 
@@ -343,6 +378,7 @@ class ConstraintGraph:
         clone._succ = [set(s) for s in self._succ]
         clone._pred = [set(p) for p in self._pred]
         clone._edge_count = self._edge_count
+        clone._backward = set(self._backward)
         return clone
 
     def __repr__(self) -> str:

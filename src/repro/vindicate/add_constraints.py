@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.events import Event, EventKind, Target, Tid
 from repro.core.trace import Trace
@@ -117,23 +117,32 @@ def add_constraints(graph: ConstraintGraph, trace: Trace,
 
     # --- LS constraint fixpoint (lines 14–22) ---------------------------
     sync_masks = _sync_event_masks(trace)
+    roots = (e1.eid, e2.eid)
+    root_bits = (1 << e1.eid) | (1 << e2.eid)
     changed = True
     while changed:
         changed = False
         result.rounds += 1
         bounds = tuple(window) if window is not None else None
-        race_region = index.ancestors([e1.eid, e2.eid], include_roots=True,
-                                      within=bounds)
+        race_mask = index.ancestors_mask(roots, within=bounds) | root_bits
         for src, snk in list(worklist):
-            for edge in _ls_edges_for(graph, trace, src, snk, race_region,
+            for edge in _ls_edges_for(graph, trace, src, snk, race_mask,
                                       bounds, index, sync_masks):
                 if add(*edge):
                     result.ls_edges += 1
                     changed = True
         result.cycle_checks += 1
-        cycle = graph.find_cycle_reaching(
-            {e1.eid, e2.eid},
-            region=index.ancestors([e1.eid, e2.eid], include_roots=True))
+        # Every cycle lies in the graph's backward-edge span, which
+        # during a race covers only the race's own backward constraints:
+        # only that slice of the race's ancestors is materialised.
+        span = graph.backward_span()
+        if span is None:
+            continue
+        lo, hi = span
+        span_mask = (1 << (hi + 1)) - (1 << lo)
+        region = mask_to_set(
+            (index.ancestors_mask(roots) | root_bits) & span_mask)
+        cycle = graph.find_cycle_reaching(set(roots), region=region)
         if cycle is not None:
             result.cycle = cycle
             return result
@@ -167,7 +176,7 @@ def _sync_event_masks(trace: Trace) -> Tuple[int, int]:
 
 
 def _ls_edges_for(graph: ConstraintGraph, trace: Trace, src: int, snk: int,
-                  race_region: Set[int],
+                  race_mask: int,
                   bounds=None,
                   index: Optional[ReachabilityIndex] = None,
                   sync_masks: Optional[Tuple[int, int]] = None) -> List[Tuple[int, int]]:
@@ -176,8 +185,9 @@ def _ls_edges_for(graph: ConstraintGraph, trace: Trace, src: int, snk: int,
     An acquire ``a`` with ``a ⇝ src`` and a release ``r`` with
     ``snk ⇝ r`` on the same lock are partially ordered through the edge;
     if ``r``'s critical section is needed before the race
-    (``A(r) ⇝ e1 ∨ A(r) ⇝ e2``), the full ordering ``R(a) → A(r)`` is a
-    necessary constraint.
+    (``A(r) ⇝ e1 ∨ A(r) ⇝ e2``: bit ``A(r)`` of ``race_mask``, the
+    racing pair's ancestors with the pair itself), the full ordering
+    ``R(a) → A(r)`` is a necessary constraint.
 
     The candidate search runs in mask space: only the (usually tiny)
     intersection of the reachability closures with the trace's
@@ -220,7 +230,7 @@ def _ls_edges_for(graph: ConstraintGraph, trace: Trace, src: int, snk: int,
             acquire_of_r = trace.acquire_of(r)
             if acquire_of_r.eid == a.eid:
                 continue  # same critical section
-            if acquire_of_r.eid not in race_region:
+            if not race_mask >> acquire_of_r.eid & 1:
                 continue  # r's critical section is not needed for the race
             if graph.has_edge(release_of_a.eid, acquire_of_r.eid):
                 continue

@@ -9,6 +9,19 @@ the paper's key insight being that the original critical-section order is
 the most likely to succeed (Section 5.3); alternative policies are
 provided for the ablation study.
 
+Under the ``latest`` policy an attempt first *replays the observed
+order*: it walks the needed set from its latest event down and places
+each event directly while the event has no unplaced graph successor and
+passes the lock-semantics check. The greedy picks the latest ready,
+LS-legal event, and the latest remaining event is always the latest
+ready one when it is ready, so the replay is exactly a prefix of the
+greedy's run. With every later needed event placed, an event has an
+unplaced successor only through a backward edge (``dst < src``) into
+the needed set, and the graph keeps those edges, so the replay reads no
+adjacency. At the first event that fails either test the attempt builds
+the greedy's ready set for what remains and continues from there. When
+the witness is the observed order, no ready set is built.
+
 Lock-semantics bookkeeping for backward construction:
 
 * ``open_front[m]`` — the critical section on ``m`` whose release or
@@ -45,12 +58,15 @@ class ConstructionStats:
 
     ``attempts`` is the number of ATTEMPTTOCONSTRUCTTRACE calls (1 means
     no missing-release retry was needed); ``extra_releases`` counts the
-    releases pulled into ``R`` by retries.
+    releases pulled into ``R`` by retries. ``placed_events`` is the
+    witness length and ``replayed_events`` how many of its events the
+    observed-order replay placed (both 0 without a witness).
     """
 
     attempts: int = 0
     extra_releases: int = 0
     placed_events: int = 0
+    replayed_events: int = 0
 
 
 class _MissingRelease:
@@ -86,7 +102,8 @@ def construct_reordered_trace(
     max_retries = len(trace) + 1
     for _ in range(max_retries):
         stats.attempts += 1
-        outcome = _attempt(graph, trace, needed, e1, e2, policy, rng)
+        outcome, replayed = _attempt(graph, trace, needed, e1, e2,
+                                     policy, rng)
         if isinstance(outcome, _MissingRelease):
             release = outcome.release
             stats.extra_releases += 1
@@ -97,6 +114,7 @@ def construct_reordered_trace(
             continue
         if outcome is not None:
             stats.placed_events = len(outcome)
+            stats.replayed_events = replayed
         return outcome, stats
     raise VindicationError(
         "missing-release retries exceeded the trace length; "
@@ -111,19 +129,42 @@ def _attempt(
     e2: Event,
     policy: str,
     rng: random.Random,
-) -> Union[List[Event], _MissingRelease, None]:
-    """One ATTEMPTTOCONSTRUCTTRACE pass (lines 32–44)."""
+) -> Tuple[Union[List[Event], _MissingRelease, None], int]:
+    """One ATTEMPTTOCONSTRUCTTRACE pass (lines 32–44). Returns the
+    outcome and the number of events the observed-order replay placed."""
     state = _BackwardState(trace)
     reversed_trace: List[Event] = []
     for seed_event in (e2, e1):
         check = state.ls_check(seed_event)
         if check is not _OK:
-            return None
+            return None, 0
         state.place(seed_event)
         reversed_trace.append(seed_event)
-    placed: Set[int] = {e1.eid, e2.eid}
 
-    remaining = set(needed)
+    events = trace.events
+    replayed = 0
+    if policy == "latest":
+        # Observed-order replay: every needed event above ``eid`` is
+        # placed, so ``eid`` is ready unless a backward edge leads from
+        # it to a needed event.
+        held_back = {src for src, dst in graph.backward_edges()
+                     if dst in needed}
+        enclosing = trace.enclosing_acquires
+        order = sorted(needed, reverse=True)
+        for eid in order:
+            if eid in held_back:
+                break
+            event = events[eid]
+            if enclosing[eid]:
+                if state.ls_check(event) is not _OK:
+                    break
+                state.place(event)
+            reversed_trace.append(event)
+            replayed += 1
+        remaining = set(order[replayed:])
+    else:
+        remaining = set(needed)
+
     # Kahn-style backward topological construction: an event is
     # *graph-legal* when none of its graph successors is still unplaced.
     blocking: Dict[int, int] = {}
@@ -137,7 +178,7 @@ def _attempt(
         chosen: Optional[Event] = None
         missing: List[Event] = []
         for eid in _in_policy_order(ready, policy, rng):
-            event = trace.events[eid]
+            event = events[eid]
             check = state.ls_check(event)
             if check is _OK:
                 chosen = event
@@ -147,7 +188,6 @@ def _attempt(
         if chosen is not None:
             state.place(chosen)
             reversed_trace.append(chosen)
-            placed.add(chosen.eid)
             remaining.discard(chosen.eid)
             ready.discard(chosen.eid)
             for pred in graph.predecessor_set(chosen.eid):
@@ -158,12 +198,12 @@ def _attempt(
             continue
         # No legal event: look for a missing release to pull in (line 38).
         for release in sorted(missing, key=lambda r: -r.eid):
-            if release.eid in needed or release.eid in placed:
+            if release.eid in needed or release.eid in (e1.eid, e2.eid):
                 continue
             if state.ls_check(release) is _OK:
-                return _MissingRelease(release)
-        return None  # construction failed (line 40)
-    return list(reversed(reversed_trace))
+                return _MissingRelease(release), replayed
+        return None, replayed  # construction failed (line 40)
+    return list(reversed(reversed_trace)), replayed
 
 
 def _in_policy_order(ready: Set[int], policy: str, rng: random.Random) -> List[int]:

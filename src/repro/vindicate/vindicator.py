@@ -39,7 +39,7 @@ from repro.analysis.wcp import WCPDetector
 from repro.obs.schema import ANALYZE_SCHEMA_ID
 from repro.static.lockset import LocksetResult, analyze_locksets, cross_check
 from repro.vindicate.add_constraints import add_constraints
-from repro.vindicate.construct import construct_reordered_trace
+from repro.vindicate.construct import ConstructionStats, construct_reordered_trace
 from repro.vindicate.verify import check_witness
 
 
@@ -123,6 +123,7 @@ def vindicate_race(
         # pre-race closures stay valid and the race's surviving ones
         # join them.
         cache_checkpoint = index.checkpoint()
+        stats = ConstructionStats()
         with obs.span("vindicate.add_constraints") as sp:
             constraints = add_constraints(graph, trace, e1, e2,
                                           use_window=use_window, index=index)
@@ -145,6 +146,7 @@ def vindicate_race(
                         index=index)
                     sp.annotate("attempts", stats.attempts)
                     sp.annotate("placed", stats.placed_events)
+                    sp.annotate("replayed", stats.replayed_events)
                 if witness is None:
                     verdict = Verdict.UNKNOWN
                 else:
@@ -179,6 +181,8 @@ def vindicate_race(
         reg.add("vindicate.rounds", constraints.rounds)
         reg.add("vindicate.cycle_checks", constraints.cycle_checks)
         reg.add("vindicate.construct_attempts", vindication.attempts)
+        reg.add("vindicate.construct.placed_events", stats.placed_events)
+        reg.add("vindicate.construct.replayed_events", stats.replayed_events)
         if vindication.attempts > 1:
             reg.add("vindicate.construct_retries", vindication.attempts - 1)
         reg.histogram("vindicate.seconds").observe(vindication.elapsed_seconds)

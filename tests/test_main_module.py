@@ -40,3 +40,53 @@ class TestMainModule:
             [sys.executable, "-m", "repro"],
             capture_output=True, text=True, timeout=120)
         assert result.returncode != 0
+
+
+#: Runs the CLI in-process as ``python -m repro`` would, then reports
+#: whether numpy was imported along the way.
+_PROBE = """
+import runpy, sys
+sys.argv = ["repro"] + sys.argv[1:]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+sys.stderr.write("NUMPY_LOADED=%s\\n" % ("numpy" in sys.modules))
+"""
+
+
+class TestLazyNumpy:
+    """Only ``ReferenceAnalysis`` needs numpy; the CLI must not pay for
+    it at start-up or on an ordinary analysis."""
+
+    def _numpy_loaded(self, *args):
+        result = subprocess.run([sys.executable, "-c", _PROBE, *args],
+                                capture_output=True, text=True, timeout=120)
+        assert "NUMPY_LOADED=" in result.stderr, result.stderr
+        return result, "NUMPY_LOADED=True" in result.stderr
+
+    def test_help_does_not_import_numpy(self):
+        result, loaded = self._numpy_loaded("--help")
+        assert "usage" in result.stdout
+        assert not loaded
+
+    def test_analyze_does_not_import_numpy(self, tmp_path):
+        from repro.traces.io import dump_trace
+        from repro.traces.litmus import ALL as LITMUS
+        path = tmp_path / "figure2.txt"
+        dump_trace(LITMUS["figure2"](), path)
+        result, loaded = self._numpy_loaded("analyze", str(path))
+        assert "races" in result.stdout, result.stdout + result.stderr
+        assert not loaded
+
+    def test_reference_analysis_still_exported(self):
+        from repro import ReferenceAnalysis
+        from repro.analysis import ReferenceAnalysis as from_analysis
+        from repro.analysis.reference import ReferenceAnalysis as direct
+        assert ReferenceAnalysis is from_analysis is direct
+        assert "ReferenceAnalysis" in repro.__all__
+
+    def test_unknown_attribute_still_raises(self):
+        import repro.analysis
+        for module in (repro, repro.analysis):
+            assert not hasattr(module, "no_such_name")
