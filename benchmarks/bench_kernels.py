@@ -1,4 +1,5 @@
-"""Compiled clock kernels: speedup floors for the native backend.
+"""Compiled clock kernels: steady-state speedup floors for the native
+backend.
 
 The compiled backend of :mod:`repro.core.kernels` exists to buy
 constant factors on the per-event hot path — the fused per-access
@@ -6,17 +7,14 @@ kernels (``access_wcp`` / ``access_dc``), the fused sync-op kernels
 (``acquire_*`` / ``release_*`` / ``fork_*`` / ``join_*``), and the
 dense clock ops between them. This bench pins those wins:
 
-* The SmartTrack epoch detectors (the pure-Python ``--fast-vc``
-  baseline) run the Table 4 xalan stream under the ``python`` and
-  ``compiled`` backends back-to-back in one process, and the
-  acceptance floors are asserted on the *ratio*, so they are
-  machine-speed independent. Since the DC edge buffer landed, the
-  graph-building configuration is fused too and carries a floor of
-  its own.
-* A sync-heavy, race-free lock-churn trace (guarded critical sections
-  with periodic ownership flips) is run under the compiled backend
-  with sync fusion off (the access-only fused path) vs on, pinning
-  the sync-op kernels' marginal win at ≥ 1.3×.
+The SmartTrack epoch detectors (the default detectors) run the Table 4
+xalan stream under the ``python`` and ``compiled`` backends
+back-to-back in one process, and the acceptance floors are asserted on
+the *ratio*, so they are machine-speed independent. Since the DC edge
+buffer landed, the graph-building configuration is fused too and
+carries a floor of its own. Each run re-analyses a trace whose caches
+are already warm, so these are steady-state figures; cold end-to-end
+runs are the e2ebench's (``e2ebench/run.py``).
 
 Timing hygiene: trace execution happens once per module in fixtures
 and detector construction is hoisted out of the timed region —
@@ -32,7 +30,6 @@ import pytest
 
 from repro.analysis.smarttrack import EpochDCDetector, EpochWCPDetector
 from repro.core import kernels
-from repro.core.trace import TraceBuilder
 from repro.obs.timing import best_of
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
@@ -47,29 +44,9 @@ pytestmark = pytest.mark.skipif(
 @pytest.fixture(scope="module")
 def raw_trace():
     """The Table 4 xalan stream, unfiltered — the same trace the
-    smarttrack and batch floors are defined on. Executed once and
+    smarttrack floors are defined on. Executed once and
     shared across every row so the timed region is analysis only."""
     return execute(WORKLOADS["xalan"](scale=2.0), seed=1)
-
-
-@pytest.fixture(scope="module")
-def churn_trace():
-    """A sync-heavy, race-free trace: two-thirds of events are
-    acquires/releases, each variable consistently guarded by its lock
-    (no races, so the access fast path stays cheap and the sync ops
-    carry the cost). Locks are mostly thread-exclusive with a shared
-    lock taken every 8th section, flipping the DC ownership tag between
-    its fast and slow release paths — the regime where the fused
-    sync-op kernels (not the access kernels) carry the win."""
-    b = TraceBuilder()
-    threads = 4
-    for i in range(12_000):
-        t = 1 + (i % threads)
-        lock = "s" if i % 8 == 0 else f"m{t}"
-        b.acq(t, lock)
-        b.wr(t, f"g_{lock}")
-        b.rel(t, lock)
-    return b.build()
 
 
 #: (label, floor, detector factory). Floors are the acceptance bar for
@@ -147,67 +124,3 @@ def test_compiled_kernel_speedup(raw_trace):
         if floor is not None:
             assert ratio >= floor, \
                 f"{label}: {ratio:.2f}x below the {floor:.1f}x floor"
-
-
-def test_sync_fusion_marginal_speedup(churn_trace):
-    """Sync fusion off vs on, compiled backend, sync-heavy trace: the
-    fused acquire/release/fork/join kernels alone must be worth ≥ 1.3×
-    over the access-only fused path."""
-    n = len(churn_trace)
-    previous = kernels.active_backend()
-    rows = []
-    try:
-        kernels.set_backend("compiled")
-        for label, factory in [
-                ("WCP epoch", lambda: EpochWCPDetector()),
-                ("DC epoch (no graph)",
-                 lambda: EpochDCDetector(build_graph=False))]:
-            kernels.set_sync_fusion(False)
-            base_det = factory()
-            base_report = base_det.analyze(churn_trace)
-            base_time = best_of(lambda: base_det.analyze(churn_trace),
-                                repeats=REPEATS)
-            kernels.set_sync_fusion(True)
-            fused_det = factory()
-            fused_report = fused_det.analyze(churn_trace)
-            assert ([(r.first.eid, r.second.eid)
-                     for r in base_report.races]
-                    == [(r.first.eid, r.second.eid)
-                        for r in fused_report.races]
-                    ), f"{label}: sync fusion changed the race set"
-            assert base_report.counters == fused_report.counters, \
-                f"{label}: sync fusion changed the counters"
-            fused_time = best_of(lambda: fused_det.analyze(churn_trace),
-                                 repeats=REPEATS)
-            rows.append((label, n / base_time, n / fused_time,
-                         base_time / fused_time))
-    finally:
-        kernels.set_sync_fusion(True)
-        kernels.set_backend(previous)
-
-    lines = [f"Fused sync-op kernels on a {n}-event lock-churn trace "
-             f"(best of {REPEATS}, compiled backend, "
-             f"sync fusion off vs on)",
-             f"{'configuration':22s} | {'access-only ev/s':>16s} | "
-             f"{'fused ev/s':>12s} | {'speedup':>8s} | {'floor':>6s}",
-             "-" * 78]
-    for label, base_eps, fused_eps, ratio in rows:
-        lines.append(f"{label:22s} | {base_eps:16,.0f} | "
-                     f"{fused_eps:12,.0f} | {ratio:7.2f}x |   1.3x")
-    write_result("kernels_sync_fusion.txt", "\n".join(lines))
-    write_json("BENCH_kernels_sync.json", {
-        "trace": {"generator": "ownership-flip lock churn",
-                  "threads": 4, "sections": 12_000, "share_every": 8,
-                  "events": n},
-        "best_of": REPEATS,
-        "rows": [
-            {"configuration": label,
-             "floor": 1.3,
-             "access_only_events_per_sec": round(base_eps, 1),
-             "fused_events_per_sec": round(fused_eps, 1),
-             "speedup": round(ratio, 3)}
-            for label, base_eps, fused_eps, ratio in rows],
-    })
-    for label, _, _, ratio in rows:
-        assert ratio >= 1.3, \
-            f"{label}: sync fusion worth only {ratio:.2f}x (< 1.3x floor)"

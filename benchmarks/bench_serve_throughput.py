@@ -2,8 +2,9 @@
 
 Four measurements, same events (avrora at ``SCALE``), all with GC on:
 
-* ``batch analyze`` — the single-shot reference pipeline
-  (``Vindicator().run``), the ceiling the service is judged against;
+* ``batch analyze`` — the single-shot pipeline (``Vindicator().run``,
+  the epoch detectors), the ceiling the service is judged against;
+  sessions still run the reference detectors;
 * ``inline session`` — :class:`~repro.serve.session.SessionAnalyzer`
   fed line chunks directly: streaming parse + detectors + windowed GC,
   no sockets.  The gap to batch is the price of incremental analysis;

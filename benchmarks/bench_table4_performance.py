@@ -8,11 +8,9 @@ JVM overheads are out of scope for a Python reproduction (repro band:
 preserved: per-analysis event throughput and the *relative* cost
 ordering on identical traces
 
-    replay < HB < FastTrack? < WCP < DC < DC+graph
+    replay < HB < WCP < DC < DC+graph
 
-(with FastTrack near HB — its epoch fast paths cannot pay off fully in
-this event model, see repro.analysis.fasttrack), plus VindicateRace
-time per race. ``pytest-benchmark`` provides the timing machinery; one
+plus VindicateRace time per race. ``pytest-benchmark`` provides the timing machinery; one
 benchmark per configuration runs on the same xalan-analog trace. The
 summary table uses :mod:`repro.obs.timing` for wall time and
 :func:`repro.obs.memory.traced_heap_peak_kb` for a per-configuration
@@ -25,18 +23,15 @@ The SmartTrack-style epoch/ownership variants
 (:mod:`repro.analysis.smarttrack`) appear both as extra rows in the
 Table 4 analog and in a dedicated reference-vs-epoch comparison
 (``test_smarttrack_speedup``) that asserts the PR's speedup floors and
-writes machine-readable ``BENCH_smarttrack.json``.
-
-The batched interpreter (:mod:`repro.analysis.batch`) likewise gets
-Table 4 rows plus its own floored comparison (``test_batch_speedup``,
-``BENCH_batch.json``); both are skipped cleanly when numpy is absent —
-it is the only optional dependency in the tree.
+writes machine-readable ``BENCH_smarttrack.json``. These are
+steady-state numbers: every configuration re-analyses a trace whose
+caches are already warm. Cold end-to-end runs are measured by the
+e2ebench (``e2ebench/run.py``).
 """
 
 import pytest
 
 from repro.analysis.dc import DCDetector
-from repro.analysis.fasttrack import FastTrackDetector
 from repro.analysis.hb import HBDetector
 from repro.analysis.smarttrack import EpochDCDetector, EpochWCPDetector
 from repro.analysis.wcp import WCPDetector
@@ -47,12 +42,6 @@ from repro.runtime.workloads import WORKLOADS
 from repro.static.lockset import analyze_locksets
 
 from harness import write_json, write_result
-
-try:
-    from repro.analysis.batch import BatchDCDetector, BatchWCPDetector
-    HAVE_BATCH = True
-except ImportError:  # numpy not installed
-    HAVE_BATCH = False
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +71,6 @@ def replay(trace):
 CONFIGS = [
     ("replay (no analysis)", None),
     ("HB", lambda: HBDetector()),
-    ("FastTrack", lambda: FastTrackDetector()),
     ("WCP", lambda: WCPDetector()),
     ("WCP epoch", lambda: EpochWCPDetector()),
     ("DC (no graph)", lambda: DCDetector(build_graph=False)),
@@ -90,12 +78,6 @@ CONFIGS = [
     ("DC + graph G", lambda: DCDetector(build_graph=True)),
     ("DC epoch + graph G", lambda: EpochDCDetector(build_graph=True)),
 ]
-if HAVE_BATCH:
-    CONFIGS += [
-        ("WCP batch", lambda: BatchWCPDetector()),
-        ("DC batch (no graph)", lambda: BatchDCDetector(build_graph=False)),
-        ("DC batch + graph G", lambda: BatchDCDetector(build_graph=True)),
-    ]
 
 
 def _run(trace, factory):
@@ -110,7 +92,6 @@ def _run(trace, factory):
 #: Factories take ``prefilter=`` so each can run both ways.
 ABLATION_CONFIGS = [
     ("HB", lambda **kw: HBDetector(**kw)),
-    ("FastTrack", lambda **kw: FastTrackDetector(**kw)),
     ("WCP", lambda **kw: WCPDetector(**kw)),
     ("DC (no graph)", lambda **kw: DCDetector(build_graph=False, **kw)),
 ]
@@ -333,134 +314,3 @@ def test_smarttrack_speedup(perf_trace, raw_trace, benchmark):
         assert ratio >= floor, \
             f"{label}: {ratio:.2f}x below the {floor:.1f}x floor"
     benchmark(lambda: EpochDCDetector(build_graph=True).analyze(raw_trace))
-
-
-#: Reference-vs-batched pairs and the speedup floors each must clear:
-#: the first floor on the raw xalan stream (the ISSUE's acceptance bar
-#: is WCP >= 5x; the DC floors are set from measured headroom — graph
-#: construction is per-event work batching cannot remove), the second
-#: on the fast-path-filtered stream with the lockset prefilter
-#: installed (the production pipeline's configuration; the filtered
-#: stream is sync-heavy, so these floors are lower — the per-filter
-#: segmentation cache and the vectorized candidate counters are what
-#: keep them clear).  Factories accept ``prefilter=`` for the second
-#: leg.
-BATCH_PAIRS = [
-    ("WCP", 5.0, 1.7,
-     lambda **kw: WCPDetector(**kw),
-     lambda **kw: BatchWCPDetector(**kw)),
-    ("DC (no graph)", 2.5, 2.0,
-     lambda **kw: DCDetector(build_graph=False, **kw),
-     lambda **kw: BatchDCDetector(build_graph=False, **kw)),
-    ("DC + graph G", 1.8, 1.25,
-     lambda **kw: DCDetector(build_graph=True, **kw),
-     lambda **kw: BatchDCDetector(build_graph=True, **kw)),
-] if HAVE_BATCH else []
-
-
-@pytest.mark.skipif(not HAVE_BATCH, reason="numpy not installed")
-def test_batch_speedup(perf_trace, raw_trace, benchmark):
-    """Reference vs batched detectors on the same traces: assert the
-    ISSUE's floors (WCP >= 5x on the raw xalan stream) and write
-    ``batch.txt`` / ``BENCH_batch.json``.
-
-    Methodology matches ``test_smarttrack_speedup``: floors on the raw
-    event stream (the batched fraction is exactly the thread-local
-    access bulk the fast-path filter would strip), plus floored rows on
-    the fast-path-filtered trace with the lockset prefilter installed
-    (the combination the production pipeline runs), both sides
-    best-of-5 back-to-back in one process so the ratio is
-    machine-independent.
-    """
-    n = len(raw_trace)
-    candidates = analyze_locksets(perf_trace.events).race_candidates
-    rows = []
-    filtered_rows = []
-    stats = {}
-    for label, floor, f_floor, ref_factory, batch_factory in BATCH_PAIRS:
-        # Warm-up runs double as an end-to-end verdict-identity check
-        # (the full bit-identity contract lives in
-        # tests/test_batch_differential.py).
-        ref_report = ref_factory().analyze(raw_trace)
-        batch_det = batch_factory()
-        batch_report = batch_det.analyze(raw_trace)
-        assert ([(r.first.eid, r.second.eid) for r in ref_report.races]
-                == [(r.first.eid, r.second.eid)
-                    for r in batch_report.races]), \
-            f"{label}: batched variant changed the race set"
-        fs = batch_det.fast_stats()
-        assert fs["batch_events"] + fs["batch_fallback_events"] == n
-        stats[label] = {key: fs[key] for key in
-                        ("batch_runs", "batch_events",
-                         "batch_fallback_events")}
-        ref = best_of(lambda: ref_factory().analyze(raw_trace), repeats=5)
-        fast = best_of(lambda: batch_factory().analyze(raw_trace), repeats=5)
-        rows.append((label, floor, n / ref, n / fast, ref / fast))
-        # Filtered leg: prefilter parity re-checked end to end (the
-        # counters include the lockset skip/check tallies, so this
-        # also pins the vectorized counter summation).
-        fr = ref_factory(prefilter=candidates).analyze(perf_trace)
-        fb = batch_factory(prefilter=candidates).analyze(perf_trace)
-        assert ([(r.first.eid, r.second.eid) for r in fr.races]
-                == [(r.first.eid, r.second.eid) for r in fb.races]), \
-            f"{label}: batched prefilter variant changed the race set"
-        assert dict(fr.counters) == dict(fb.counters), \
-            f"{label}: batched prefilter variant changed the counters"
-        fref = best_of(lambda: ref_factory(
-            prefilter=candidates).analyze(perf_trace), repeats=5)
-        ffast = best_of(lambda: batch_factory(
-            prefilter=candidates).analyze(perf_trace), repeats=5)
-        filtered_rows.append((label, f_floor, len(perf_trace) / fref,
-                              len(perf_trace) / ffast, fref / ffast))
-    dc_stats = stats["DC + graph G"]
-    coverage = dc_stats["batch_events"] / n
-    lines = [f"Batched interpretation on the {n}-event raw xalan trace "
-             f"(best of 5)",
-             f"{'configuration':22s} | {'ref ev/s':>12s} | "
-             f"{'batch ev/s':>12s} | {'speedup':>8s} | {'floor':>6s}",
-             "-" * 74]
-    for label, floor, ref_eps, fast_eps, ratio in rows:
-        lines.append(f"{label:22s} | {ref_eps:12,.0f} | {fast_eps:12,.0f} | "
-                     f"{ratio:7.2f}x | {floor:5.1f}x")
-    lines.append("")
-    lines.append(f"after fast-path filtering + lockset prefilter "
-                 f"({len(perf_trace)} events, sync-op-heavy, "
-                 f"{len(candidates)} candidate vars):")
-    for label, f_floor, ref_eps, fast_eps, ratio in filtered_rows:
-        lines.append(f"{label:22s} | {ref_eps:12,.0f} | {fast_eps:12,.0f} | "
-                     f"{ratio:7.2f}x | {f_floor:5.2f}x")
-    lines.append("")
-    lines.append(f"segmentation: {dc_stats['batch_events']:,} of {n:,} "
-                 f"events batched ({coverage:.0%}) in "
-                 f"{dc_stats['batch_runs']:,} runs; "
-                 f"{dc_stats['batch_fallback_events']:,} fallback events "
-                 "still per-event dispatched")
-    write_result("batch.txt", "\n".join(lines))
-    write_json("BENCH_batch.json", {
-        "trace": {"workload": "xalan", "scale": 2.0, "seed": 1, "events": n,
-                  "filtered_events": len(perf_trace)},
-        "best_of": 5,
-        "rows": [
-            {"configuration": label,
-             "floor": floor,
-             "reference_events_per_sec": round(ref_eps, 1),
-             "batch_events_per_sec": round(fast_eps, 1),
-             "speedup": round(ratio, 3)}
-            for label, floor, ref_eps, fast_eps, ratio in rows],
-        "filtered_rows": [
-            {"configuration": label,
-             "floor": f_floor,
-             "reference_events_per_sec": round(ref_eps, 1),
-             "batch_events_per_sec": round(fast_eps, 1),
-             "speedup": round(ratio, 3)}
-            for label, f_floor, ref_eps, fast_eps, ratio in filtered_rows],
-        "batch_stats": stats,
-    })
-    for label, floor, _, _, ratio in rows:
-        assert ratio >= floor, \
-            f"{label}: {ratio:.2f}x below the {floor:.1f}x floor"
-    for label, f_floor, _, _, ratio in filtered_rows:
-        assert ratio >= f_floor, (
-            f"{label} (filtered+prefilter): {ratio:.2f}x below the "
-            f"{f_floor:.2f}x floor")
-    benchmark(lambda: BatchDCDetector(build_graph=True).analyze(raw_trace))

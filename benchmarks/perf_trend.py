@@ -2,15 +2,15 @@
 
 Each floored benchmark writes a machine-readable ``BENCH_<name>.json``
 next to its human-readable table (see ``harness.write_json``).  This
-script folds them into a single trajectory view — the chain of wins
-from the pure-Python reference detectors to the composed
-``--batch --kernels compiled`` path:
+script folds them into a single trajectory view — the chain of
+steady-state wins from the pure-Python reference detectors to the
+epoch detectors on the compiled kernels:
 
-    reference → epoch fast paths (smarttrack) → batch interpreter
-              → compiled kernels → sync-op fusion → composite
+    reference → epoch fast paths (smarttrack) → compiled kernels
 
-so one artifact answers "where does the ≥10× come from, and how much
-headroom is left above each floor".  CI's ``kernels-perf`` job runs it
+so one artifact answers "how much headroom is left above each floor".
+These are warm re-analysis figures; the cold end-to-end numbers come
+from the e2ebench (``e2ebench/run.py``).  CI's ``kernels-perf`` job runs it
 after the benches and uploads ``perf_trend.txt`` / ``perf_trend.json``
 alongside the per-bench results.
 
@@ -20,8 +20,8 @@ Usage::
 
 Reporting-only: floors are *asserted* by the benches themselves; here
 a below-floor row is flagged in the table but does not fail the run,
-so a partial results directory (e.g. numpy-less checkout) still
-produces a trajectory for the rows it has.
+so a partial results directory (e.g. a checkout without the compiled
+extension) still produces a trajectory for the rows it has.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ from typing import Any, Dict, List, Optional
 #: Files not listed here sort after these, alphabetically.
 TRAJECTORY = [
     "BENCH_smarttrack.json",    # reference → epoch/ownership fast paths
-    "BENCH_batch.json",         # epoch → batch interpreter (numpy)
     "BENCH_kernels.json",       # python → compiled kernel backend
-    "BENCH_kernels_sync.json",  # access-only → fused sync-op kernels
-    "BENCH_composite.json",     # reference → batch × compiled, composed
 ]
 
 #: Row lists worth surfacing, with a qualifier for the second leg.

@@ -27,7 +27,6 @@ from repro.core import kernels as _k
 from repro.core.events import Event, EventKind, Target, Tid
 from repro.core.trace import Trace
 from repro.core.vectorclock import VectorClock
-from repro.core.vectorclock_dense import DenseVectorClock, TidTable
 from repro.analysis.races import DynamicRace, RaceReport
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS
 
@@ -119,32 +118,18 @@ class Detector(abc.ABC):
             reported — it only removes provably fruitless work. Clock
             updates (including rule (a) critical-section recording)
             always run: they define the relation for *other* variables.
-        fast_vc: Back every clock this detector allocates with the
-            dense array kernel
-            (:class:`~repro.core.vectorclock_dense.DenseVectorClock`
-            over a per-trace :class:`~repro.core.vectorclock_dense.TidTable`)
-            instead of the dict-backed :class:`VectorClock`. The two
-            representations are value-equivalent, so verdicts are
-            identical; the dense one trades generality for constant
-            factors.
     """
 
     #: Relation name, e.g. ``"HB"``; set by subclasses.
     relation: str = "?"
 
-    def __init__(self, prefilter: Optional[Collection[Target]] = None,
-                 fast_vc: bool = False):
+    def __init__(self, prefilter: Optional[Collection[Target]] = None):
         self.trace: Optional[Trace] = None
         self.report: Optional[RaceReport] = None
         self._history: Dict[Target, AccessHistory] = {}
         #: Race-candidate variables, or None to race-check every access.
         self.prefilter: Optional[FrozenSet[Target]] = (
             None if prefilter is None else frozenset(prefilter))
-        #: Allocate dense array-backed clocks instead of dict-backed ones.
-        self.fast_vc = bool(fast_vc)
-        #: The tid-interning table shared by this run's dense clocks
-        #: (rebuilt per trace; None while dict-backed clocks are in use).
-        self._tid_table: Optional[TidTable] = None
         self._filter_skips = 0
         self._filter_checks = 0
         #: Per-thread memo of the last clock snapshot taken by
@@ -196,8 +181,7 @@ class Detector(abc.ABC):
         return report
 
     def metric_label(self) -> str:
-        """This detector's metric-name segment (``"HB/FastTrack"`` →
-        ``"hb_fasttrack"``)."""
+        """This detector's metric-name segment (``"DC"`` → ``"dc"``)."""
         return self.relation.lower().replace("/", "_")
 
     def begin_trace(self, trace: Trace) -> None:
@@ -211,15 +195,6 @@ class Detector(abc.ABC):
         self._filter_checks = 0
         self._snap_cache = {}
         self._n_joins = 0
-        self._tid_table = TidTable(trace.threads) if self.fast_vc else None
-
-    def _new_clock(self) -> VectorClock:
-        """A fresh zero clock in this run's selected representation."""
-        if self._tid_table is not None:
-            # DenseVectorClock duck-types the VectorClock surface the
-            # detectors use (get/set/advance/join/copy/version).
-            return DenseVectorClock(self._tid_table)  # type: ignore[return-value]
-        return VectorClock()
 
     def finish(self) -> RaceReport:
         """Return the report for the trace processed so far."""

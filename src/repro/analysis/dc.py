@@ -44,9 +44,8 @@ class DCDetector(Detector):
     relation = "DC"
 
     def __init__(self, build_graph: bool = True,
-                 prefilter: Optional[Collection[Target]] = None,
-                 fast_vc: bool = False):
-        super().__init__(prefilter, fast_vc=fast_vc)
+                 prefilter: Optional[Collection[Target]] = None):
+        super().__init__(prefilter)
         self.build_graph = build_graph
         self.graph = ConstraintGraph()
         self._clocks: Dict[Tid, VectorClock] = {}
@@ -94,7 +93,7 @@ class DCDetector(Detector):
         and any pending fork edge to the graph."""
         clock = self._clocks.get(e.tid)
         if clock is None:
-            clock = self._new_clock()
+            clock = VectorClock()
             self._clocks[e.tid] = clock
         assert self.trace is not None
         clock.advance(e.tid, self.trace.local_time[e.eid])

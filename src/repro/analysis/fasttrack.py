@@ -47,9 +47,8 @@ class FastTrackDetector(HBDetector):
 
     relation = "HB/FastTrack"
 
-    def __init__(self, prefilter: Optional[Collection[Target]] = None,
-                 fast_vc: bool = False):
-        super().__init__(prefilter, fast_vc=fast_vc)
+    def __init__(self, prefilter: Optional[Collection[Target]] = None):
+        super().__init__(prefilter)
         self._vars: Dict[Target, _VarState] = {}
         #: Same-epoch write fast-path hits — FastTrack's headline O(1)
         #: case. A plain int on the per-event hot path; folded into the

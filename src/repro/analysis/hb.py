@@ -24,9 +24,8 @@ class HBDetector(Detector):
 
     relation = "HB"
 
-    def __init__(self, prefilter: Optional[Collection[Target]] = None,
-                 fast_vc: bool = False):
-        super().__init__(prefilter, fast_vc=fast_vc)
+    def __init__(self, prefilter: Optional[Collection[Target]] = None):
+        super().__init__(prefilter)
         self._clocks: Dict[Tid, VectorClock] = {}
         self._lock_clocks: Dict[Target, VectorClock] = {}
         self._volatile_writes: Dict[Target, VectorClock] = {}
@@ -49,7 +48,7 @@ class HBDetector(Detector):
         pending fork edge. Returns the thread's clock."""
         clock = self._clocks.get(e.tid)
         if clock is None:
-            clock = self._new_clock()
+            clock = VectorClock()
             self._clocks[e.tid] = clock
         assert self.trace is not None
         clock.advance(e.tid, self.trace.local_time[e.eid])
@@ -105,7 +104,7 @@ class HBDetector(Detector):
             if prior is not None:
                 clock.join(prior)
         snapshot = clock.copy()
-        writes = self._volatile_writes.setdefault(e.target, self._new_clock())
+        writes = self._volatile_writes.setdefault(e.target, VectorClock())
         writes.join(snapshot)
 
     def on_volatile_read(self, e: Event) -> None:
@@ -113,7 +112,7 @@ class HBDetector(Detector):
         prior = self._volatile_writes.get(e.target)
         if prior is not None:
             clock.join(prior)
-        reads = self._volatile_reads.setdefault(e.target, self._new_clock())
+        reads = self._volatile_reads.setdefault(e.target, VectorClock())
         reads.join(clock)
 
     def on_begin(self, e: Event) -> None:

@@ -429,9 +429,8 @@ class _EpochDetectorBase(Detector):
         """Install the fused compiled sync-op kernels for this trace.
 
         ``kernels`` is the (acquire, release, fork, join) tuple from the
-        dispatch module — all None under the python backend or when sync
-        fusion is disabled, which keeps the open-coded handler bodies in
-        charge. The context mirrors ``_bind_fused``'s: one shared tuple
+        dispatch module — all None under the python backend, which keeps
+        the open-coded handler bodies in charge. The context mirrors ``_bind_fused``'s: one shared tuple
         of live, mutated-in-place containers."""
         acquire, release, fork, join = kernels
         if acquire is None or type(self._lt) is not list:

@@ -1,28 +1,16 @@
 """Single resolution layer for detector variant × kernel backend.
 
-Historically the CLI enforced ``--fast-vc`` / ``--batch`` mutual
-exclusion with argparse and the kernel backend was a separate global
-knob, so every entry point (the serial :class:`Vindicator` pipeline,
-the parallel pool initializers, the serve shards) re-derived its own
-``(variant, backend)`` pair ad hoc. This module centralizes that:
-
 * :class:`VariantSpec` is the one resolved selection — a detector
-  *variant* (``"reference"``, ``"fast"``, or ``"batch"``) plus an
-  optional kernel-backend request (``"auto"``/``"python"``/
-  ``"compiled"``, or None for "leave the process setting alone").
-
-* :func:`resolve` collapses CLI-style flags into a spec. ``--batch``
-  and ``--fast-vc`` are no longer mutually exclusive: the batch
-  detectors *are* the epoch detectors plus the vectorized planner
-  (:class:`~repro.analysis.batch._BatchMixin` subclasses the
-  smarttrack detectors), so ``batch`` strictly subsumes ``fast`` and
-  giving both simply means batch. Composing either with
-  ``--kernels compiled`` routes the per-event remainder through the
-  fused C kernels — the composite fast path.
+  *variant* plus an optional kernel-backend request (``"auto"``/
+  ``"python"``/``"compiled"``, or None for "leave the process setting
+  alone"). ``"fast"`` (the default) runs the SmartTrack-style epoch
+  detectors (:mod:`repro.analysis.smarttrack`), the production path;
+  ``"reference"`` runs the dict-backed detectors that define the
+  semantics and serve as the test oracle. Both produce identical
+  races, counters and DC constraint graphs.
 
 * :func:`make_analysis_detector` / :func:`make_analysis_detectors`
-  are the one place that maps a variant to detector classes, shared
-  by the serial pipeline and the pool workers so they cannot drift.
+  are the one place that maps a variant to detector classes.
 """
 
 from __future__ import annotations
@@ -32,8 +20,8 @@ from typing import Any, Optional, Tuple, Union
 
 from repro.core import kernels
 
-#: Recognized detector variants, in increasing order of speed.
-VARIANTS = ("reference", "fast", "batch")
+#: Recognized detector variants; the first is the default.
+VARIANTS = ("fast", "reference")
 
 
 @dataclass(frozen=True)
@@ -43,12 +31,11 @@ class VariantSpec:
     ``kernels_backend`` of None means "do not touch the process-wide
     backend" (whatever ``set_backend``/``VINDICATOR_KERNELS`` already
     installed stays in effect); any other value is installed by
-    :meth:`apply` before analysis starts and travels with the spec
-    across process boundaries (pool workers, serve shards) so a
-    pipeline never silently mixes kernel implementations.
+    :meth:`apply` before analysis starts, so a pipeline never silently
+    mixes kernel implementations.
     """
 
-    variant: str = "reference"
+    variant: str = VARIANTS[0]
     kernels_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -66,59 +53,33 @@ class VariantSpec:
     def apply(self) -> str:
         """Install the requested kernel backend process-wide (a no-op
         when the spec does not name one) and return the backend that is
-        actually active afterwards — the value to ship to workers."""
+        actually active afterwards."""
         if self.kernels_backend is not None:
             kernels.set_backend(self.kernels_backend)
         return kernels.active_backend()
 
-    def resolved(self) -> "VariantSpec":
-        """A copy whose backend field is pinned to the *active* backend
-        (resolving ``"auto"``/None), suitable for handing to a worker
-        process that must reproduce this process's configuration."""
-        return VariantSpec(self.variant, kernels.active_backend())
-
 
 def coerce(value: Union[str, VariantSpec, None]) -> VariantSpec:
-    """Normalize a legacy variant string (or None) to a spec."""
+    """Normalize a variant name (or None, the default) to a spec."""
     if isinstance(value, VariantSpec):
         return value
-    return VariantSpec(variant=value if value is not None else "reference")
-
-
-def resolve(*, fast_vc: bool = False, batch: bool = False,
-            variant: Optional[str] = None,
-            kernels_backend: Optional[str] = None) -> VariantSpec:
-    """Collapse CLI-style flags into one :class:`VariantSpec`.
-
-    Precedence: an explicit ``variant`` name wins; otherwise ``batch``
-    subsumes ``fast_vc`` (the batch detectors are the epoch detectors
-    plus the vectorized planner, so ``--batch --fast-vc`` is simply
-    batch, not an error).
-    """
-    if variant is None:
-        variant = "batch" if batch else ("fast" if fast_vc else "reference")
-    return VariantSpec(variant=variant, kernels_backend=kernels_backend)
+    return VariantSpec() if value is None else VariantSpec(variant=value)
 
 
 def make_analysis_detector(which: str, variant: Union[str, VariantSpec],
                            prefilter: Any = None) -> Any:
     """Construct the ``which`` ∈ {"hb", "wcp", "dc"} detector for a
-    variant. HB always runs the reference detector: FastTrack-style
-    epochs do not reproduce its ``racing_at`` sets (which drive race
-    classification) and HB is never the pipeline bottleneck. The DC
-    detector is always built with ``build_graph=True`` — the pipeline
-    needs the constraint graph for vindication."""
+    variant. HB always runs the reference detector: epochs do not
+    reproduce its ``racing_at`` sets (which drive race classification)
+    and HB is never the pipeline bottleneck. The DC detector is always
+    built with ``build_graph=True`` — the pipeline needs the constraint
+    graph for vindication."""
     variant = coerce(variant).variant
     if which == "hb":
         from repro.analysis.hb import HBDetector
         return HBDetector(prefilter=prefilter)
     if which not in ("wcp", "dc"):
         raise ValueError(f"unknown detector {which!r}")
-    if variant == "batch":
-        # Imported lazily: only the batch interpreter needs numpy.
-        from repro.analysis.batch import BatchDCDetector, BatchWCPDetector
-        return (BatchWCPDetector(prefilter=prefilter) if which == "wcp"
-                else BatchDCDetector(build_graph=True, prefilter=prefilter))
     if variant == "fast":
         from repro.analysis.smarttrack import (EpochDCDetector,
                                                EpochWCPDetector)

@@ -42,9 +42,8 @@ class WCPDetector(Detector):
 
     relation = "WCP"
 
-    def __init__(self, prefilter: Optional[Collection[Target]] = None,
-                 fast_vc: bool = False):
-        super().__init__(prefilter, fast_vc=fast_vc)
+    def __init__(self, prefilter: Optional[Collection[Target]] = None):
+        super().__init__(prefilter)
         self._h: Dict[Tid, VectorClock] = {}
         self._p: Dict[Tid, VectorClock] = {}
         self._lock_h: Dict[Target, VectorClock] = {}
@@ -78,9 +77,9 @@ class WCPDetector(Detector):
         """Advance the thread's (H, P) clocks to this event."""
         h = self._h.get(e.tid)
         if h is None:
-            h = self._new_clock()
+            h = VectorClock()
             self._h[e.tid] = h
-            self._p[e.tid] = self._new_clock()
+            self._p[e.tid] = VectorClock()
         p = self._p[e.tid]
         assert self.trace is not None
         h.advance(e.tid, self.trace.local_time[e.eid])

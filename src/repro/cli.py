@@ -25,10 +25,12 @@ Sub-commands:
   windowed metadata GC, checkpoint/resume, and live Prometheus
   ``/metrics`` (see ``docs/SERVING.md``).
 
-``analyze``, ``litmus``, and ``workload`` accept ``--prefilter`` (skip
-vector-clock race checks on variables the lockset pre-analysis proves
-race-free) and ``--sanitize`` (cross-check every detector's races
-against that pre-analysis; exit 1 on a violation). ``analyze`` and
+``analyze``, ``litmus``, ``workload`` and ``profile`` accept
+``--prefilter`` (skip vector-clock race checks on variables the lockset
+pre-analysis proves race-free), ``--sanitize`` (cross-check every
+detector's races against that pre-analysis; exit 1 on a violation) and
+``--variant reference`` (run the reference WCP/DC detectors instead of
+the default epoch detectors; same verdicts). ``analyze`` and
 ``workload`` accept ``--json`` to emit the machine-readable
 ``vindicator.analyze/1`` document instead of the human report.
 
@@ -40,7 +42,9 @@ snapshot document, ``*.prom``/``*.txt`` writes Prometheus text.
 ``lint`` and ``scan`` share one exit-code contract so both work as CI
 gates: **0** — clean, or warnings/notes only; **1** — at least one
 error-severity finding; **2** — usage failure (missing or unreadable
-input, unparsable source).
+input, unparsable source). ``analyze`` and ``profile`` also exit 2 on
+a missing or malformed trace file; their exit 1 is a sanitizer
+violation.
 
 Examples::
 
@@ -66,9 +70,10 @@ from typing import List, Optional
 
 from repro import obs
 from repro.analysis.races import RaceClass
-from repro.analysis.variants import VariantSpec, resolve as resolve_variant
+from repro.analysis.variants import VARIANTS, VariantSpec
 from repro.core import kernels
-from repro.core.exceptions import SanitizerError
+from repro.core.exceptions import SanitizerError, TraceFormatError
+from repro.core.trace import Trace
 from repro.static.lint import Severity, lint_document, lint_events
 from repro.stats.distances import static_distance_ranges
 from repro.traces.render import render_witness
@@ -117,14 +122,20 @@ def _print_report(report: VindicatorReport, show_witness: bool) -> None:
 
 
 def _variant_spec(args: argparse.Namespace) -> VariantSpec:
-    """The resolved detector-variant × kernel-backend selection.
+    """The detector variant plus the ``--kernels`` backend choice."""
+    return VariantSpec(args.variant, kernels_backend=args.kernels)
 
-    ``--fast-vc`` and ``--batch`` compose rather than conflict (batch
-    subsumes fast-vc), and the global ``--kernels`` choice rides along
-    in the spec so pool workers and shards inherit it resolved."""
-    return resolve_variant(fast_vc=getattr(args, "fast_vc", False),
-                           batch=getattr(args, "batch", False),
-                           kernels_backend=args.kernels)
+
+def _read_trace(path: str) -> Optional[Trace]:
+    """Load a trace file, or print one line to stderr and return None
+    when the file is unreadable or malformed (the caller exits 2)."""
+    try:
+        return load_trace(path)
+    except OSError as exc:
+        print(f"cannot read trace {path!r}: {exc}", file=sys.stderr)
+    except TraceFormatError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+    return None
 
 
 def _run_and_print(vindicator: Vindicator, trace, show_witness: bool,
@@ -143,12 +154,13 @@ def _run_and_print(vindicator: Vindicator, trace, show_witness: bool,
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    trace = load_trace(args.trace)
+    trace = _read_trace(args.trace)
+    if trace is None:
+        return 2
     vindicator = Vindicator(vindicate_all=args.vindicate_all,
                             policy=args.policy,
                             prefilter=args.prefilter,
                             sanitize=args.sanitize,
-                            jobs=args.jobs,
                             variant=_variant_spec(args))
     return _run_and_print(vindicator, trace, args.witness,
                           as_json=args.json)
@@ -235,7 +247,6 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
                                 transitive_force=not name.startswith("figure4"),
                                 prefilter=args.prefilter,
                                 sanitize=args.sanitize,
-                                jobs=args.jobs,
                                 variant=_variant_spec(args))
         status = _run_and_print(vindicator, factory(), args.witness)
         if status:
@@ -261,7 +272,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     vindicator = Vindicator(vindicate_all=args.vindicate_all,
                             prefilter=args.prefilter,
                             sanitize=args.sanitize,
-                            jobs=args.jobs,
                             variant=_variant_spec(args))
     return _run_and_print(vindicator, trace, args.witness,
                           as_json=args.json)
@@ -271,7 +281,8 @@ def _profile_trace(args: argparse.Namespace):
     """Load (or execute) the profile target inside a ``profile.load`` span.
 
     The target is a trace file when a file of that name exists,
-    otherwise a workload name. Returns ``None`` for an unknown target.
+    otherwise a workload name. Returns ``None`` for an unknown target
+    or an unreadable or malformed trace file.
     """
     from repro.runtime import execute, fast_path_filter
     from repro.runtime.workloads import WORKLOADS
@@ -284,7 +295,9 @@ def _profile_trace(args: argparse.Namespace):
         return None
     with obs.span("profile.load") as load_span:
         if is_file:
-            trace = load_trace(target)
+            trace = _read_trace(target)
+            if trace is None:
+                return None
         else:
             trace = execute(WORKLOADS[target](scale=args.scale),
                             seed=args.seed)
@@ -327,7 +340,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             vindicator = Vindicator(vindicate_all=args.vindicate_all,
                                     prefilter=args.prefilter,
                                     sanitize=args.sanitize,
-                                    jobs=args.jobs,
                                     variant=spec)
             try:
                 vindicator.run(trace)
@@ -413,39 +425,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cross-check detector races against the lockset "
                               "pre-analysis; exit 1 on violation")
 
-    def add_jobs_flag(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="run analysis and vindication across N worker "
-                              "processes; reports stay bit-identical to "
-                              "--jobs 1 (default: 1, fully serial)")
-
     def add_variant_flags(cmd: argparse.ArgumentParser) -> None:
-        # The flags compose instead of conflicting: the batch detectors
-        # are the epoch detectors plus the vectorized planner, so
-        # --batch subsumes --fast-vc (repro.analysis.variants.resolve),
-        # and either composes with --kernels compiled for the full
-        # fused-kernel fast path.
-        cmd.add_argument("--fast-vc", action="store_true", dest="fast_vc",
-                         help="run the SmartTrack-style epoch/dense-kernel "
-                              "WCP and DC detectors (same verdicts and "
-                              "constraint graph, >=2x faster)")
-        cmd.add_argument("--batch", action="store_true",
-                         help="run the batched interpreter over the packed "
-                              "columnar encoding (same verdicts and "
-                              "constraint graph, >=5x faster than the "
-                              "reference on workload-scale traces; "
-                              "requires numpy; subsumes --fast-vc and "
-                              "composes with --kernels compiled)")
-        # Accept --kernels after the subcommand too, so the composed
-        # invocation reads naturally (`analyze t.txt --batch --kernels
-        # compiled`).  SUPPRESS keeps the subparser from clobbering a
-        # root-level --kernels with its own default when the flag is
-        # only given up front.
+        cmd.add_argument("--variant", choices=VARIANTS, default=VARIANTS[0],
+                         help="WCP/DC detectors: 'fast' runs the epoch "
+                              "detectors, 'reference' the detectors that "
+                              "define the semantics; verdicts are "
+                              "identical (default: fast)")
+        # Accept --kernels after the subcommand too. SUPPRESS keeps the
+        # subparser from clobbering a root-level --kernels with its own
+        # default when the flag is only given up front.
         cmd.add_argument("--kernels", choices=("auto", "python", "compiled"),
                          default=argparse.SUPPRESS,
                          help="clock-kernel backend for this run (same as "
-                              "the global --kernels; composes with --batch "
-                              "and --fast-vc)")
+                              "the global --kernels)")
 
     analyze = sub.add_parser("analyze", help="analyze a text-format trace file")
     analyze.add_argument("trace", help="path to the trace file")
@@ -459,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the vindicator.analyze/1 JSON document "
                               "instead of the human-readable report")
     add_static_flags(analyze)
-    add_jobs_flag(analyze)
     add_variant_flags(analyze)
     analyze.set_defaults(func=_cmd_analyze)
 
@@ -489,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"({', '.join(LITMUS)})")
     litmus.add_argument("--witness", action="store_true")
     add_static_flags(litmus)
-    add_jobs_flag(litmus)
     add_variant_flags(litmus)
     litmus.set_defaults(func=_cmd_litmus)
 
@@ -505,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="emit the vindicator.analyze/1 JSON document "
                                "instead of the human-readable report")
     add_static_flags(workload)
-    add_jobs_flag(workload)
     add_variant_flags(workload)
     workload.set_defaults(func=_cmd_workload)
 
@@ -533,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also export metrics to PATH (same formats "
                               "as the global --metrics flag)")
     add_static_flags(profile)
-    add_jobs_flag(profile)
     add_variant_flags(profile)
     profile.set_defaults(func=_cmd_profile)
 

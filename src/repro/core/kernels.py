@@ -1,7 +1,7 @@
 """Backend dispatch for the clock hot-path kernels.
 
 Every per-event inner loop of the analyses — the dense list-clock
-kernels behind ``--fast-vc``, the SmartTrack gated race scan, the
+kernels of the epoch detectors, the SmartTrack gated race scan, the
 rule (a) source-clock joins, the rule (b) fixpoint, and the
 recency-ordered (del-then-insert) table maintenance shared with the
 sparse reference detectors — funnels through the module-level functions
@@ -48,8 +48,6 @@ __all__ = [
     "backends",
     "compiled_available",
     "set_backend",
-    "set_sync_fusion",
-    "sync_fusion_enabled",
     "join_into_list",
     "join_into_list_changed",
     "dominates_list",
@@ -409,12 +407,9 @@ _FUSED_NAMES: Tuple[str, ...] = (
 #: graph on) edge-buffer appends — against a per-trace sync context
 #: tuple.  Like the fused access kernels they bind to None under the
 #: python backend (the detectors' open-coded ``on_*`` methods are the
-#: reference these transcribe), and additionally when sync fusion is
-#: disabled via :func:`set_sync_fusion` (the A/B lever the composite
-#: benchmark uses to isolate the sync-op win from the access-only
-#: fused path).  The release kernels return a status int (0 — handled,
-#: 1 — no matching acquire) so the caller raises the exact exception
-#: the open-coded path would.
+#: reference these transcribe).  The release kernels return a status
+#: int (0 — handled, 1 — no matching acquire) so the caller raises the
+#: exact exception the open-coded path would.
 _SYNC_NAMES: Tuple[str, ...] = (
     "acquire_wcp",
     "release_wcp",
@@ -433,7 +428,6 @@ except ImportError:  # pragma: no cover - default source checkout
     _compiled_mod = None
 
 _active = "python"
-_sync_fusion = True
 
 # Dispatched public bindings (rebound by set_backend; call through the
 # module attribute, never `from`-import these).
@@ -518,38 +512,11 @@ def set_backend(choice: str) -> str:
                    else g["py_" + name])
     for name in _PYTHON_ONLY_NAMES:
         g[name] = g["py_" + name]
-    for name in _FUSED_NAMES:
+    for name in _FUSED_NAMES + _SYNC_NAMES:
         g[name] = (getattr(_compiled_mod, name) if target == "compiled"
                    else None)
-    for name in _SYNC_NAMES:
-        g[name] = (getattr(_compiled_mod, name)
-                   if target == "compiled" and _sync_fusion else None)
     _active = target
     return target
-
-
-def set_sync_fusion(enabled: bool) -> bool:
-    """Enable or disable the fused sync-op kernels (compiled backend).
-
-    With fusion off the compiled backend keeps the fused *access*
-    kernels and the fine-grained clock kernels but routes
-    acquire/release/fork/join through the detectors' open-coded Python
-    paths — exactly the shape of the access-only fused backend this PR
-    extends.  The composite benchmark flips this to measure the sync-op
-    fusion win in isolation; results are bit-identical either way (the
-    open-coded paths are the reference the kernels transcribe).
-    Detectors consult the binding at ``begin_trace``, so flip this
-    between analyses, not mid-trace.  Returns the new setting.
-    """
-    global _sync_fusion
-    _sync_fusion = bool(enabled)
-    set_backend(_active)
-    return _sync_fusion
-
-
-def sync_fusion_enabled() -> bool:
-    """Whether the fused sync-op kernels may bind (compiled backend)."""
-    return _sync_fusion
 
 
 #: Environment override consulted once at import; the CLI's --kernels

@@ -1,11 +1,10 @@
-"""Dense, array-backed vector clocks (the fast kernel behind ``--fast-vc``).
+"""Dense, array-backed vector clocks (the kernel of the epoch detectors).
 
 The dict-backed :class:`~repro.core.vectorclock.VectorClock` is the
 clarity-first representation: absent threads are implicitly zero and any
 hashable thread id works. Its hot operations, however, pay dict hashing
 per component. This module provides the dense alternative used by the
-SmartTrack-style detectors (:mod:`repro.analysis.smarttrack`) and,
-optionally, by the reference detectors:
+SmartTrack-style detectors (:mod:`repro.analysis.smarttrack`):
 
 * :class:`TidTable` — compact interning of thread ids to indices
   ``0..T-1``, fixed per trace;

@@ -40,7 +40,6 @@ closures an edge insertion can actually affect.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -327,51 +326,6 @@ class ConstraintGraph:
                     color[node] = BLACK
                     stack.pop()
         return None
-
-    # ------------------------------------------------------------------
-    # Serialization (process-boundary handoff for repro.parallel)
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> Tuple["array[int]", "array[int]"]:
-        """Serialize the edge set as CSR arrays ``(offsets, targets)``.
-
-        ``offsets`` has ``num_events + 1`` entries; node ``v``'s
-        successors are ``targets[offsets[v]:offsets[v+1]]``, sorted
-        ascending. Both are :class:`array.array` instances, which pickle
-        as flat buffers — the parallel engine ships a graph to a worker
-        pool once this way instead of pickling per-node set objects.
-        """
-        offsets = array("Q", [0])
-        targets = array("I")
-        total = 0
-        for succ in self._succ:
-            total += len(succ)
-            offsets.append(total)
-            targets.extend(sorted(succ))
-        return offsets, targets
-
-    @classmethod
-    def from_arrays(cls, offsets: "array[int]",
-                    targets: "array[int]") -> "ConstraintGraph":
-        """Rebuild a graph serialized by :meth:`to_arrays`.
-
-        The clone starts with a fresh generation and an empty mutation
-        journal (it is a new graph whose initial edge set happens to be
-        the serialized one).
-        """
-        graph = cls(len(offsets) - 1)
-        succ = graph._succ
-        pred = graph._pred
-        for node in range(graph.num_events):
-            row = targets[offsets[node]:offsets[node + 1]]
-            if not row:
-                continue
-            succ[node].update(row)
-            for dst in row:
-                pred[dst].add(node)
-                if dst < node:
-                    graph._backward.add((node, dst))
-        graph._edge_count = len(targets)
-        return graph
 
     def copy(self) -> "ConstraintGraph":
         clone = ConstraintGraph(self.num_events)

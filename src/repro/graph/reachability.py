@@ -414,7 +414,7 @@ class ReachabilityIndex:
         self._promote()
 
     def export_state(self) -> Dict[str, Dict[int, int]]:
-        """Serialize the unwindowed closure caches for another process.
+        """Serialize the unwindowed closure caches.
 
         Returns a picklable ``{"fwd": {node: bitset}, "bwd": ...}``
         payload of every unwindowed closure exact for the current graph.
@@ -432,8 +432,8 @@ class ReachabilityIndex:
 
     def import_state(self, state: Dict[str, Dict[int, int]]) -> None:
         """Adopt closures exported by :meth:`export_state`; the graph
-        must have the exporter's edge set (the parallel engine rebuilds
-        it from its serialized arrays first)."""
+        must have the exporter's edge set (a ``ConstraintGraph.copy()``
+        of the exporter's graph, say)."""
         self._sync()
         if state.get("fwd"):
             self._fwd.setdefault(None, {}).update(state["fwd"])

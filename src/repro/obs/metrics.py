@@ -250,8 +250,8 @@ class MetricsRegistry:
     def merge_snapshot(self, snap: Dict[str, object]) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
 
-        The parallel engine uses this to join worker-process registries
-        back into the parent: counters add, gauges keep the maximum
+        This joins a registry recorded in another process into this
+        one: counters add, gauges keep the maximum
         (every gauge in the pipeline is ``track_max``-style), and
         histograms add bucket counts pairwise. A histogram that already
         exists locally must have the same bucket bounds as the incoming

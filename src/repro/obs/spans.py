@@ -233,8 +233,8 @@ class Tracer:
         (or as new roots when none is open), and the ``on_close`` hook —
         the JSONL exporter's event source — is replayed for every
         grafted span in post-order, children before parents, exactly as
-        if the spans had closed here. The parallel engine uses this to
-        put worker-process phase trees under the parent's pipeline span.
+        if the spans had closed here, so span trees recorded in another
+        process can be placed under this one's open span.
         """
         spans = [span_from_dict(payload, self) for payload in payloads]
         depth = len(self._stack)

@@ -17,17 +17,17 @@ must poison only its own session, not the worker owning other sessions.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import re
 import signal
 import threading
 from multiprocessing.connection import Connection
+from multiprocessing.context import BaseContext
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.variants import VariantSpec
 from repro.core import kernels
 from repro.obs.schema import validate_serve_request, SchemaError
-from repro.parallel.engine import pool_context
 from repro.serve.checkpoint import (CheckpointError, resume_session,
                                     write_checkpoint)
 from repro.serve.protocol import ProtocolError, error_response, ok_response
@@ -42,6 +42,15 @@ def shard_of(session: str, jobs: int) -> int:
     """Stable session→shard routing (pure function of the name)."""
     digest = hashlib.sha256(session.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % jobs
+
+
+def pool_context() -> BaseContext:
+    """The multiprocessing context for shard workers: ``fork`` (cheap,
+    inherits the imported modules), else ``spawn``."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
 
 
 def checkpoint_path(checkpoint_dir: str, session: str) -> str:
@@ -176,19 +185,17 @@ class InlineShard:
 
 
 def _shard_main(conn: "Connection", index: int,
-                spec: Optional[VariantSpec] = None) -> None:
+                backend: Optional[str] = None) -> None:
     """Forked worker loop: one request in, one response out, until the
     exit sentinel. Signals are the parent's job — the worker must keep
     serving drain requests while the parent handles SIGTERM."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    # Re-apply the daemon's resolved variant spec (streaming sessions
-    # are always the "reference" variant — batch cannot stream — so in
-    # practice this pins the clock-kernel backend): under `spawn` the
+    # Re-apply the daemon's resolved kernel backend: under `spawn` the
     # worker would otherwise re-resolve the env default, and a fleet
     # must never silently mix kernel implementations.
-    if spec is not None:
-        spec.apply()
+    if backend is not None:
+        kernels.set_backend(backend)
     state = ShardState(checkpoint_dir=os.environ.get("TMPDIR", "/tmp"))
     while True:
         try:
@@ -222,9 +229,7 @@ class ProcessShard:
         self._lock = threading.Lock()
         self._proc = ctx.Process(target=_shard_main,
                                  args=(child_conn, index,
-                                       VariantSpec(
-                                           "reference",
-                                           kernels.active_backend())),
+                                       kernels.active_backend()),
                                  name=f"vindicator-shard-{index}",
                                  daemon=True)
         self._proc.start()

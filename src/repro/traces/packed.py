@@ -1,10 +1,8 @@
 """Columnar packed encoding of a :class:`~repro.core.trace.Trace`.
 
-The parallel engine (:mod:`repro.parallel`) ships the trace to worker
-processes once per pool. Pickling a ``Trace`` directly serialises one
-``Event`` object per trace event — tens of thousands of small dataclass
-records plus their per-event strings — which dominates worker start-up
-cost. :class:`PackedTrace` stores the same information columnarly:
+A ``Trace`` holds one ``Event`` object per trace event — tens of
+thousands of small dataclass records plus their per-event strings.
+:class:`PackedTrace` stores the same information columnarly:
 
 * ``kinds`` — one byte per event, an index into the fixed
   :class:`~repro.core.events.EventKind` order;
@@ -23,8 +21,8 @@ round-trip exactly: event ids, thread ids, kinds, targets, source
 locations, and provenance are all preserved, and unpacking skips
 re-validation because the source trace was validated when first built.
 
-Beyond the process-boundary use, this module is the persistence layer
-for the streaming service (:mod:`repro.serve`):
+This module is the persistence layer for the streaming service
+(:mod:`repro.serve`):
 
 * :class:`PackedBuilder` appends events one at a time, so a live
   session keeps only the columns (~17 bytes/event) instead of Event

@@ -33,8 +33,8 @@ from repro.graph.reachability import ReachabilityIndex
 from repro.analysis.dc import DCDetector
 from repro.analysis.hb import HBDetector
 from repro.analysis.races import DynamicRace, RaceClass, RaceReport, classify
-from repro.analysis.variants import (VARIANTS as VARIANTS_TUPLE, VariantSpec,
-                                     coerce, make_analysis_detectors)
+from repro.analysis.variants import (VARIANTS, VariantSpec, coerce,
+                                     make_analysis_detectors)
 from repro.analysis.wcp import WCPDetector
 from repro.obs.schema import ANALYZE_SCHEMA_ID
 from repro.static.lockset import LocksetResult, analyze_locksets, cross_check
@@ -215,10 +215,6 @@ class VindicatorReport:
     #: Metrics snapshot captured when the pipeline ran with
     #: observability enabled; None otherwise.
     obs: Optional[Dict[str, object]] = None
-    #: Worker-process count the pipeline ran with (1 = serial path).
-    #: This is the one intentional document difference between serial
-    #: and parallel runs of the same trace.
-    jobs: int = 1
     #: Which clock-kernel backend produced this report ("python" or
     #: "compiled"); captured at construction so documents are traceable
     #: to the implementation that computed them (the backends are
@@ -285,7 +281,8 @@ class VindicatorReport:
                 "vindication_seconds": self.vindication_seconds,
             },
             "metrics": self.obs,
-            "parallel": {"jobs": self.jobs},
+            # Kept for document consumers; the pipeline is serial.
+            "parallel": {"jobs": 1},
             "kernels": {"backend": self.kernels_backend},
         }
 
@@ -348,34 +345,22 @@ class Vindicator:
             lockset over-approximation and raise
             :class:`~repro.core.exceptions.SanitizerError` on any race
             over a provably race-free variable.
-        jobs: Worker processes. ``1`` (default) runs today's serial
-            path untouched; ``N > 1`` runs the detectors concurrently
-            and fans vindications out via :mod:`repro.parallel`, with
-            reports bit-identical to serial (worker-count metadata and
-            reachability cache counters excepted — see
-            ``docs/PARALLEL.md``).
-        variant: ``"reference"`` (default) runs the dict-backed WCP/DC
-            detectors; ``"fast"`` runs the SmartTrack-style epoch/dense
-            kernel variants (:mod:`repro.analysis.smarttrack`, the
-            ``--fast-vc`` CLI switch) — verdict-identical (races, DC
-            constraint graph, counters), substantially faster;
-            ``"batch"`` runs the batched interpreter over the packed
-            columnar encoding (:mod:`repro.analysis.batch`, the
-            ``--batch`` CLI switch) — also verdict-identical, fastest,
-            requires numpy. HB always runs the reference detector (it
-            is not the bottleneck and its ``racing_at`` drives
+        variant: ``"fast"`` (default) runs the SmartTrack-style epoch
+            WCP/DC detectors (:mod:`repro.analysis.smarttrack`), the
+            production path; ``"reference"`` runs the dict-backed
+            detectors that define the semantics. Both give identical
+            races, counters and DC constraint graphs. A
+            :class:`~repro.analysis.variants.VariantSpec` may also pin
+            the kernel backend. HB always runs the reference detector
+            (it is not the bottleneck and its ``racing_at`` drives
             classification).
     """
-
-    # Kept as a class attribute for callers that introspect the valid
-    # names; the canonical definition lives in repro.analysis.variants.
-    VARIANTS = VARIANTS_TUPLE
 
     def __init__(self, vindicate_all: bool = False, policy: str = "latest",
                  check_witnesses: bool = True, transitive_force: bool = True,
                  use_window: bool = False, prefilter: bool = False,
-                 sanitize: bool = False, jobs: int = 1,
-                 variant: "str | VariantSpec" = "reference"):
+                 sanitize: bool = False,
+                 variant: "str | VariantSpec" = VARIANTS[0]):
         self.vindicate_all = vindicate_all
         self.policy = policy
         self.check_witnesses = check_witnesses
@@ -389,19 +374,13 @@ class Vindicator:
         self.prefilter = prefilter
         #: Enable the lockset cross-check on all three race reports.
         self.sanitize = sanitize
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        #: Worker processes (1 = serial).
-        self.jobs = jobs
         spec = coerce(variant)
         #: The resolved variant × kernel-backend selection
         #: (:class:`repro.analysis.variants.VariantSpec`). Accepts a bare
-        #: variant string for compatibility; a full spec additionally
-        #: pins the kernel backend, installed at :meth:`run` entry and
-        #: shipped to pool workers so the whole pipeline agrees.
+        #: variant string; a full spec additionally pins the kernel
+        #: backend, installed at :meth:`run` entry.
         self.variant_spec = spec
-        #: Detector implementation: "reference", "fast" (epoch/dense),
-        #: or "batch" (packed-columnar batched interpreter).
+        #: Detector implementation: "fast" (epoch/dense) or "reference".
         self.variant = spec.variant
 
     def run(self, trace: Trace) -> VindicatorReport:
@@ -410,10 +389,7 @@ class Vindicator:
         # its fused-kernel context (a no-op for a backend-less spec).
         self.variant_spec.apply()
         with obs.span("pipeline.run") as pipeline_span:
-            if self.jobs > 1:
-                report = self._run_parallel(trace, pipeline_span)
-            else:
-                report = self._run(trace, pipeline_span)
+            report = self._run(trace, pipeline_span)
         reg = obs.metrics()
         if reg.enabled:
             # Snapshot *after* every phase has published its batch.
@@ -433,25 +409,15 @@ class Vindicator:
             detector.transitive_force = self.transitive_force
         start = time.perf_counter()
         with obs.span("pipeline.analysis") as sp:
-            if self.variant == "batch":
-                # The batch drivers consume the whole trace per
-                # detector; the detectors are independent, so
-                # back-to-back full passes produce the same reports as
-                # the per-event lockstep below (the parallel path
-                # already relies on this).
-                hb_report = hb.analyze(trace)
-                wcp_report = wcp.analyze(trace)
-                dc_report = dc.analyze(trace)
-            else:
-                for detector in (hb, wcp, dc):
-                    detector.begin_trace(trace)
-                for event in trace:
-                    hb.handle(event)
-                    wcp.handle(event)
-                    dc.handle(event)
-                hb_report = hb.finish()
-                wcp_report = wcp.finish()
-                dc_report = dc.finish()
+            for detector in (hb, wcp, dc):
+                detector.begin_trace(trace)
+            for event in trace:
+                hb.handle(event)
+                wcp.handle(event)
+                dc.handle(event)
+            hb_report = hb.finish()
+            wcp_report = wcp.finish()
+            dc_report = dc.finish()
             sp.annotate("events", len(trace))
         analysis_seconds = time.perf_counter() - start
         report = self.finalize(trace, hb, wcp, dc,
@@ -519,89 +485,4 @@ class Vindicator:
                 reg.gauge(f"graph.{name}").track_max(value)
             for name, value in index.footprint().items():
                 reg.gauge(f"graph.{name}").track_max(value)
-        return report
-
-    def _run_parallel(self, trace: Trace,
-                      pipeline_span: obs.AnySpan) -> VindicatorReport:
-        """The ``jobs > 1`` pipeline: same phases as :meth:`_run`, with
-        the analysis and vindication phases fanned out over worker
-        processes by :mod:`repro.parallel.engine`. Classification,
-        lockset work, and report assembly stay in the parent, and every
-        merge is order-deterministic, so the report is bit-identical to
-        the serial path (worker-count metadata and reachability cache
-        counters excepted)."""
-        # Imported here so the serial pipeline never touches
-        # multiprocessing machinery.
-        from repro.parallel import engine
-
-        lockset: Optional[LocksetResult] = None
-        candidates = None
-        if self.prefilter or self.sanitize:
-            lockset = analyze_locksets(trace.events)
-            if self.prefilter:
-                candidates = lockset.race_candidates
-        start = time.perf_counter()
-        with obs.span("pipeline.analysis") as sp:
-            analysis = engine.run_analysis(
-                trace, jobs=self.jobs,
-                transitive_force=self.transitive_force,
-                prefilter=candidates, variant=self.variant_spec)
-            sp.annotate("events", len(trace))
-            sp.annotate("jobs", min(3, self.jobs))
-        hb_report, wcp_report, dc_report = analysis.hb, analysis.wcp, analysis.dc
-        analysis_seconds = time.perf_counter() - start
-
-        with obs.span("pipeline.classify") as sp:
-            classified: List[DynamicRace] = []
-            for race in dc_report.races:
-                hb_unordered = race.first.eid in analysis.hb_racing_at.get(
-                    race.second.eid, ())
-                wcp_unordered = race.first.eid in analysis.wcp_racing_at.get(
-                    race.second.eid, ())
-                race_class = classify((not hb_unordered, not wcp_unordered))
-                classified.append(replace(race, race_class=race_class))
-            dc_report.races = classified
-            sp.annotate("dc_races", len(classified))
-
-        if self.sanitize:
-            assert lockset is not None
-            violations: List[str] = []
-            for analysis_report in (hb_report, wcp_report, dc_report):
-                violations.extend(cross_check(analysis_report.races, lockset))
-            if violations:
-                raise SanitizerError(violations)
-
-        report = VindicatorReport(
-            trace=trace, hb=hb_report, wcp=wcp_report, dc=dc_report,
-            analysis_seconds=analysis_seconds, lockset=lockset,
-            provenance=dict(trace.provenance), jobs=self.jobs)
-        to_vindicate = [
-            (pos, race) for pos, race in enumerate(classified)
-            if self.vindicate_all or race.race_class is RaceClass.DC_ONLY]
-        start = time.perf_counter()
-        with obs.span("pipeline.vindicate") as sp:
-            vindications, index_stats = engine.run_vindication(
-                trace, analysis, to_vindicate, jobs=self.jobs,
-                policy=self.policy, check=self.check_witnesses,
-                use_window=self.use_window)
-            # The worker round-trip returns value-equal copies of the
-            # race objects; swap the parent's classified instances back
-            # in so identity matches the serial path.
-            for (pos, _), vindication in zip(to_vindicate, vindications):
-                vindication.race = classified[pos]
-            report.vindications.extend(vindications)
-            sp.annotate("races", len(vindications))
-            sp.annotate("jobs", self.jobs)
-        report.vindication_seconds = time.perf_counter() - start
-        for counter, value in index_stats.items():
-            if value:
-                dc_report.counters[counter] = (
-                    dc_report.counters.get(counter, 0) + value)
-        reg = obs.metrics()
-        if reg.enabled:
-            for name, value in index_stats.items():
-                reg.add(f"graph.{name}", value)
-            for name, value in analysis.graph_stats.items():
-                reg.gauge(f"graph.{name}").track_max(value)
-        pipeline_span.annotate("events", len(trace))
         return report

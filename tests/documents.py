@@ -1,0 +1,19 @@
+"""Helpers for comparing ``vindicator.analyze/1`` documents."""
+
+import json
+
+#: The wall-clock fields of a document: all that may differ between
+#: two runs of the same trace, whatever detectors produced them.
+TIMING_FIELDS = ("timing", "elapsed_seconds", "metrics")
+
+
+def blank_timings(doc):
+    """A deep copy of ``doc`` with every timing field set to None."""
+    def blank(node):
+        if isinstance(node, dict):
+            return {key: None if key in TIMING_FIELDS else blank(value)
+                    for key, value in node.items()}
+        if isinstance(node, list):
+            return [blank(item) for item in node]
+        return node
+    return blank(json.loads(json.dumps(doc)))

@@ -5,13 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.obs.schema import (
     validate_lint_document,
     validate_scan_document,
 )
+from repro.runtime import execute
+from repro.runtime.workloads import WORKLOADS
 from repro.traces.io import dump_trace
-from repro.traces.litmus import figure1, figure2
+from repro.traces.litmus import ALL as LITMUS, figure1, figure2
+from repro.vindicate.vindicator import Vindicator
+
+from documents import blank_timings
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -235,15 +240,89 @@ class TestStaticFlags:
         assert "vindication:" in out
 
 
-#: Every valid composition of the detector-variant, parallelism, and
-#: static-analysis flags. --fast-vc and --batch are mutually exclusive
-#: (both pick the WCP/DC implementation); everything else composes.
-VARIANT_FLAGS = [[], ["--fast-vc"], ["--batch"]]
+def _variant_documents(trace, **kwargs):
+    """The default-path and reference-variant ``analyze/1`` documents
+    for ``trace``, with only the wall-clock fields blanked."""
+    fast = Vindicator(**kwargs).run(trace).to_document()
+    reference = Vindicator(variant="reference", **kwargs).run(
+        trace).to_document()
+    return blank_timings(fast), blank_timings(reference)
+
+
+#: --vindicate-all off and on, and --prefilter.
+PIPELINE_FLAGS = [{}, {"vindicate_all": True},
+                  {"vindicate_all": True, "prefilter": True}]
+PIPELINE_IDS = ["dc-only", "vindicate-all", "prefilter"]
+
+
+class TestDefaultPathMatchesReference:
+    """The epoch detectors (the default) and the reference detectors
+    produce the same ``analyze/1`` document: verdicts, ``attempts``,
+    cycles, witnesses' sizes and every counter, ``reach_*`` included."""
+
+    @pytest.mark.parametrize("flags", PIPELINE_FLAGS, ids=PIPELINE_IDS)
+    @pytest.mark.parametrize("name", list(LITMUS))
+    def test_litmus(self, name, flags):
+        fast, reference = _variant_documents(
+            LITMUS[name](), transitive_force=not name.startswith("figure4"),
+            **flags)
+        assert fast == reference
+
+    @pytest.mark.parametrize("flags", PIPELINE_FLAGS, ids=PIPELINE_IDS)
+    @pytest.mark.parametrize("name", ["xalan", "avrora", "h2"])
+    def test_workload_scale_2(self, name, flags):
+        trace = execute(WORKLOADS[name](scale=2), seed=0)
+        fast, reference = _variant_documents(trace, **flags)
+        assert fast["analyses"]["dc"]["races"]
+        assert fast == reference
+
+    def test_default_variant_is_fast(self):
+        assert Vindicator().variant == "fast"
+        assert build_parser().parse_args(
+            ["analyze", "t.txt"]).variant == "fast"
+
+    def test_unknown_variant_is_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["litmus", "figure2", "--variant", "batch"])
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_cli_variant_flag_matches(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        dump_trace(figure1(), path)
+        documents = []
+        for variant in ("fast", "reference"):
+            assert main(["analyze", str(path), "--vindicate-all", "--json",
+                         "--variant", variant]) == 0
+            documents.append(blank_timings(json.loads(
+                capsys.readouterr().out)))
+        assert documents[0] == documents[1]
+        assert documents[0]["parallel"] == {"jobs": 1}
+
+    def test_profile_tags_the_variant(self, tmp_path, capsys):
+        metrics = tmp_path / "profile.jsonl"
+        assert main(["profile", "luindex", "--scale", "0.2", "--variant",
+                     "reference", "--metrics", str(metrics)]) == 0
+        records = [json.loads(line)
+                   for line in metrics.read_text().splitlines()]
+        [root] = [r for r in records
+                  if r.get("name") == "profile.luindex"]
+        assert root["tags"]["variant"] == "reference"
+
+
+#: The detector-variant flags, under the ids of the flags they replaced:
+#: ``--fast-vc`` is now ``--variant fast``, and the row of the removed
+#: ``--batch`` tier runs with no flag at all, i.e. the default path.
+VARIANT_FLAGS = [["--variant", "reference"], ["--variant", "fast"], []]
+VARIANT_IDS = ["reference", "fast-vc", "batch"]
+
+
+def _verdict_lines(out: str) -> list:
+    return [line for line in out.splitlines()
+            if "race" in line and "ms)" not in line]
 
 
 class TestVariantFlagMatrix:
-    @pytest.mark.parametrize("variant", VARIANT_FLAGS,
-                             ids=["reference", "fast-vc", "batch"])
+    @pytest.mark.parametrize("variant", VARIANT_FLAGS, ids=VARIANT_IDS)
     @pytest.mark.parametrize("static", [[], ["--prefilter"]],
                              ids=["plain", "prefilter"])
     def test_workload_matrix_serial(self, variant, static, capsys):
@@ -254,25 +333,22 @@ class TestVariantFlagMatrix:
         if static:
             assert "pre-filter: skipped" in out
 
-    @pytest.mark.parametrize("variant", VARIANT_FLAGS,
-                             ids=["reference", "fast-vc", "batch"])
+    @pytest.mark.parametrize("variant", VARIANT_FLAGS, ids=VARIANT_IDS)
     def test_workload_matrix_parallel(self, variant, capsys):
-        # The variant must reach the worker processes (bit-identical
-        # verdict lines vs the serial run of the same variant).
+        # Formerly each variant against its own --jobs 2 run; the pool is
+        # gone, so each variant is held to the reference's verdict lines.
+        assert main(["workload", "luindex", "--scale", "0.2",
+                     "--vindicate-all", "--variant", "reference"]) == 0
+        reference = capsys.readouterr().out
         assert main(["workload", "luindex", "--scale", "0.2",
                      "--vindicate-all", *variant]) == 0
-        serial = capsys.readouterr().out
-        assert main(["workload", "luindex", "--scale", "0.2",
-                     "--vindicate-all", "--jobs", "2", *variant]) == 0
-        parallel = capsys.readouterr().out
-        keep = [line for line in serial.splitlines()
-                if "race" in line and "ms)" not in line]
+        out = capsys.readouterr().out
+        keep = _verdict_lines(reference)
         assert keep
-        for line in keep:
-            assert line in parallel
+        assert _verdict_lines(out) == keep
 
     @pytest.mark.parametrize("variant", VARIANT_FLAGS[1:],
-                             ids=["fast-vc", "batch"])
+                             ids=VARIANT_IDS[1:])
     def test_litmus_and_analyze_accept_variants(self, variant, tmp_path,
                                                 capsys):
         assert main(["litmus", "figure2", *variant]) == 0
@@ -284,44 +360,72 @@ class TestVariantFlagMatrix:
         assert "vindication:" in capsys.readouterr().out
 
     def test_batch_matches_reference_output(self, capsys):
+        # The default path (where --batch users now land) against the
+        # reference detectors.
+        assert main(["workload", "xalan", "--scale", "0.3",
+                     "--vindicate-all", "--variant", "reference"]) == 0
+        reference = capsys.readouterr().out
         assert main(["workload", "xalan", "--scale", "0.3",
                      "--vindicate-all"]) == 0
-        plain = capsys.readouterr().out
-        assert main(["workload", "xalan", "--scale", "0.3",
-                     "--vindicate-all", "--batch"]) == 0
-        batched = capsys.readouterr().out
-        keep = [line for line in plain.splitlines()
-                if "race" in line and "ms)" not in line]
+        default = capsys.readouterr().out
+        keep = _verdict_lines(reference)
         assert keep
-        for line in keep:
-            assert line in batched
+        assert _verdict_lines(default) == keep
 
     def test_fast_vc_and_batch_compose_to_batch(self, capsys):
-        # The flags are no longer mutually exclusive: batch subsumes
-        # fast-vc (repro.analysis.variants.resolve), so giving both is
-        # simply batch and must match the batch-only report.
+        # Both former flags now name one path: ``--variant fast`` is the
+        # default, so giving it must not change a line of the report.
         def stable(out: str) -> list:
             return [line for line in out.splitlines() if "ms)" not in line]
 
-        assert main(["litmus", "figure2", "--batch"]) == 0
-        batch_only = stable(capsys.readouterr().out)
-        assert main(["litmus", "figure2", "--fast-vc", "--batch"]) == 0
-        assert stable(capsys.readouterr().out) == batch_only
+        assert main(["litmus", "figure2"]) == 0
+        default = stable(capsys.readouterr().out)
+        assert main(["litmus", "figure2", "--variant", "fast"]) == 0
+        assert stable(capsys.readouterr().out) == default
 
     def test_variant_resolution_precedence(self):
-        from repro.analysis.variants import VariantSpec, resolve
+        from repro.analysis.variants import VariantSpec, coerce
 
-        assert resolve() == VariantSpec("reference", None)
-        assert resolve(fast_vc=True).variant == "fast"
-        assert resolve(batch=True).variant == "batch"
-        assert resolve(fast_vc=True, batch=True).variant == "batch"
-        assert resolve(variant="fast", batch=True).variant == "fast"
-        spec = resolve(batch=True, kernels_backend="python")
-        assert spec == VariantSpec("batch", "python")
+        assert coerce(None) == VariantSpec("fast", None)
+        assert coerce("reference") == VariantSpec("reference", None)
+        spec = VariantSpec("reference", "python")
+        assert coerce(spec) is spec
+        assert Vindicator(variant=spec).variant_spec is spec
+        assert Vindicator(variant="reference").variant == "reference"
+        for name in ("warp", "batch"):
+            with pytest.raises(ValueError):
+                coerce(name)
         with pytest.raises(ValueError):
-            resolve(variant="warp")
-        with pytest.raises(ValueError):
-            resolve(kernels_backend="fortran")
+            VariantSpec("fast", "fortran")
+
+
+class TestBadTraceInput:
+    """``analyze`` and ``profile`` fail on unusable input the way
+    ``lint`` does: one line on stderr, exit 2 (exit 1 stays the
+    sanitizer-violation code)."""
+
+    @pytest.mark.parametrize("text", ["T1 wr x\nT1 bogus y\n",
+                                      "T1 wr x\nT1 rel m\n"],
+                             ids=["unknown-op", "release-without-acquire"])
+    @pytest.mark.parametrize("command", ["analyze", "profile"])
+    def test_malformed_trace(self, command, text, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "profile"])
+    def test_missing_trace(self, command, tmp_path, capsys):
+        assert main([command, str(tmp_path / "absent.txt")]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "absent.txt") in err
+        assert "Traceback" not in err
+
+    def test_unreadable_trace(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == 2
+        assert "cannot read trace" in capsys.readouterr().err
 
 
 class TestParser:

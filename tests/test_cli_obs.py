@@ -32,7 +32,7 @@ class TestProfileCommand:
                       "pipeline.vindicate"):
             assert phase in out
         assert "counters:" in out
-        assert re.search(r"analysis\.dc\.events\s+12", out)
+        assert re.search(r"analysis\.dc_epoch\.events\s+12", out)
 
     def test_phase_times_sum_to_total(self, trace_file, capsys):
         # Acceptance: the root phase accounts for ~all wall time, and
@@ -91,7 +91,7 @@ class TestGlobalMetricsFlag:
                      trace_file]) == 0
         doc = json.loads(out_path.read_text())
         validate_snapshot(doc)
-        assert doc["metrics"]["counters"]["analysis.dc.events"] == 12
+        assert doc["metrics"]["counters"]["analysis.dc_epoch.events"] == 12
         assert doc["spans"][0]["name"] == "pipeline.run"
 
     def test_prometheus_text(self, trace_file, tmp_path, capsys):
@@ -99,7 +99,7 @@ class TestGlobalMetricsFlag:
         assert main(["--metrics", str(out_path), "analyze",
                      trace_file]) == 0
         text = out_path.read_text()
-        assert "# TYPE vindicator_analysis_dc_events counter" in text
+        assert "# TYPE vindicator_analysis_dc_epoch_events counter" in text
 
     def test_disabled_without_flag(self, trace_file, capsys):
         assert main(["analyze", trace_file]) == 0

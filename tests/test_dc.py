@@ -6,6 +6,7 @@ from repro.core.exceptions import MalformedTraceError
 from repro.core.trace import TraceBuilder
 from repro.analysis.dc import DCDetector
 from repro.analysis.fasttrack import FastTrackDetector
+from repro.analysis.smarttrack import EpochDCDetector, EpochWCPDetector
 from repro.analysis.hb import HBDetector
 from repro.analysis.wcp import WCPDetector
 from repro.traces.litmus import figure1, figure2
@@ -233,6 +234,7 @@ class TestChildlessForkJoin:
 
     @pytest.mark.parametrize("detector_cls", [
         DCDetector, HBDetector, WCPDetector, FastTrackDetector,
+        EpochDCDetector, EpochWCPDetector,
     ], ids=lambda c: c.__name__)
     def test_no_race_through_childless_join(self, detector_cls):
         report = detector_cls().analyze(self._trace())

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.variants import VARIANTS
 from repro.core import kernels
 from repro.core.trace import TraceBuilder
 from repro.analysis.smarttrack import EpochDCDetector, EpochWCPDetector
@@ -279,23 +280,6 @@ class TestFusedAccessKernels:
         assert det_graph._ctx[-1] is det_graph._ebuf
         assert det_graph._sctx[16] is det_graph._ebuf
 
-    def test_sync_fusion_toggle_unbinds_sync_kernels(self):
-        # set_sync_fusion(False) is the A/B lever for benchmarking the
-        # sync-op fusion in isolation: access kernels stay bound, sync
-        # kernels fall back to the open-coded handlers.
-        trace = execute(WORKLOADS["xalan"](scale=0.3), seed=3)
-        kernels.set_backend("compiled")
-        try:
-            kernels.set_sync_fusion(False)
-            assert not kernels.sync_fusion_enabled()
-            det = EpochWCPDetector()
-            det.begin_trace(trace)
-            assert det._c_access is _c.access_wcp
-            assert det._c_acquire is None
-            assert det._c_release is None
-        finally:
-            kernels.set_sync_fusion(True)
-        assert kernels.acquire_wcp is _c.acquire_wcp
 
 
 # ----------------------------------------------------------------------
@@ -439,75 +423,26 @@ def _document(trace, backend, **kwargs):
     return _normalize(Vindicator(**kwargs).run(trace).to_document())
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
 class TestVindicatorAcrossBackends:
     @pytest.mark.parametrize("name", sorted(LITMUS))
-    def test_documents_identical_on_litmus(self, name):
+    def test_documents_identical_on_litmus(self, name, variant):
         trace = LITMUS[name]()
-        assert (_document(trace, "python", vindicate_all=True)
-                == _document(trace, "compiled", vindicate_all=True))
+        assert (_document(trace, "python", vindicate_all=True,
+                          variant=variant)
+                == _document(trace, "compiled", vindicate_all=True,
+                             variant=variant))
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_documents_identical_on_workloads(self, name):
+    def test_documents_identical_on_workloads(self, name, variant):
         trace = execute(WORKLOADS[name](scale=0.3), seed=2)
-        assert (_document(trace, "python", prefilter=True)
-                == _document(trace, "compiled", prefilter=True))
+        assert (_document(trace, "python", prefilter=True, variant=variant)
+                == _document(trace, "compiled", prefilter=True,
+                             variant=variant))
 
-    def test_document_names_its_backend(self):
+    def test_document_names_its_backend(self, variant):
         trace = LITMUS["figure1"]()
         for backend in kernels.backends():
             kernels.set_backend(backend)
-            doc = Vindicator().run(trace).to_document()
+            doc = Vindicator(variant=variant).run(trace).to_document()
             assert doc["kernels"]["backend"] == backend
-
-
-# ----------------------------------------------------------------------
-# Composite mode: --batch with the compiled kernels
-# ----------------------------------------------------------------------
-np = pytest.importorskip("numpy")
-
-
-class TestCompositeBatchAcrossBackends:
-    """The composed fast path: the batch planner's vectorized segments
-    stay numpy while its per-event replay segments dispatch to the
-    fused C kernels. Documents must stay bit-identical to both the
-    batch+python run and the plain reference run."""
-
-    @pytest.mark.parametrize("name", sorted(LITMUS))
-    def test_litmus(self, name):
-        trace = LITMUS[name]()
-        composite = _document(trace, "compiled", vindicate_all=True,
-                              variant="batch")
-        assert composite == _document(trace, "python", vindicate_all=True,
-                                      variant="batch")
-        assert composite == _document(trace, "python", vindicate_all=True)
-
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_workloads(self, name):
-        trace = execute(WORKLOADS[name](scale=0.3), seed=2)
-        composite = _document(trace, "compiled", prefilter=True,
-                              variant="batch")
-        assert composite == _document(trace, "python", prefilter=True,
-                                      variant="batch")
-        assert composite == _document(trace, "python", prefilter=True)
-
-    @SETTINGS
-    @given(seed=st.integers(0, 10_000), config=configs)
-    def test_random_traces(self, seed, config):
-        from repro.analysis.batch import BatchDCDetector, BatchWCPDetector
-
-        trace = random_trace(seed, config)
-
-        def results(backend):
-            kernels.set_backend(backend)
-            out = []
-            for det in (BatchWCPDetector(), BatchDCDetector(build_graph=True)):
-                report = det.analyze(trace)
-                edges = (list(det.graph.edges())
-                         if getattr(det, "build_graph", False) else None)
-                out.append((
-                    [(r.first.eid, r.second.eid) for r in report.races],
-                    dict(report.counters), dict(det.racing_at), edges,
-                ))
-            return out
-
-        assert results("python") == results("compiled")

@@ -1,17 +1,21 @@
-"""The parallel engine is an optimisation, never a semantic change.
+"""Process parallelism is a throughput knob, never a semantic change.
 
-``Vindicator(jobs=N)`` must produce reports **bit-identical** to the
-serial path for every N: same races, classifications, verdicts,
-witnesses, counters, and the same ``vindicator.analyze/1`` document —
-modulo exactly the fields documented in ``docs/PARALLEL.md``:
+The pipeline splits work across processes in one place: the serve
+daemon, where ``serve --jobs N`` routes each session to one of N forked
+shard workers by a stable hash of its name. A session streamed through
+a forked :class:`~repro.serve.shard.ProcessShard` must finish with the
+``vindicator.analyze/1`` document that a single in-process
+``Vindicator.run`` produces for the same events: same races,
+classifications, verdicts, witnesses and counters (``reach_*``
+included). Only the wall-clock fields and the trace's provenance (a
+``serve`` session rather than the scheduler run) are set aside.
 
-* ``timing`` and per-vindication ``elapsed_seconds`` (wall clock),
-* ``metrics`` (the obs snapshot embeds timing histograms),
-* ``parallel.jobs`` (reports the worker count by design),
-* ``reach_*`` counters (the reachability cache's hit/miss split depends
-  on how races were partitioned across workers; the *verdicts* cannot).
+The suite began as the bit-identity check of the process pool behind
+``Vindicator(jobs=N)``. That pool is gone; its corpus and test names
+now hold the daemon's shards to the same contract.
 """
 
+import itertools
 import json
 
 import pytest
@@ -19,157 +23,207 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.parallel import partition
-from repro.parallel.engine import CHUNKS_PER_WORKER
+from repro.cli import main
+from repro.serve.server import ServeDaemon
+from repro.serve.shard import (InlineShard, ProcessShard, make_shards,
+                               shard_of)
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
 from repro.traces.gen import GeneratorConfig, random_trace
+from repro.traces.io import format_event
 from repro.traces.litmus import ALL as LITMUS
 from repro.vindicate.vindicator import Vindicator
 
-JOBS = (2, 4)
+from documents import blank_timings
+
+#: Events per ``events`` request: small enough that every trace but the
+#: tiniest arrives in several frames.
+CHUNK = 97
+
+_session_names = (f"session-{i}" for i in itertools.count())
 
 
 def normalize(doc):
-    """Strip the documented worker-count-dependent fields from an
-    ``analyze/1`` document; everything left must be bit-identical."""
-    doc = json.loads(json.dumps(doc))
-    doc["timing"] = None
-    doc["metrics"] = None
-    doc["parallel"] = None
-    for vindication in doc.get("vindications", []):
-        vindication["elapsed_seconds"] = None
-    for analysis in doc.get("analyses", {}).values():
-        analysis["counters"] = {
-            key: value for key, value in analysis.get("counters", {}).items()
-            if not key.startswith("reach_")
-        }
+    """Blank the wall-clock fields and the trace's provenance; the rest
+    of the document must be bit-identical."""
+    doc = blank_timings(doc)
+    doc["trace"]["provenance"] = None
     return doc
 
 
-def run_doc(trace, jobs, **kwargs):
-    return Vindicator(vindicate_all=True, jobs=jobs,
-                      **kwargs).run(trace).to_document()
+@pytest.fixture(scope="module")
+def shard(tmp_path_factory):
+    """One forked shard worker for the module; every test opens its own
+    sessions on it."""
+    worker = ProcessShard(0, str(tmp_path_factory.mktemp("checkpoints")))
+    yield worker
+    worker.close()
 
 
-def assert_parallel_identical(trace, **kwargs):
-    serial = run_doc(trace, 1, **kwargs)
-    assert serial["parallel"] == {"jobs": 1}
-    reference = normalize(serial)
-    for jobs in JOBS:
-        parallel = run_doc(trace, jobs, **kwargs)
-        assert parallel["parallel"] == {"jobs": jobs}
-        assert normalize(parallel) == reference
-    return serial
+def request(shard, **doc):
+    response = shard.request(doc)
+    assert response["ok"], response
+    return response
+
+
+def shard_doc(shard, trace, **config):
+    """Stream ``trace`` into a new session on ``shard`` and finish it."""
+    name = next(_session_names)
+    request(shard, op="hello", session=name, config=config)
+    lines = [format_event(event) for event in trace]
+    for start in range(0, len(lines), CHUNK):
+        request(shard, op="events", session=name,
+                lines=lines[start:start + CHUNK])
+    return request(shard, op="finish", session=name)["report"]
+
+
+def assert_shard_identical(shard, trace, **config):
+    """The shard's document equals the in-process pipeline's."""
+    served = shard_doc(shard, trace, **config)
+    local = Vindicator(
+        vindicate_all=config.get("vindicate_all", False)).run(
+            trace).to_document()
+    assert served["parallel"] == {"jobs": 1}
+    assert normalize(served) == normalize(local)
+    return served
 
 
 class TestPartition:
+    """``shard_of``: the session -> shard routing."""
+
     def test_empty(self):
-        assert partition(0, 4) == []
-        assert partition(-1, 4) == []
+        for jobs in range(1, 9):
+            assert shard_of("", jobs) in range(jobs)
+        assert {shard_of(f"s{i}", 1) for i in range(50)} == {0}
 
     def test_covers_range_exactly(self):
-        for count in (1, 2, 7, 16, 100):
-            for jobs in (1, 2, 3, 8):
-                bounds = partition(count, jobs)
-                flat = [i for start, stop in bounds
-                        for i in range(start, stop)]
-                assert flat == list(range(count))
+        for jobs in (1, 2, 3, 8):
+            routed = {shard_of(f"session-{i}", jobs) for i in range(200)}
+            assert routed == set(range(jobs))
 
     def test_chunks_never_empty(self):
-        for count in (1, 5, 33):
-            for jobs in (1, 2, 7):
-                assert all(stop > start
-                           for start, stop in partition(count, jobs))
+        for jobs in (2, 7):
+            counts = [0] * jobs
+            for i in range(16 * jobs):
+                counts[shard_of(f"client-{i}", jobs)] += 1
+            assert min(counts) > 0
 
     def test_deterministic_and_scheduling_independent(self):
-        assert partition(10, 3) == partition(10, 3)
+        # A spawned interpreter has its own string-hash seed: routing
+        # must not depend on it, or a restarted daemon would move
+        # sessions away from their checkpoints' shard.
+        import multiprocessing
 
-    def test_chunk_count_bounds(self):
-        assert len(partition(100, 2)) == 2 * CHUNKS_PER_WORKER
-        assert len(partition(3, 8)) == 3  # never more chunks than items
-        assert len(partition(5, 1)) <= CHUNKS_PER_WORKER
+        args = [(f"session-{i}", 5) for i in range(40)]
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            remote = pool.starmap(shard_of, args)
+        assert remote == [shard_of(*a) for a in args]
+        assert remote == [shard_of(*a) for a in args]
+
+    def test_chunk_count_bounds(self, tmp_path):
+        for jobs in range(1, 17):
+            assert max(shard_of(f"n{i}", jobs) for i in range(100)) < jobs
+        [inline] = make_shards(1, str(tmp_path))
+        assert isinstance(inline, InlineShard)
 
     def test_near_uniform_sizes(self):
-        sizes = [stop - start for start, stop in partition(13, 1)]
-        assert max(sizes) - min(sizes) <= 1
+        counts = [0] * 4
+        for i in range(4000):
+            counts[shard_of(f"session-{i}", 4)] += 1
+        assert max(counts) - min(counts) <= 200
 
 
 class TestLitmusDifferential:
     @pytest.mark.parametrize("name", sorted(LITMUS))
-    def test_bit_identical(self, name):
-        assert_parallel_identical(LITMUS[name]())
+    def test_bit_identical(self, shard, name):
+        assert_shard_identical(shard, LITMUS[name](), gc_window=0,
+                               vindicate_all=True)
 
 
 class TestWorkloadDifferential:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_bit_identical(self, name):
+    def test_bit_identical(self, shard, name):
         trace = execute(WORKLOADS[name](scale=0.25), seed=7)
-        assert_parallel_identical(trace)
+        assert_shard_identical(shard, trace, vindicate_all=True)
 
-    def test_with_prefilter_and_sanitize(self):
+    def test_with_prefilter_and_sanitize(self, shard):
+        # Sessions run no static pre-pass; the pre-filtered, sanitized
+        # in-process run must still reach the same races and verdicts.
         trace = execute(WORKLOADS["xalan"](scale=0.4), seed=3)
-        assert_parallel_identical(trace, prefilter=True, sanitize=True)
-
-    def test_dc_only_vindication_subset(self):
-        # Default (not vindicate_all) exercises the DC-only selection in
-        # the parallel path too.
-        trace = execute(WORKLOADS["avrora"](scale=0.4), seed=0)
-        serial = Vindicator(jobs=1).run(trace).to_document()
-        parallel = Vindicator(jobs=2).run(trace).to_document()
-        assert normalize(parallel) == normalize(serial)
-
-    def test_race_report_objects_match(self):
-        trace = execute(WORKLOADS["avrora"](scale=0.4), seed=0)
-        serial = Vindicator(vindicate_all=True, jobs=1).run(trace)
-        parallel = Vindicator(vindicate_all=True, jobs=2).run(trace)
+        served = normalize(shard_doc(shard, trace))
+        local = normalize(Vindicator(prefilter=True, sanitize=True)
+                          .run(trace).to_document())
+        assert local["lockset"] is not None
         for label in ("hb", "wcp", "dc"):
-            s, p = getattr(serial, label), getattr(parallel, label)
-            assert [(r.first.eid, r.second.eid, r.race_class)
-                    for r in s.races] == \
-                   [(r.first.eid, r.second.eid, r.race_class)
-                    for r in p.races]
-        assert [(v.race.first.eid, v.race.second.eid, v.verdict,
+            assert served["analyses"][label]["races"] == \
+                local["analyses"][label]["races"]
+        assert served["race_classes"] == local["race_classes"]
+        assert served["vindications"] == local["vindications"]
+
+    def test_dc_only_vindication_subset(self, shard):
+        # The default session config (not vindicate_all) exercises the
+        # DC-only selection.
+        trace = execute(WORKLOADS["xalan"](scale=0.4), seed=3)
+        served = assert_shard_identical(shard, trace)
+        assert served["vindications"]
+
+    def test_race_report_objects_match(self, shard):
+        trace = execute(WORKLOADS["avrora"](scale=0.4), seed=0)
+        local = Vindicator(vindicate_all=True).run(trace)
+        served = shard_doc(shard, trace, vindicate_all=True)
+        for label in ("hb", "wcp", "dc"):
+            races = served["analyses"][label]["races"]
+            assert [(r["first"]["eid"], r["second"]["eid"], r["race_class"])
+                    for r in races] == \
+                   [(r.first.eid, r.second.eid,
+                     r.race_class and r.race_class.value)
+                    for r in getattr(local, label).races]
+        assert [(v["race"]["first"]["eid"], v["race"]["second"]["eid"],
+                 v["verdict"], v["attempts"], v["ls_constraints"])
+                for v in served["vindications"]] == \
+               [(v.race.first.eid, v.race.second.eid, v.verdict.value,
                  v.attempts, v.ls_constraints)
-                for v in serial.vindications] == \
-               [(v.race.first.eid, v.race.second.eid, v.verdict,
-                 v.attempts, v.ls_constraints)
-                for v in parallel.vindications]
-        assert [None if v.witness is None else [e.eid for e in v.witness]
-                for v in serial.vindications] == \
-               [None if v.witness is None else [e.eid for e in v.witness]
-                for v in parallel.vindications]
+                for v in local.vindications]
+        assert [v["witness_events"] for v in served["vindications"]] == \
+               [None if v.witness is None else len(v.witness)
+                for v in local.vindications]
 
 
 class TestObsDifferential:
-    def test_identical_with_metrics_on(self):
+    def test_identical_with_metrics_on(self, tmp_path):
         trace = execute(WORKLOADS["avrora"](scale=0.3), seed=0)
         try:
             obs.enable()
-            serial = run_doc(trace, 1)
-            parallel = run_doc(trace, 2)
+            worker = ProcessShard(0, str(tmp_path))
+            try:
+                assert_shard_identical(worker, trace, vindicate_all=True)
+            finally:
+                worker.close()
         finally:
             obs.disable()
-        assert normalize(parallel) == normalize(serial)
 
-    def test_counters_account_for_worker_work(self):
+    def test_counters_account_for_worker_work(self, tmp_path):
+        # An in-process shard runs the same dispatch as a forked one and
+        # publishes into this process's registry.
         trace = execute(WORKLOADS["avrora"](scale=0.3), seed=0)
         try:
             obs.enable()
-            report = Vindicator(vindicate_all=True, jobs=2).run(trace)
+            served = shard_doc(InlineShard(0, str(tmp_path)), trace,
+                               vindicate_all=True)
             counters = obs.metrics().snapshot()["counters"]
         finally:
             obs.disable()
         assert counters["analysis.dc.events"] == len(trace)
         assert counters["vindicate.races_checked"] == \
-            len(report.vindications)
+            len(served["vindications"])
 
-    def test_worker_spans_graft_under_pipeline(self):
+    def test_worker_spans_graft_under_pipeline(self, tmp_path):
         trace = execute(WORKLOADS["avrora"](scale=0.3), seed=0)
         try:
             obs.enable()
             with obs.span("pipeline"):
-                Vindicator(vindicate_all=True, jobs=2).run(trace)
+                shard_doc(InlineShard(0, str(tmp_path)), trace,
+                          vindicate_all=True)
             roots = obs.tracer().to_dicts()
         finally:
             obs.disable()
@@ -179,32 +233,31 @@ class TestObsDifferential:
             for child in node.get("children", []):
                 yield from names(child)
 
-        all_names = [n for root in roots for n in names(root)]
-        assert "analysis.dc" in all_names
-        assert "vindicate.race" in all_names
+        [pipeline] = [root for root in roots if root["name"] == "pipeline"]
+        assert "vindicate.race" in list(names(pipeline))
 
 
 class TestCLI:
-    def test_jobs_flag_bit_identical_documents(self, capsys):
-        from repro.cli import main
+    def test_jobs_flag_bit_identical_documents(self, shard, capsys):
         assert main(["workload", "avrora", "--scale", "0.25",
-                     "--json"]) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert main(["workload", "avrora", "--scale", "0.25",
-                     "--jobs", "2", "--json"]) == 0
-        parallel = json.loads(capsys.readouterr().out)
-        assert serial["parallel"] == {"jobs": 1}
-        assert parallel["parallel"] == {"jobs": 2}
-        assert normalize(parallel) == normalize(serial)
+                     "--vindicate-all", "--json"]) == 0
+        local = json.loads(capsys.readouterr().out)
+        assert local["parallel"] == {"jobs": 1}
+        trace = execute(WORKLOADS["avrora"](scale=0.25), seed=0)
+        served = shard_doc(shard, trace, vindicate_all=True)
+        assert normalize(served) == normalize(local)
 
-    def test_jobs_rejects_zero(self):
-        from repro.cli import main
+    def test_jobs_rejects_zero(self, tmp_path, capsys):
         with pytest.raises(ValueError):
-            main(["workload", "avrora", "--scale", "0.2", "--jobs", "0"])
+            ServeDaemon(unix_socket=str(tmp_path / "a.sock"), jobs=0)
+        assert main(["serve", "--socket", str(tmp_path / "b.sock"),
+                     "--jobs", "0"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 @settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 10_000),
        config=st.builds(GeneratorConfig,
                         threads=st.integers(2, 4),
@@ -212,7 +265,6 @@ class TestCLI:
                         variables=st.integers(1, 3),
                         locks=st.integers(1, 2),
                         use_fork_join=st.booleans()))
-def test_random_traces_bit_identical(seed, config):
+def test_random_traces_bit_identical(shard, seed, config):
     trace = random_trace(seed, config)
-    serial = normalize(run_doc(trace, 1))
-    assert normalize(run_doc(trace, 2)) == serial
+    assert_shard_identical(shard, trace, gc_window=0, vindicate_all=True)

@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.dc import DCDetector
 from repro.analysis.fasttrack import FastTrackDetector
 from repro.analysis.hb import HBDetector
+from repro.analysis.smarttrack import EpochDCDetector, EpochWCPDetector
 from repro.analysis.wcp import WCPDetector
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
@@ -24,6 +25,9 @@ DETECTORS = {
     "wcp": WCPDetector,
     "dc": lambda prefilter=None: DCDetector(build_graph=False,
                                             prefilter=prefilter),
+    "wcp_epoch": EpochWCPDetector,
+    "dc_epoch": lambda prefilter=None: EpochDCDetector(build_graph=False,
+                                                       prefilter=prefilter),
 }
 
 WORKLOAD_CASES = [("luindex", 0, 0.2), ("xalan", 1, 0.3)]

@@ -72,7 +72,7 @@ class TestReportStamps:
         finally:
             obs.disable()
         assert report_on.obs is not None
-        assert report_on.obs["counters"]["analysis.dc.events"] == len(trace)
+        assert report_on.obs["counters"]["analysis.dc_epoch.events"] == len(trace)
 
     def test_to_document_validates_and_carries_provenance(self):
         trace = execute(WORKLOADS["avrora"](scale=0.2), seed=9)

@@ -316,8 +316,7 @@ class TestStateExportImport:
         exporter.ancestors([3])
         state = exporter.export_state()
 
-        offsets, targets = g.to_arrays()
-        clone = ConstraintGraph.from_arrays(offsets, targets)
+        clone = g.copy()
         importer = ReachabilityIndex(clone)
         importer.import_state(state)
         misses_before = importer.misses

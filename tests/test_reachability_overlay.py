@@ -57,7 +57,7 @@ def assert_sweep(index, graph, window=None):
 
 def assert_export_round_trips(index, graph):
     """The exported closures serve a clone of the graph exactly."""
-    clone = ConstraintGraph.from_arrays(*graph.to_arrays())
+    clone = graph.copy()
     importer = ReachabilityIndex(clone)
     importer.import_state(index.export_state())
     assert_sweep(importer, clone)

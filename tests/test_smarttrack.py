@@ -1,10 +1,11 @@
-"""Integration tests for the ``--fast-vc`` / ``variant="fast"`` path.
+"""Integration tests for the epoch detectors, the default
+``variant="fast"`` path.
 
 The epoch detectors plug into every consumer of the reference ones —
-the Vindicator (serial and parallel), the CLI, and the observability
-registry — and each seam must preserve the bit-identical-document
-guarantee (modulo the wall-clock fields ``tests/test_parallel.normalize``
-strips) while exposing the new epoch/ownership counters.
+the Vindicator, the CLI, and the observability registry — and each
+seam must preserve the bit-identical-document guarantee (modulo the
+wall-clock fields ``documents.blank_timings`` blanks) while exposing
+the epoch/ownership counters.
 """
 
 import re
@@ -16,12 +17,13 @@ from repro.analysis.smarttrack import EpochDCDetector, EpochWCPDetector
 from repro.cli import main
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
+from repro.serve.shard import pool_context
 from repro.traces.gen import GeneratorConfig, random_trace
 from repro.traces.io import dump_trace
 from repro.traces.litmus import figure1, figure3
 from repro.vindicate.vindicator import Vindicator
 
-from test_parallel import normalize
+from documents import blank_timings as normalize
 
 
 @pytest.fixture(scope="module")
@@ -78,15 +80,15 @@ class TestVindicatorVariant:
                              ids=["figure1", "figure3"])
     def test_documents_identical_on_litmus(self, trace_factory):
         trace = trace_factory()
-        ref = normalize(Vindicator(vindicate_all=True).run(trace)
-                        .to_document())
+        ref = normalize(Vindicator(vindicate_all=True, variant="reference")
+                        .run(trace).to_document())
         fast = normalize(Vindicator(vindicate_all=True, variant="fast")
                          .run(trace).to_document())
         assert ref == fast
 
     def test_documents_identical_on_workload(self, workload_trace):
-        ref = normalize(Vindicator(prefilter=True).run(workload_trace)
-                        .to_document())
+        ref = normalize(Vindicator(prefilter=True, variant="reference")
+                        .run(workload_trace).to_document())
         fast = normalize(Vindicator(prefilter=True, variant="fast")
                          .run(workload_trace).to_document())
         assert ref == fast
@@ -96,38 +98,47 @@ class TestVindicatorVariant:
                                  locks=2, use_fork_join=True)
         for seed in range(5):
             trace = random_trace(seed, config)
-            ref = normalize(Vindicator(vindicate_all=True).run(trace)
-                            .to_document())
+            ref = normalize(Vindicator(vindicate_all=True,
+                                       variant="reference")
+                            .run(trace).to_document())
             fast = normalize(Vindicator(vindicate_all=True, variant="fast")
                              .run(trace).to_document())
             assert ref == fast, seed
 
     def test_parallel_fast_matches_serial_reference(self, workload_trace):
-        ref = normalize(Vindicator().run(workload_trace).to_document())
-        fast = normalize(Vindicator(variant="fast", jobs=2)
-                         .run(workload_trace).to_document())
-        assert ref == fast
+        # The default path in a forked worker, the way a serve shard
+        # runs it, against the reference in this process: the epoch
+        # detectors keep no state that a process boundary could change.
+        ref = normalize(Vindicator(variant="reference").run(workload_trace)
+                        .to_document())
+        with pool_context().Pool(1) as pool:
+            fast = pool.apply(_default_document, (workload_trace,))
+        assert ref == normalize(fast)
+
+
+def _default_document(trace):
+    return Vindicator().run(trace).to_document()
 
 
 class TestCLI:
     def test_litmus_fast_vc(self, capsys):
-        assert main(["litmus", "figure1", "--fast-vc"]) == 0
+        assert main(["litmus", "figure1", "--variant", "fast"]) == 0
         out = capsys.readouterr().out
         assert "DC: 1 static races" in out
 
     def test_analyze_fast_vc_matches_reference(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         dump_trace(figure1(), path)
-        assert main(["analyze", str(path), "--vindicate-all"]) == 0
-        ref_out = capsys.readouterr().out
         assert main(["analyze", str(path), "--vindicate-all",
-                     "--fast-vc"]) == 0
+                     "--variant", "reference"]) == 0
+        ref_out = capsys.readouterr().out
+        assert main(["analyze", str(path), "--vindicate-all"]) == 0
         fast_out = capsys.readouterr().out
         no_timing = lambda s: re.sub(r"\d+\.\d+ ms", "_ ms", s)
         assert no_timing(ref_out) == no_timing(fast_out)
 
     def test_workload_fast_vc(self, capsys):
         assert main(["workload", "avrora", "--scale", "0.3",
-                     "--fast-vc"]) == 0
+                     "--variant", "fast"]) == 0
         out = capsys.readouterr().out
         assert "DC" in out
