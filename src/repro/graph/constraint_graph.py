@@ -32,10 +32,11 @@ forward edges, so between races that set is empty and during a race it
 holds only the race's own constraints.
 
 Every successful mutation bumps :attr:`ConstraintGraph.generation` and
-is recorded in a bounded mutation journal;
-:class:`~repro.graph.reachability.ReachabilityIndex` uses the generation
-to detect staleness and the journal to invalidate only the memoized
-closures an edge insertion can actually affect.
+is recorded in a bounded mutation journal; :class:`~repro.graph.cuts.CutIndex`
+uses the generation to detect staleness and the journal to learn which
+edges a race added and removed (the test-oracle
+:class:`~repro.graph.reachability.ReachabilityIndex` uses it the same
+way to invalidate only the closures a mutation can affect).
 """
 
 from __future__ import annotations
@@ -115,9 +116,12 @@ class ConstraintGraph:
         journal = self._journal
         journal.append((is_add, src, dst))
         if len(journal) > self._JOURNAL_LIMIT:
-            # Discard the backlog; consumers behind it do a full flush.
-            self._journal_base += len(journal)
-            journal.clear()
+            # Discard the older half of the backlog; consumers behind it
+            # do a full flush, consumers within the newer half lose
+            # nothing.
+            drop = len(journal) // 2
+            self._journal_base += drop
+            del journal[:drop]
 
     @property
     def journal_position(self) -> int:
@@ -194,8 +198,8 @@ class ConstraintGraph:
         }
 
     # ------------------------------------------------------------------
-    # Reachability (direct BFS; see repro.graph.reachability for the
-    # memoizing engine used by the vindication hot paths)
+    # Reachability (direct BFS; see repro.graph.cuts for the index
+    # used by the vindication hot paths)
     # ------------------------------------------------------------------
     def descendants(self, roots: Iterable[int],
                     include_roots: bool = False,
@@ -281,8 +285,8 @@ class ConstraintGraph:
         induced by the ancestors of ``targets`` (targets included) that
         lie in :meth:`backward_span`; with no backward edge there is no
         cycle and no search. ``region`` optionally supplies the ancestor
-        set precomputed (e.g. by a
-        :class:`~repro.graph.reachability.ReachabilityIndex`).
+        set precomputed (e.g. by
+        :meth:`~repro.graph.cuts.CutIndex.ancestors_between`).
         """
         span = self.backward_span()
         if span is None:

@@ -1,4 +1,11 @@
-"""Memoizing reachability engine for the constraint graph.
+"""Memoizing bitset reachability engine for the constraint graph: the
+test oracle.
+
+Vindication no longer runs on this module: its queries go to
+:class:`repro.graph.cuts.CutIndex`, which stores per-thread cuts instead
+of per-node closures. :class:`ReachabilityIndex` stays as the reference
+the tests check production results against, and for tools that wrap
+its ``checkpoint``/``restore``.
 
 VindicateRace's offline phase (Algorithm 1) is dominated by reachability
 queries over ``G``: AddConstraints computes the race region
@@ -76,7 +83,8 @@ def mask_to_set(mask: int) -> Set[int]:
 class ReachabilityIndex:
     """Window-aware memoized reachability over one :class:`ConstraintGraph`.
 
-    The index never mutates the graph; it watches
+    The test oracle for :class:`repro.graph.cuts.CutIndex`; no
+    production path constructs it. The index never mutates the graph; it watches
     :attr:`ConstraintGraph.generation` and catches up with the graph's
     mutation journal on the next query. One index instance is intended
     to be shared across all queries of one vindication run, with each

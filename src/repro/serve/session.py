@@ -255,13 +255,6 @@ class SessionAnalyzer:
                 "build_graph=false and cannot be finished (online "
                 "'races' queries remain available)")
         trace = self.trace.to_trace()
-        # The streaming DC detector grew its graph lazily from zero;
-        # finalize's reachability index sizes itself off the graph, so
-        # pad it out to the full event range first.
-        graph = self.dc.graph
-        assert graph is not None
-        if graph.num_events < len(trace):
-            graph._grow(len(trace) - 1)
         hb_report = self.hb.finish()
         wcp_report = self.wcp.finish()
         dc_report = self.dc.finish()

@@ -23,18 +23,26 @@ acquire–release pairs using program order: among candidate acquires of
 one thread and lock only the program-order-latest matters, and among
 candidate releases only the earliest, since the other pairs' edges are
 implied through program order.
+
+Every reachability query goes to a :class:`~repro.graph.cuts.CutIndex`:
+the candidate acquires and releases of one constraint edge come from
+bisecting per-(thread, lock) local times against the ancestor and
+descendant cuts of its endpoints, and the cycle search is handed only
+the race cut's slice between the graph's backward edges.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.events import Event, EventKind, Target, Tid
 from repro.core.trace import Trace
 from repro.graph.constraint_graph import ConstraintGraph
-from repro.graph.reachability import ReachabilityIndex, mask_to_set
+from repro.graph.cuts import CutIndex
+
+#: Per (thread, lock): the candidate acquire or release of the LS search.
+Candidates = Dict[Tuple[Tid, Target], Event]
 
 
 @dataclass
@@ -69,7 +77,7 @@ class ConstraintResult:
 def add_constraints(graph: ConstraintGraph, trace: Trace,
                     e1: Event, e2: Event,
                     use_window: bool = False,
-                    index: Optional[ReachabilityIndex] = None) -> ConstraintResult:
+                    index: Optional[CutIndex] = None) -> ConstraintResult:
     """Run ADDCONSTRAINTS for the DC-race ``(e1, e2)``, mutating ``graph``.
 
     The caller is responsible for removing ``result.added_edges`` once
@@ -85,13 +93,16 @@ def add_constraints(graph: ConstraintGraph, trace: Trace,
             refutation can degrade to *don't know* when the refuting
             cycle involves critical sections outside the window (see
             ``litmus.wcp_deadlock``). On the workload corpora verdicts
-            are unchanged (window ablation benchmark).
-        index: Reachability engine over ``graph`` to answer the
-            ancestor/descendant/reaches queries (one is created when not
-            supplied; callers vindicating many races should share one).
+            are unchanged (window ablation benchmark). The windowed sets
+            come from the graph's own BFS.
+        index: Cut index over ``graph`` answering the reachability
+            queries (one is created when not supplied; callers
+            vindicating many races should share one).
     """
     if index is None:
-        index = ReachabilityIndex(graph)
+        index = CutIndex(graph, trace)
+    # The tables must predate the race's edges, which are overlay edges.
+    index.sync()
     result = ConstraintResult()
     worklist: List[Tuple[int, int]] = []
     window = [min(e1.eid, e2.eid), max(e1.eid, e2.eid)] if use_window else None
@@ -116,18 +127,29 @@ def add_constraints(graph: ConstraintGraph, trace: Trace,
             result.consecutive_edges += 1
 
     # --- LS constraint fixpoint (lines 14–22) ---------------------------
-    sync_masks = _sync_event_masks(trace)
     roots = (e1.eid, e2.eid)
-    root_bits = (1 << e1.eid) | (1 << e2.eid)
     changed = True
     while changed:
         changed = False
         result.rounds += 1
-        bounds = tuple(window) if window is not None else None
-        race_mask = index.ancestors_mask(roots, within=bounds) | root_bits
+        in_race: Callable[[int], bool]
+        if window is None:
+            race_cut = index.ancestor_cut(roots)
+            in_race = (lambda eid: eid in roots
+                       or index.holds(race_cut, eid))
+        else:
+            bounds = (window[0], window[1])
+            in_race = graph.ancestors(roots, include_roots=True,
+                                      within=bounds).__contains__
         for src, snk in list(worklist):
-            for edge in _ls_edges_for(graph, trace, src, snk, race_mask,
-                                      bounds, index, sync_masks):
+            if window is None:
+                acquires = index.latest_acquires(src)
+                releases = index.earliest_releases(snk)
+            else:
+                acquires, releases = _windowed_candidates(
+                    graph, trace, src, snk, bounds)
+            for edge in _ls_pairs(graph, trace, acquires, releases,
+                                  in_race, index):
                 if add(*edge):
                     result.ls_edges += 1
                     changed = True
@@ -138,10 +160,7 @@ def add_constraints(graph: ConstraintGraph, trace: Trace,
         span = graph.backward_span()
         if span is None:
             continue
-        lo, hi = span
-        span_mask = (1 << (hi + 1)) - (1 << lo)
-        region = mask_to_set(
-            (index.ancestors_mask(roots) | root_bits) & span_mask)
+        region = index.ancestors_between(roots, *span)
         cycle = graph.find_cycle_reaching(set(roots), region=region)
         if cycle is not None:
             result.cycle = cycle
@@ -149,88 +168,57 @@ def add_constraints(graph: ConstraintGraph, trace: Trace,
     return result
 
 
-#: Per-trace memo for :func:`_sync_event_masks` — traces are immutable
-#: and vindicated many times (once per race), so the O(n) scan is paid
-#: once. Weak keys keep finished traces collectable.
-_sync_masks_cache: "weakref.WeakKeyDictionary[Trace, Tuple[int, int]]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _sync_event_masks(trace: Trace) -> Tuple[int, int]:
-    """Bitsets of the trace's acquire and release event ids, so the LS
-    pair search can intersect reachability masks against them instead of
-    scanning whole ancestor/descendant sets event by event."""
-    masks = _sync_masks_cache.get(trace)
-    if masks is None:
-        size = (len(trace) + 7) // 8
-        acq = bytearray(size)
-        rel = bytearray(size)
-        for e in trace:
-            if e.kind is EventKind.ACQUIRE:
-                acq[e.eid >> 3] |= 1 << (e.eid & 7)
-            elif e.kind is EventKind.RELEASE:
-                rel[e.eid >> 3] |= 1 << (e.eid & 7)
-        masks = (int.from_bytes(acq, "little"), int.from_bytes(rel, "little"))
-        _sync_masks_cache[trace] = masks
-    return masks
-
-
-def _ls_edges_for(graph: ConstraintGraph, trace: Trace, src: int, snk: int,
-                  race_mask: int,
-                  bounds=None,
-                  index: Optional[ReachabilityIndex] = None,
-                  sync_masks: Optional[Tuple[int, int]] = None) -> List[Tuple[int, int]]:
-    """LS edges implied by the constraint edge ``(src, snk)``.
-
-    An acquire ``a`` with ``a ⇝ src`` and a release ``r`` with
-    ``snk ⇝ r`` on the same lock are partially ordered through the edge;
-    if ``r``'s critical section is needed before the race
-    (``A(r) ⇝ e1 ∨ A(r) ⇝ e2``: bit ``A(r)`` of ``race_mask``, the
-    racing pair's ancestors with the pair itself), the full ordering
-    ``R(a) → A(r)`` is a necessary constraint.
-
-    The candidate search runs in mask space: only the (usually tiny)
-    intersection of the reachability closures with the trace's
-    acquire/release bitsets is ever materialised.
-    """
-    if index is None:
-        index = ReachabilityIndex(graph)
-    if sync_masks is None:
-        sync_masks = _sync_event_masks(trace)
-    acq_events, rel_events = sync_masks
-    anc_mask = index.ancestors_mask([src], within=bounds) | (1 << src)
-    desc_mask = index.descendants_mask([snk], within=bounds) | (1 << snk)
+def _windowed_candidates(graph: ConstraintGraph, trace: Trace, src: int,
+                         snk: int, bounds: Tuple[int, int]
+                         ) -> Tuple[Candidates, Candidates]:
+    """The LS candidates of ``(src, snk)`` inside the window: per
+    (thread, lock), the latest acquire among ``src`` and its windowed
+    ancestors, and the earliest release among ``snk`` and its windowed
+    descendants."""
     events = trace.events
-
-    # Program-order pruning: keep only the latest candidate acquire and
-    # the earliest candidate release per (thread, lock).
-    latest_acq: Dict[Tuple[Tid, Target], Event] = {}
-    for eid in mask_to_set(anc_mask & acq_events):
+    acquires: Candidates = {}
+    for eid in graph.ancestors([src], include_roots=True, within=bounds):
         e = events[eid]
-        key = (e.tid, e.target)
-        best = latest_acq.get(key)
-        if best is None or e.eid > best.eid:
-            latest_acq[key] = e
-    earliest_rel: Dict[Tuple[Tid, Target], Event] = {}
-    for eid in mask_to_set(desc_mask & rel_events):
+        if e.kind is EventKind.ACQUIRE:
+            best = acquires.get((e.tid, e.target))
+            if best is None or eid > best.eid:
+                acquires[(e.tid, e.target)] = e
+    releases: Candidates = {}
+    for eid in graph.descendants([snk], include_roots=True, within=bounds):
         e = events[eid]
-        key = (e.tid, e.target)
-        best = earliest_rel.get(key)
-        if best is None or e.eid < best.eid:
-            earliest_rel[key] = e
+        if e.kind is EventKind.RELEASE:
+            best = releases.get((e.tid, e.target))
+            if best is None or eid < best.eid:
+                releases[(e.tid, e.target)] = e
+    return acquires, releases
 
+
+def _ls_pairs(graph: ConstraintGraph, trace: Trace, acquires: Candidates,
+              releases: Candidates, in_race: Callable[[int], bool],
+              index: CutIndex) -> List[Tuple[int, int]]:
+    """LS edges implied by one constraint edge ``(src, snk)``.
+
+    ``acquires`` holds, per (thread, lock), the latest acquire ``a``
+    with ``a ⇝ src`` (or ``a = src``); ``releases`` the earliest release
+    ``r`` with ``snk ⇝ r`` (or ``r = snk``). Program order implies the
+    other pairs' edges. ``a`` and ``r`` on the same lock are partially
+    ordered through the edge; if ``r``'s critical section is needed
+    before the race (``in_race(A(r))``: ``A(r)`` is a racing event or
+    reaches one), the full ordering ``R(a) → A(r)`` is a necessary
+    constraint.
+    """
     edges: List[Tuple[int, int]] = []
-    for (_, lock_a), a in latest_acq.items():
+    for (_, lock_a), a in acquires.items():
         release_of_a = trace.release_of(a)
         if release_of_a is None:
             continue  # critical section never closes; cannot constrain it
-        for (_, lock_r), r in earliest_rel.items():
+        for (_, lock_r), r in releases.items():
             if lock_a != lock_r:
                 continue
             acquire_of_r = trace.acquire_of(r)
             if acquire_of_r.eid == a.eid:
                 continue  # same critical section
-            if not race_mask >> acquire_of_r.eid & 1:
+            if not in_race(acquire_of_r.eid):
                 continue  # r's critical section is not needed for the race
             if graph.has_edge(release_of_a.eid, acquire_of_r.eid):
                 continue

@@ -46,7 +46,7 @@ from repro.core.events import Event, Target
 from repro.core.exceptions import VindicationError
 from repro.core.trace import Trace
 from repro.graph.constraint_graph import ConstraintGraph
-from repro.graph.reachability import ReachabilityIndex
+from repro.graph.cuts import CutIndex
 
 #: Greedy tie-break policies for ATTEMPTTOCONSTRUCTTRACE.
 POLICIES = ("latest", "earliest", "random")
@@ -83,17 +83,18 @@ def construct_reordered_trace(
     e2: Event,
     policy: str = "latest",
     seed: int = 0,
-    index: Optional[ReachabilityIndex] = None,
+    index: Optional[CutIndex] = None,
 ) -> Tuple[Optional[List[Event]], ConstructionStats]:
     """Try to build a correctly reordered trace with ``e1, e2`` at the
     end, consecutive. Returns ``(witness, stats)`` with ``witness`` None
     on failure (the algorithm is greedy and incomplete, so failure does
-    not refute the race). ``index`` optionally supplies a shared
-    reachability engine for the ancestor queries."""
+    not refute the race). ``index`` optionally supplies the shared cut
+    index over ``graph``; the needed set is its race cut, read as
+    per-thread eid slices."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if index is None:
-        index = ReachabilityIndex(graph)
+        index = CutIndex(graph, trace)
     rng = random.Random(seed)
     needed: Set[int] = index.ancestors([e1.eid, e2.eid])
     needed.discard(e1.eid)

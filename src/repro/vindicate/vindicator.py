@@ -29,7 +29,7 @@ from repro.core.events import Event
 from repro.core.exceptions import SanitizerError
 from repro.core.trace import Trace
 from repro.graph.constraint_graph import ConstraintGraph
-from repro.graph.reachability import ReachabilityIndex
+from repro.graph.cuts import CutIndex
 from repro.analysis.dc import DCDetector
 from repro.analysis.hb import HBDetector
 from repro.analysis.races import DynamicRace, RaceClass, RaceReport, classify
@@ -90,7 +90,7 @@ def vindicate_race(
     seed: int = 0,
     check: bool = True,
     use_window: bool = False,
-    index: Optional[ReachabilityIndex] = None,
+    index: Optional[CutIndex] = None,
 ) -> Vindication:
     """Run VINDICATERACE (Algorithm 1) on one DC-race.
 
@@ -109,20 +109,15 @@ def vindicate_race(
         use_window: Restrict AddConstraints's searches to the event
             window around the race, expanding on the fly (Section 6.1's
             second optimisation).
-        index: Shared reachability engine over ``graph``; created fresh
-            when not supplied. Sharing one across races lets the caller
-            accumulate its cache counters.
+        index: Shared cut index over ``graph``; created fresh when not
+            supplied. Sharing one across races builds its tables once
+            and lets the caller accumulate its counters.
     """
     e1, e2 = race.first, race.second
     if index is None:
-        index = ReachabilityIndex(graph)
+        index = CutIndex(graph, trace)
     start = time.perf_counter()
     with obs.span("vindicate.race") as span:
-        # Bracket this race's tagged-edge churn: after the edges are
-        # untagged the graph is back to its pre-race edge set, so the
-        # pre-race closures stay valid and the race's surviving ones
-        # join them.
-        cache_checkpoint = index.checkpoint()
         stats = ConstructionStats()
         with obs.span("vindicate.add_constraints") as sp:
             constraints = add_constraints(graph, trace, e1, e2,
@@ -168,7 +163,6 @@ def vindicate_race(
             with obs.span("vindicate.untag") as sp:
                 for src, dst in reversed(constraints.added_edges):
                     graph.remove_edge(src, dst)
-                index.restore(cache_checkpoint)
                 sp.annotate("edges", len(constraints.added_edges))
         span.annotate("verdict_" + vindication.verdict.name.lower(), 1)
     reg = obs.metrics()
@@ -461,19 +455,23 @@ class Vindicator:
             analysis_seconds=analysis_seconds, lockset=lockset,
             provenance=dict(trace.provenance))
         start = time.perf_counter()
-        index = ReachabilityIndex(dc.graph)
+        index = CutIndex(dc.graph, trace)
         with obs.span("pipeline.vindicate") as sp:
             for race in classified:
                 if not self.vindicate_all and race.race_class is not RaceClass.DC_ONLY:
                     continue
+                # The first call builds the cut tables here, outside
+                # the first race's span; later calls only read the
+                # previous race's edge removals from the journal.
+                index.sync()
                 report.vindications.append(
                     vindicate_race(dc.graph, trace, race, policy=self.policy,
                                    check=self.check_witnesses,
                                    use_window=self.use_window, index=index))
             sp.annotate("races", len(report.vindications))
         report.vindication_seconds = time.perf_counter() - start
-        # Surface the reachability engine's cache behaviour on the DC
-        # report (Table 4 analog reports these alongside timing).
+        # Surface the cut index's counters on the DC report (Table 4
+        # analog reports these alongside timing).
         for counter, value in index.stats().items():
             if value:
                 dc.bump(counter, value)

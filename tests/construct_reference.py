@@ -9,7 +9,10 @@ Kept as test oracles only:
 * :func:`find_cycle_reaching` — the colouring DFS over the racing
   pair's whole ancestor set;
 * :func:`add_constraints` — the LS fixpoint that materialises the race
-  region as a set every round and searches it for cycles in full.
+  region as a set every round, finds LS candidates by intersecting
+  bitset closures of a :class:`ReachabilityIndex` with the trace's
+  acquire/release bitsets (:func:`_sync_event_masks`), and searches the
+  region for cycles in full.
 
 ``tests/test_construct_differential.py`` asserts that the production
 passes give the same verdict, witness and attempt count as these.
@@ -22,14 +25,15 @@ search with its set-valued region.
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.core.events import Event, Target, Tid
+from repro.core.events import Event, EventKind, Target, Tid
 from repro.core.exceptions import VindicationError
 from repro.core.trace import Trace
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.graph.reachability import ReachabilityIndex, mask_to_set
-from repro.vindicate.add_constraints import ConstraintResult, _sync_event_masks
+from repro.vindicate.add_constraints import ConstraintResult
 from repro.vindicate.construct import (POLICIES, ConstructionStats,
                                        _BackwardState, _MissingRelease, _OK)
 
@@ -240,6 +244,30 @@ def add_constraints(graph: ConstraintGraph, trace: Trace,
             result.cycle = cycle
             return result
     return result
+
+
+#: Per-trace memo for :func:`_sync_event_masks`; weak keys keep
+#: finished traces collectable.
+_sync_masks_cache: "weakref.WeakKeyDictionary[Trace, Tuple[int, int]]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _sync_event_masks(trace: Trace) -> Tuple[int, int]:
+    """Bitsets of the trace's acquire and release event ids, so the LS
+    pair search can intersect reachability masks against them."""
+    masks = _sync_masks_cache.get(trace)
+    if masks is None:
+        size = (len(trace) + 7) // 8
+        acq = bytearray(size)
+        rel = bytearray(size)
+        for e in trace:
+            if e.kind is EventKind.ACQUIRE:
+                acq[e.eid >> 3] |= 1 << (e.eid & 7)
+            elif e.kind is EventKind.RELEASE:
+                rel[e.eid >> 3] |= 1 << (e.eid & 7)
+        masks = (int.from_bytes(acq, "little"), int.from_bytes(rel, "little"))
+        _sync_masks_cache[trace] = masks
+    return masks
 
 
 def _ls_edges_for(graph: ConstraintGraph, trace: Trace, src: int, snk: int,

@@ -35,6 +35,7 @@ from repro.analysis.dc import DCDetector
 from repro.core.events import Event, EventKind
 from repro.core.trace import Trace, TraceBuilder
 from repro.graph.constraint_graph import ConstraintGraph
+from repro.graph.cuts import CutIndex
 from repro.graph.reachability import ReachabilityIndex
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
@@ -60,6 +61,7 @@ class _Reference:
         detector.analyze(trace)
         self.graph = detector.graph
         self.index = ReachabilityIndex(self.graph)
+        self.cuts = CutIndex(self.graph, trace)
         self._memo: Dict[Tuple[int, int, str], Outcome] = {}
 
     def outcome(self, e1: Event, e2: Event, policy: str = "latest") -> Outcome:
@@ -76,7 +78,7 @@ class _Reference:
         the race's constraint graph through ancestors of the race."""
         checkpoint = self.index.checkpoint()
         added = add_constraints(self.graph, self.trace, e1, e2,
-                                index=self.index).added_edges
+                                index=self.cuts).added_edges
         try:
             assert len(cycle) >= 3 and cycle[0] == cycle[-1], cycle
             for later, earlier in zip(cycle, cycle[1:]):
@@ -114,7 +116,7 @@ def _check_races(trace: Trace, transitive_force: bool,
     detector = DCDetector()
     detector.transitive_force = transitive_force
     races = detector.analyze(trace).races
-    index = ReachabilityIndex(detector.graph)
+    index = CutIndex(detector.graph, trace)
     vindications = [vindicate_race(detector.graph, trace, race, policy=policy,
                                    index=index) for race in races]
     return _assert_agree(reference, vindications, policy)

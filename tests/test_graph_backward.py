@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.variants import make_analysis_detector
 from repro.graph.constraint_graph import ConstraintGraph
-from repro.graph.reachability import ReachabilityIndex
+from repro.graph.cuts import CutIndex
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
 from repro.serve.session import SessionAnalyzer, SessionConfig
@@ -131,9 +131,8 @@ def test_race_graph_backward_edges_are_the_races_own():
         detector.transitive_force = False
         races = detector.analyze(trace).races
         graph = detector.graph
-        index = ReachabilityIndex(graph)
+        index = CutIndex(graph, trace)
         for race in races:
-            checkpoint = index.checkpoint()
             added = add_constraints(graph, trace, race.first, race.second,
                                     index=index).added_edges
             own = {(src, dst) for src, dst in added if dst < src}
@@ -141,6 +140,5 @@ def test_race_graph_backward_edges_are_the_races_own():
             seen += len(own)
             for src, dst in reversed(added):
                 graph.remove_edge(src, dst)
-            index.restore(checkpoint)
             assert graph.backward_edges() == frozenset()
     assert seen

@@ -7,8 +7,9 @@
   ``checkpoint``, the queries' catch-up and ``restore`` must be the same
   for both N, and ``checkpoint`` must copy no cache.
 * **No module state that grows with the trace.**
-  ``repro.graph.reachability`` must hold no module-level container that
-  is larger after vindicating xalan at scale 8 than at scale 2.
+  ``repro.graph.reachability`` and ``repro.graph.cuts`` must hold no
+  module-level container that is larger after vindicating xalan at
+  scale 8 than at scale 2.
 * **Observability.** Each race's untagging and index restore is one
   ``vindicate.untag`` span, and the closure cache's size is published
   as obs-only gauges, never as report counters.
@@ -17,7 +18,7 @@
 import pytest
 
 from repro import obs
-from repro.graph import reachability
+from repro.graph import cuts, reachability
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.graph.reachability import ReachabilityIndex
 from repro.runtime import execute
@@ -157,8 +158,9 @@ class TestPerRaceUpkeep:
 class TestNoGrowingModuleState:
     def test_module_containers_do_not_grow_with_trace_length(self):
         def module_sizes():
-            return {name: _sizes(value, [])
-                    for name, value in vars(reachability).items()
+            return {(module.__name__, name): _sizes(value, [])
+                    for module in (reachability, cuts)
+                    for name, value in vars(module).items()
                     if not name.startswith("__")}
 
         Vindicator().run(execute(WORKLOADS["xalan"](scale=2), seed=3))
