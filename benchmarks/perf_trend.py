@@ -3,16 +3,16 @@
 Each floored benchmark writes a machine-readable ``BENCH_<name>.json``
 next to its human-readable table (see ``harness.write_json``).  This
 script folds them into a single trajectory view — the chain of
-steady-state wins from the pure-Python reference detectors to the
-epoch detectors on the compiled kernels:
+steady-state wins from the reference detectors to the epoch
+detectors:
 
-    reference → epoch fast paths (smarttrack) → compiled kernels
+    reference → epoch fast paths (smarttrack)
 
 so one artifact answers "how much headroom is left above each floor".
 These are warm re-analysis figures; the cold end-to-end numbers come
-from the e2ebench (``e2ebench/run.py``).  CI's ``kernels-perf`` job runs it
-after the benches and uploads ``perf_trend.txt`` / ``perf_trend.json``
-alongside the per-bench results.
+from the e2ebench (``e2ebench/run.py``).  Run it after the benches; it
+writes ``perf_trend.txt`` / ``perf_trend.json`` next to the per-bench
+results.
 
 Usage::
 
@@ -20,8 +20,8 @@ Usage::
 
 Reporting-only: floors are *asserted* by the benches themselves; here
 a below-floor row is flagged in the table but does not fail the run,
-so a partial results directory (e.g. a checkout without the compiled
-extension) still produces a trajectory for the rows it has.
+so a partial results directory still produces a trajectory for the
+rows it has.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Optional
 #: Files not listed here sort after these, alphabetically.
 TRAJECTORY = [
     "BENCH_smarttrack.json",    # reference → epoch/ownership fast paths
-    "BENCH_kernels.json",       # python → compiled kernel backend
 ]
 
 #: Row lists worth surfacing, with a qualifier for the second leg.

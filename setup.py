@@ -1,53 +1,9 @@
 """Setuptools shim for environments without the `wheel` package.
 
-All real metadata lives in pyproject.toml; this file adds the one thing
-pyproject cannot express on minimal toolchains: the *optional* compiled
-kernel extension (`repro.core._kernels`).  The extension is a pure
-speed-up — `repro.core.kernels` falls back to bit-identical pure Python
-when it is absent — so any build failure (no compiler, no headers,
-cross-compile weirdness) must degrade to a working pure-Python install
-instead of aborting.
+All metadata lives in pyproject.toml; this file only lets
+`python setup.py develop` work on minimal toolchains.
 """
 
-from __future__ import annotations
+from setuptools import setup
 
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
-
-
-class OptionalBuildExt(build_ext):  # type: ignore[misc]
-    """Build C extensions, but never let a failure kill the install."""
-
-    def run(self) -> None:
-        try:
-            super().run()
-        except Exception as exc:  # pragma: no cover - toolchain dependent
-            self._warn(exc)
-
-    def build_extension(self, ext: Extension) -> None:
-        try:
-            super().build_extension(ext)
-        except Exception as exc:  # pragma: no cover - toolchain dependent
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc: Exception) -> None:
-        import sys
-
-        print(
-            "warning: could not build repro.core._kernels "
-            f"({exc!r}); falling back to the pure-Python kernels",
-            file=sys.stderr,
-        )
-
-
-setup(
-    ext_modules=[
-        Extension(
-            "repro.core._kernels",
-            sources=["src/repro/core/_kernels.c"],
-            optional=True,
-        )
-    ],
-    cmdclass={"build_ext": OptionalBuildExt},
-)
+setup()

@@ -169,9 +169,6 @@ class Detector(abc.ABC):
     def analyze(self, trace: Trace) -> RaceReport:
         """Run the detector over ``trace`` and return its race report."""
         with obs.span(f"analysis.{self.metric_label()}") as sp:
-            # Which kernel implementation ran is part of any perf
-            # profile's identity; stamp it so A/B traces self-describe.
-            sp.tag("kernels.backend", _k.active_backend())
             self.begin_trace(trace)
             for event in trace:
                 self.handle(event)

@@ -69,8 +69,7 @@ from __future__ import annotations
 
 import weakref
 from operator import attrgetter
-from typing import (Any, Callable, Collection, Dict, List, Optional, Set,
-                    Tuple)
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.analysis.base import Detector
@@ -89,16 +88,6 @@ _by_eid = attrgetter("eid")
 
 # Compact per-event kind codes (ordered so range checks dispatch fast).
 _READ, _WRITE, _ACQ, _REL, _FORK, _JOIN, _VWR, _VRD, _OTHER = range(9)
-
-# Slots of the fused-kernel counter block (``_fs``): the compiled
-# access kernel bumps these list entries at C speed instead of
-# round-tripping instance attributes; ``_drain_fused`` folds them back
-# into the named counters before anything reads them.  Order must match
-# the FS_* constants in _kernels.c.
-_FS_JOINS, _FS_FILTER_SKIPS, _FS_FILTER_CHECKS = 0, 1, 2
-_FS_EXCL_FAST, _FS_SNAP_REUSES, _FS_SNAP_COPIES = 3, 4, 5
-_FS_GRAPH_EDGES, _FS_RULE_B_SKIPS, _FS_LOCK_TRANSFERS = 6, 7, 8
-_FS_SLOTS = 9
 
 # Keyed by id() of the (immortal, module-level) enum member: enum's
 # __hash__ is a Python-level call, id() hashing is C-speed, and this map
@@ -274,20 +263,6 @@ class _EpochDetectorBase(Detector):
         self._n_lock_transfers = 0
         self._n_snap_copies = 0
         self._n_snap_reuses = 0
-        # The fused compiled access kernel and its context tuple (see
-        # kernels._FUSED_NAMES); None/() routes handle() through the
-        # open-coded _on_access, which defines the semantics.
-        self._c_access: Optional[Callable[..., int]] = None
-        self._ctx: Tuple[Any, ...] = ()
-        # The fused compiled sync-op kernels and their shared context;
-        # None routes on_acquire/on_release/on_fork/on_join through the
-        # open-coded bodies, which define the semantics.
-        self._c_acquire: Optional[Callable[..., Any]] = None
-        self._c_release: Optional[Callable[..., Any]] = None
-        self._c_fork: Optional[Callable[..., Any]] = None
-        self._c_join: Optional[Callable[..., Any]] = None
-        self._sctx: Tuple[Any, ...] = ()
-        self._fs: List[int] = [0] * _FS_SLOTS
 
     def metric_label(self) -> str:
         return super().metric_label() + "_epoch"
@@ -321,134 +296,6 @@ class _EpochDetectorBase(Detector):
         self._n_lock_transfers = 0
         self._n_snap_copies = 0
         self._n_snap_reuses = 0
-        self._c_access = None
-        self._ctx = ()
-        self._c_acquire = None
-        self._c_release = None
-        self._c_fork = None
-        self._c_join = None
-        self._sctx = ()
-        self._fs = [0] * _FS_SLOTS
-
-    def _drain_fused(self) -> None:
-        """Fold the compiled kernel's counter block back into the named
-        instance counters (a no-op on the python backend, whose
-        open-coded paths bump the attributes directly)."""
-        fs = self._fs
-        self._n_joins += fs[_FS_JOINS]
-        self._filter_skips += fs[_FS_FILTER_SKIPS]
-        self._filter_checks += fs[_FS_FILTER_CHECKS]
-        self._n_excl_fast += fs[_FS_EXCL_FAST]
-        self._n_snap_reuses += fs[_FS_SNAP_REUSES]
-        self._n_snap_copies += fs[_FS_SNAP_COPIES]
-        self._n_rule_b_skips += fs[_FS_RULE_B_SKIPS]
-        self._n_lock_transfers += fs[_FS_LOCK_TRANSFERS]
-        for i in range(_FS_SLOTS):
-            fs[i] = 0
-
-    def finish(self) -> RaceReport:
-        self._drain_fused()
-        return super().finish()
-
-    def _shared_slow(self, e: Event, is_write: bool) -> None:
-        raise NotImplementedError  # pragma: no cover - subclasses override
-
-    def analyze(self, trace: Trace) -> RaceReport:
-        """Run the detector over ``trace`` (specialised driving loop).
-
-        With the fused compiled access kernel installed, accesses go
-        straight to it with every per-event lookup hoisted into locals:
-        once the access body itself is native, the generic ``handle``
-        indirection (a bound-method call plus two attribute loads per
-        event) is the largest remaining Python cost. Each event takes
-        exactly the branch ``handle`` would, so streaming callers that
-        drive ``begin_trace``/``handle``/``finish`` by hand see
-        identical behaviour.
-        """
-        with obs.span(f"analysis.{self.metric_label()}") as sp:
-            self.begin_trace(trace)
-            fused = self._c_access
-            if fused is None:
-                for event in trace:
-                    self.handle(event)
-            else:
-                codes = self._codes
-                ctx = self._ctx
-                handle = self.handle
-                shared_slow = self._shared_slow
-                for event in trace:
-                    code = codes[event.eid]
-                    if code <= _WRITE:
-                        if fused(ctx, event.eid, code == _WRITE, event):
-                            shared_slow(event, code == _WRITE)
-                    else:
-                        handle(event)
-            report = self.finish()
-            sp.annotate("events", len(trace))
-            sp.annotate("races", len(report.races))
-        return report
-
-    def _bind_fused(self, fused: Optional[Callable[..., int]],
-                    clock_a: List[Any], clock_b: List[Any],
-                    pending_fork: Dict[int, Any],
-                    cs_writes: Dict[int, "DenseSourceClocks"],
-                    cs_reads: Dict[int, "DenseSourceClocks"],
-                    ebuf: Optional[List[int]] = None) -> None:
-        """Install the fused compiled access kernel for this trace.
-
-        No-op (handle() keeps routing through the open-coded
-        ``_on_access``) under the python backend, or when preprocessing
-        produced non-list local-time storage the C kernel cannot index.
-        The context tuple captures every container the kernel touches;
-        all of them are mutated in place for the rest of the trace, so
-        the snapshot stays live.  ``ebuf`` is the DC edge buffer the
-        kernel appends graph edges to (None for WCP and no-graph DC).
-        """
-        if fused is None or type(self._lt) is not list:
-            self._c_access = None
-            self._ctx = ()
-            return
-        self._ctx = (self._fs, self._tix, self._lt, self._tgt, self._held,
-                     clock_a, clock_b, pending_fork, self._snap_ok,
-                     self._snaps, self._cand, self._vars,
-                     self._pending_vars, cs_writes, cs_reads,
-                     self._nv, self._T,
-                     bool(self.force_order and self.transitive_force),
-                     _VarState, ebuf)
-        self._c_access = fused
-
-    def _bind_sync(self, kernels: Tuple[Optional[Callable[..., Any]], ...],
-                   clock_a: List[Any], clock_b: List[Any],
-                   pending_fork: Dict[int, Any],
-                   queues: List[Optional["DenseLockQueues"]],
-                   cs_writes: Dict[int, "DenseSourceClocks"],
-                   cs_reads: Dict[int, "DenseSourceClocks"],
-                   ebuf: Optional[List[int]],
-                   lock_h: Optional[List[Any]],
-                   lock_p: Optional[List[Any]]) -> None:
-        """Install the fused compiled sync-op kernels for this trace.
-
-        ``kernels`` is the (acquire, release, fork, join) tuple from the
-        dispatch module — all None under the python backend, which keeps
-        the open-coded handler bodies in charge. The context mirrors ``_bind_fused``'s: one shared tuple
-        of live, mutated-in-place containers."""
-        acquire, release, fork, join = kernels
-        if acquire is None or type(self._lt) is not list:
-            self._c_acquire = None
-            self._c_release = None
-            self._c_fork = None
-            self._c_join = None
-            self._sctx = ()
-            return
-        self._sctx = (self._fs, self._tix, self._lt, self._tgt,
-                      clock_a, clock_b, pending_fork, self._snap_ok,
-                      queues, DenseLockQueues, self._pending_vars,
-                      cs_writes, cs_reads, DenseSourceClocks,
-                      self._nv, self._T, ebuf, lock_h, lock_p)
-        self._c_acquire = acquire
-        self._c_release = release
-        self._c_fork = fork
-        self._c_join = join
 
     # ------------------------------------------------------------------
     # Observability
@@ -458,7 +305,6 @@ class _EpochDetectorBase(Detector):
         the metrics registry under ``analysis.<label>.*``). These live
         outside the report counters so reports stay bit-identical to
         the reference detectors'."""
-        self._drain_fused()
         return {
             "epoch_exclusive_hits": self._n_excl_fast,
             "epoch_write_gate_hits": self._n_w_gate,
@@ -472,7 +318,6 @@ class _EpochDetectorBase(Detector):
         }
 
     def _publish(self, reg: obs.AnyRegistry) -> None:
-        self._drain_fused()  # super()._publish reads _n_joins
         super()._publish(reg)
         label = self.metric_label()
         for name, value in self.fast_stats().items():
@@ -669,14 +514,6 @@ class EpochWCPDetector(_EpochDetectorBase):
         self._vol_writes = [None] * n_vols
         self._vol_reads = [None] * n_vols
         self._pending_fork = {}
-        self._bind_fused(_k.access_wcp, self._h, self._p,
-                         self._pending_fork, self._cs_writes,
-                         self._cs_reads)
-        self._bind_sync(
-            (_k.acquire_wcp, _k.release_wcp, _k.fork_wcp, _k.join_wcp),
-            self._h, self._p, self._pending_fork, self._queues,
-            self._cs_writes, self._cs_reads, None,
-            self._lock_h, self._lock_p)
 
     def _clock_values_of(self, tid: Tid) -> Optional[List[int]]:
         assert self._ix is not None
@@ -711,11 +548,7 @@ class EpochWCPDetector(_EpochDetectorBase):
     def handle(self, event: Event) -> None:
         code = self._codes[event.eid]
         if code <= _WRITE:
-            fused = self._c_access
-            if fused is None:
-                self._on_access(event, code == _WRITE)
-            elif fused(self._ctx, event.eid, code == _WRITE, event):
-                self._shared_slow(event, code == _WRITE)
+            self._on_access(event, code == _WRITE)
         elif code == _ACQ:
             self.on_acquire(event)
         elif code == _REL:
@@ -735,16 +568,6 @@ class EpochWCPDetector(_EpochDetectorBase):
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
-    def _shared_slow(self, e: Event, is_write: bool) -> None:
-        # The fused kernel already advanced the clocks, staged rule (a),
-        # and passed the prefilter; only the SHARED-stage check remains.
-        eid = e.eid
-        ti = self._tix[eid]
-        p = self._p[ti]
-        st = self._vars[self._tgt[eid]]
-        assert p is not None and st is not None
-        self._check_shared(e, ti, self._lt[eid], p, is_write, st)
-
     def _on_access(self, e: Event, is_write: bool) -> None:
         eid = e.eid
         ti = self._tix[eid]
@@ -848,10 +671,6 @@ class EpochWCPDetector(_EpochDetectorBase):
     # Lock operations
     # ------------------------------------------------------------------
     def on_acquire(self, e: Event) -> None:
-        kernel = self._c_acquire
-        if kernel is not None:
-            kernel(self._sctx, e.eid)
-            return
         eid = e.eid
         ti = self._tix[eid]
         t = self._lt[eid]
@@ -871,11 +690,6 @@ class EpochWCPDetector(_EpochDetectorBase):
         queues.on_acquire(ti, t)
 
     def on_release(self, e: Event) -> None:
-        kernel = self._c_release
-        if kernel is not None:
-            if kernel(self._sctx, e.eid):
-                raise KeyError(e.target)
-            return
         eid = e.eid
         ti = self._tix[eid]
         t = self._lt[eid]
@@ -910,19 +724,11 @@ class EpochWCPDetector(_EpochDetectorBase):
     # by rule (c)'s left composition — see the reference detector)
     # ------------------------------------------------------------------
     def on_fork(self, e: Event) -> None:
-        kernel = self._c_fork
-        if kernel is not None:
-            kernel(self._sctx, e.eid)
-            return
         eid = e.eid
         h, _ = self._advance(self._tix[eid], self._lt[eid])
         self._pending_fork[self._tgt[eid]] = h.copy()
 
     def on_join(self, e: Event) -> None:
-        kernel = self._c_join
-        if kernel is not None:
-            kernel(self._sctx, e.eid)
-            return
         eid = e.eid
         ti = self._tix[eid]
         h, p = self._advance(ti, self._lt[eid])
@@ -1011,8 +817,7 @@ class EpochDCDetector(_EpochDetectorBase):
         self._last_event: List[int] = []
         self._n_graph_edges = 0
         # Graph edges are staged in a flat [src0, dst0, src1, dst1, ...]
-        # buffer (shared with the compiled kernels, which append to the
-        # same list) and drained into the constraint graph at finish().
+        # buffer and drained into the constraint graph at finish().
         # Every reference edge is inserted while its destination event is
         # being processed and events arrive in order, so the append order
         # *is* the reference insertion order; nothing reads the graph
@@ -1041,27 +846,11 @@ class EpochDCDetector(_EpochDetectorBase):
         self._pending_fork = {}
         self._last_event = [-1] * self._T
         self._ebuf = []
-        ebuf = self._ebuf if self.build_graph else None
-        self._bind_fused(
-            _k.access_dc, self._values, self._last_event,
-            self._pending_fork, self._cs_writes, self._cs_reads, ebuf)
-        self._bind_sync(
-            (_k.acquire_dc, _k.release_dc, _k.fork_dc, _k.join_dc),
-            self._values, self._last_event, self._pending_fork,
-            self._queues, self._cs_writes, self._cs_reads, ebuf,
-            None, None)
-
-    def _drain_fused(self) -> None:
-        fs = self._fs
-        self._n_graph_edges += fs[_FS_GRAPH_EDGES]
-        fs[_FS_GRAPH_EDGES] = 0
-        super()._drain_fused()
 
     def finish(self) -> RaceReport:
         assert self.report is not None, "begin_trace was never called"
         if self._ebuf:
             _k.drain_edges(self._ebuf, self.graph.add_edge)
-        self._drain_fused()
         if self._n_graph_edges:
             counters = self.report.counters
             counters["graph_edges"] = (
@@ -1119,11 +908,7 @@ class EpochDCDetector(_EpochDetectorBase):
     def handle(self, event: Event) -> None:
         code = self._codes[event.eid]
         if code <= _WRITE:
-            fused = self._c_access
-            if fused is None:
-                self._on_access(event, code == _WRITE)
-            elif fused(self._ctx, event.eid, code == _WRITE, event):
-                self._shared_slow(event, code == _WRITE)
+            self._on_access(event, code == _WRITE)
         elif code == _ACQ:
             self.on_acquire(event)
         elif code == _REL:
@@ -1143,16 +928,6 @@ class EpochDCDetector(_EpochDetectorBase):
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
-    def _shared_slow(self, e: Event, is_write: bool) -> None:
-        # The fused kernel already advanced the clock, staged rule (a),
-        # and passed the prefilter; only the SHARED-stage check remains.
-        eid = e.eid
-        ti = self._tix[eid]
-        values = self._values[ti]
-        st = self._vars[self._tgt[eid]]
-        assert values is not None and st is not None
-        self._check_shared(e, ti, self._lt[eid], values, is_write, st)
-
     def _on_access(self, e: Event, is_write: bool) -> None:
         eid = e.eid
         ti = self._tix[eid]
@@ -1249,10 +1024,6 @@ class EpochDCDetector(_EpochDetectorBase):
     # Lock operations
     # ------------------------------------------------------------------
     def on_acquire(self, e: Event) -> None:
-        kernel = self._c_acquire
-        if kernel is not None:
-            kernel(self._sctx, e.eid)
-            return
         eid = e.eid
         ti = self._tix[eid]
         t = self._lt[eid]
@@ -1274,18 +1045,6 @@ class EpochDCDetector(_EpochDetectorBase):
                 queues.owner = -2
 
     def on_release(self, e: Event) -> None:
-        kernel = self._c_release
-        if kernel is not None:
-            if kernel(self._sctx, e.eid):
-                # Streaming traces bypass Trace's construction-time
-                # validation, so a release without a matching acquire
-                # must surface as a malformed-trace error.
-                raise MalformedTraceError(
-                    f"{e}: releases lock {e.target!r} with no matching "
-                    f"acquire by thread {e.tid!r}",
-                    event_index=e.eid,
-                )
-            return
         eid = e.eid
         ti = self._tix[eid]
         t = self._lt[eid]
@@ -1335,20 +1094,12 @@ class EpochDCDetector(_EpochDetectorBase):
     # Fork / join / volatiles: direct DC ordering
     # ------------------------------------------------------------------
     def on_fork(self, e: Event) -> None:
-        kernel = self._c_fork
-        if kernel is not None:
-            kernel(self._sctx, e.eid)
-            return
         eid = e.eid
         ti = self._tix[eid]
         values = self._advance(eid, ti, self._lt[eid])
         self._pending_fork[self._tgt[eid]] = (eid, values.copy())
 
     def on_join(self, e: Event) -> None:
-        kernel = self._c_join
-        if kernel is not None:
-            kernel(self._sctx, e.eid)
-            return
         eid = e.eid
         ti = self._tix[eid]
         values = self._advance(eid, ti, self._lt[eid])

@@ -212,11 +212,6 @@ class DenseSourceClocks:
     """Dense analog of :class:`SourceClocks` used by the epoch
     detectors: latest ``(eid, local_time, snapshot list)`` per source
     *tid index* (int), over plain-list clocks.
-
-    The compiled sync-op kernels (``repro.core._kernels``) construct
-    instances through the class object carried in the detectors' sync
-    context and reach into ``entries`` by attribute name — keep the
-    slot layout in lockstep with the C side.
     """
 
     __slots__ = ("entries",)
@@ -244,12 +239,6 @@ class DenseLockQueues:
     ``owner`` is -1 until the first acquire, then the acquiring tid
     index while the lock stays thread-exclusive, then -2 forever after
     a second thread acquires it.
-
-    Like :class:`DenseSourceClocks`, instances are also built and
-    mutated attribute-by-attribute from the compiled sync-op kernels;
-    the record shape ``[acq_time, rel_eid, rel_time, rel_snapshot]``
-    and the ``records``/``cursors``/``open_ti``/``open_rec``/``owner``
-    names are part of that C contract.
     """
 
     __slots__ = ("records", "cursors", "open_ti", "open_rec", "owner")

@@ -1,9 +1,7 @@
-"""Single resolution layer for detector variant × kernel backend.
+"""Single resolution layer for the detector variant.
 
 * :class:`VariantSpec` is the one resolved selection — a detector
-  *variant* plus an optional kernel-backend request (``"auto"``/
-  ``"python"``/``"compiled"``, or None for "leave the process setting
-  alone"). ``"fast"`` (the default) runs the SmartTrack-style epoch
+  *variant*. ``"fast"`` (the default) runs the SmartTrack-style epoch
   detectors (:mod:`repro.analysis.smarttrack`), the production path;
   ``"reference"`` runs the dict-backed detectors that define the
   semantics and serve as the test oracle. Both produce identical
@@ -16,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Tuple, Union
 
 from repro.core import kernels
 
@@ -26,36 +24,19 @@ VARIANTS = ("fast", "reference")
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """A fully resolved detector-variant + kernel-backend selection.
-
-    ``kernels_backend`` of None means "do not touch the process-wide
-    backend" (whatever ``set_backend``/``VINDICATOR_KERNELS`` already
-    installed stays in effect); any other value is installed by
-    :meth:`apply` before analysis starts, so a pipeline never silently
-    mixes kernel implementations.
-    """
+    """A resolved detector-variant selection."""
 
     variant: str = VARIANTS[0]
-    kernels_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(
                 f"variant must be one of {', '.join(map(repr, VARIANTS))}"
                 f", got {self.variant!r}")
-        if self.kernels_backend is not None \
-                and self.kernels_backend not in kernels.BACKENDS:
-            raise ValueError(
-                f"kernels_backend must be one of "
-                f"{', '.join(map(repr, kernels.BACKENDS))} or None, "
-                f"got {self.kernels_backend!r}")
 
     def apply(self) -> str:
-        """Install the requested kernel backend process-wide (a no-op
-        when the spec does not name one) and return the backend that is
-        actually active afterwards."""
-        if self.kernels_backend is not None:
-            kernels.set_backend(self.kernels_backend)
+        """Return the kernel implementation the analysis runs on (kept
+        for callers that record it next to their results)."""
         return kernels.active_backend()
 
 

@@ -70,8 +70,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro.analysis.races import RaceClass
-from repro.analysis.variants import VARIANTS, VariantSpec
-from repro.core import kernels
+from repro.analysis.variants import VARIANTS
 from repro.core.exceptions import SanitizerError, TraceFormatError
 from repro.core.trace import Trace
 from repro.static.lint import Severity, lint_document, lint_events
@@ -121,11 +120,6 @@ def _print_report(report: VindicatorReport, show_witness: bool) -> None:
             print(f"  {locs}: {rng}")
 
 
-def _variant_spec(args: argparse.Namespace) -> VariantSpec:
-    """The detector variant plus the ``--kernels`` backend choice."""
-    return VariantSpec(args.variant, kernels_backend=args.kernels)
-
-
 def _read_trace(path: str) -> Optional[Trace]:
     """Load a trace file, or print one line to stderr and return None
     when the file is unreadable or malformed (the caller exits 2)."""
@@ -161,7 +155,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                             policy=args.policy,
                             prefilter=args.prefilter,
                             sanitize=args.sanitize,
-                            variant=_variant_spec(args))
+                            variant=args.variant)
     return _run_and_print(vindicator, trace, args.witness,
                           as_json=args.json)
 
@@ -247,7 +241,7 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
                                 transitive_force=not name.startswith("figure4"),
                                 prefilter=args.prefilter,
                                 sanitize=args.sanitize,
-                                variant=_variant_spec(args))
+                                variant=args.variant)
         status = _run_and_print(vindicator, factory(), args.witness)
         if status:
             return status
@@ -272,7 +266,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     vindicator = Vindicator(vindicate_all=args.vindicate_all,
                             prefilter=args.prefilter,
                             sanitize=args.sanitize,
-                            variant=_variant_spec(args))
+                            variant=args.variant)
     return _run_and_print(vindicator, trace, args.witness,
                           as_json=args.json)
 
@@ -325,14 +319,12 @@ def _print_profile_summary(session: obs.ObsSession) -> None:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     meta = {"command": f"profile {args.target}"}
-    spec = _variant_spec(args)
     with obs.session(metrics_path=args.metrics, meta=meta,
                      deep_memory=args.deep_mem) as session:
         with obs.span(f"profile.{args.target}") as root:
-            # Stamp the resolved backend (and variant) on the root span
-            # so A/B kernel profiles are self-describing.
-            root.tag("kernels.backend", spec.apply())
-            root.tag("variant", spec.variant)
+            # Stamp the variant on the root span so A/B profiles are
+            # self-describing.
+            root.tag("variant", args.variant)
             trace = _profile_trace(args)
             if trace is None:
                 return 2
@@ -340,7 +332,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             vindicator = Vindicator(vindicate_all=args.vindicate_all,
                                     prefilter=args.prefilter,
                                     sanitize=args.sanitize,
-                                    variant=spec)
+                                    variant=args.variant)
             try:
                 vindicator.run(trace)
             except SanitizerError as exc:
@@ -406,14 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "PATH (.jsonl streams span records, .json "
                              "writes a snapshot, .prom/.txt Prometheus "
                              "text)")
-    parser.add_argument("--kernels", choices=("auto", "python", "compiled"),
-                        default=None,
-                        help="clock-kernel backend: 'compiled' requires the "
-                             "repro.core._kernels extension (fails loudly if "
-                             "absent), 'python' forces the pure-Python "
-                             "reference kernels, 'auto' prefers compiled "
-                             "(default: $VINDICATOR_KERNELS or auto); "
-                             "verdicts are bit-identical either way")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_static_flags(cmd: argparse.ArgumentParser) -> None:
@@ -431,13 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "detectors, 'reference' the detectors that "
                               "define the semantics; verdicts are "
                               "identical (default: fast)")
-        # Accept --kernels after the subcommand too. SUPPRESS keeps the
-        # subparser from clobbering a root-level --kernels with its own
-        # default when the flag is only given up front.
-        cmd.add_argument("--kernels", choices=("auto", "python", "compiled"),
-                         default=argparse.SUPPRESS,
-                         help="clock-kernel backend for this run (same as "
-                              "the global --kernels)")
 
     analyze = sub.add_parser("analyze", help="analyze a text-format trace file")
     analyze.add_argument("trace", help="path to the trace file")
@@ -559,12 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    if args.kernels is not None:
-        try:
-            kernels.set_backend(args.kernels)
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     if args.func is _cmd_profile:
         # profile manages its own observability session (always enabled,
         # --metrics only picks the export path).

@@ -1,52 +1,31 @@
-"""Backend dispatch for the clock hot-path kernels.
+"""The clock hot-path kernels.
 
 Every per-event inner loop of the analyses — the dense list-clock
 kernels of the epoch detectors, the SmartTrack gated race scan, the
 rule (a) source-clock joins, the rule (b) fixpoint, and the
 recency-ordered (del-then-insert) table maintenance shared with the
-sparse reference detectors — funnels through the module-level functions
-defined here. Two interchangeable implementations exist:
+sparse reference detectors — funnels through the functions defined
+here. There is one implementation, in pure Python.
 
-* **python** — the pure-Python reference implementations in this file
-  (``py_*``). Always available; semantics-defining.
-* **compiled** — :mod:`repro.core._kernels`, a hand-written CPython
-  extension built by ``setup.py`` when a C compiler is present
-  (``pip install -e .`` degrades gracefully to pure Python when it is
-  not). Bit-identical to the reference implementations by construction
-  and gated by ``tests/test_kernels_differential.py`` plus the existing
-  differential suites.
-
-Selection happens at import time from the ``VINDICATOR_KERNELS``
-environment variable (``auto`` — compiled when importable, else python;
-``python``; ``compiled`` — fail loudly when unavailable) and can be
-changed afterwards with :func:`set_backend` (the CLI's global
-``--kernels`` flag). Consumers must call through the module attribute
-(``kernels.join_into_list(...)``), never ``from``-import a kernel, so a
-later :func:`set_backend` rebinds them too.
-
-:func:`active_backend` reports which implementation is live; it is
-stamped into every ``vindicator.analyze/1`` document, the obs session
-meta record, the serve shard status, and the Prometheus ``/metrics``
-export, so any result can be traced to the backend that produced it.
+:func:`active_backend` names it (``"python"``); the name is stamped
+into every ``vindicator.analyze/1`` document, the obs session meta
+record and the serve shard status, whose schemas predate the single
+implementation.
 
 Iteration-order contract: every dict-table kernel sees the table in
-insertion order (CPython dicts; ``PyDict_Next`` on the C side), and the
-del-then-insert maintenance (:func:`record_latest`) keeps that order
-most-recent-last — a pure function of the record sequence, which the
-edge-minimising scans (and therefore the DC edge list and the GC
-differentials) depend on.
+insertion order (CPython dicts), and the del-then-insert maintenance
+(:func:`record_latest`) keeps that order most-recent-last — a pure
+function of the record sequence, which the edge-minimising scans (and
+therefore the DC edge list and the GC differentials) depend on.
 """
 
 from __future__ import annotations
 
-import os
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     TypeVar)
 
 __all__ = [
     "active_backend",
-    "backends",
-    "compiled_available",
     "set_backend",
     "join_into_list",
     "join_into_list_changed",
@@ -60,16 +39,6 @@ __all__ = [
     "source_join_into_sparse",
     "rule_b_fixpoint_sparse",
     "drain_edges",
-    "access_wcp",
-    "access_dc",
-    "acquire_wcp",
-    "release_wcp",
-    "fork_wcp",
-    "join_wcp",
-    "acquire_dc",
-    "release_dc",
-    "fork_dc",
-    "join_dc",
 ]
 
 _K = TypeVar("_K")
@@ -79,10 +48,7 @@ _V = TypeVar("_V")
 DenseRec = Tuple[int, int, List[int]]
 
 
-# ----------------------------------------------------------------------
-# Pure-Python reference implementations (the semantics of the layer)
-# ----------------------------------------------------------------------
-def py_join_into_list(dst: List[int], src: Sequence[int]) -> None:
+def join_into_list(dst: List[int], src: Sequence[int]) -> None:
     """In-place pointwise max: ``dst[i] = max(dst[i], src[i])``.
 
     Requires ``len(src) <= len(dst)`` (clocks sharing one table and
@@ -93,8 +59,8 @@ def py_join_into_list(dst: List[int], src: Sequence[int]) -> None:
             dst[i] = value
 
 
-def py_join_into_list_changed(dst: List[int], src: Sequence[int]) -> bool:
-    """:func:`py_join_into_list` that also reports whether ``dst`` grew."""
+def join_into_list_changed(dst: List[int], src: Sequence[int]) -> bool:
+    """:func:`join_into_list` that also reports whether ``dst`` grew."""
     changed = False
     for i, value in enumerate(src):
         if value > dst[i]:
@@ -103,7 +69,7 @@ def py_join_into_list_changed(dst: List[int], src: Sequence[int]) -> bool:
     return changed
 
 
-def py_dominates_list(big: Sequence[int], small: Sequence[int]) -> bool:
+def dominates_list(big: Sequence[int], small: Sequence[int]) -> bool:
     """Pointwise ``small <= big`` (missing trailing components are 0)."""
     nb = len(big)
     for i, value in enumerate(small):
@@ -112,7 +78,7 @@ def py_dominates_list(big: Sequence[int], small: Sequence[int]) -> bool:
     return True
 
 
-def py_record_latest(table: Dict[_K, _V], key: _K, value: _V) -> None:
+def record_latest(table: Dict[_K, _V], key: _K, value: _V) -> None:
     """(Re-)insert ``table[key] = value`` at the *end* of the table.
 
     Iteration order stays most-recent-last — a pure function of the
@@ -126,7 +92,7 @@ def py_record_latest(table: Dict[_K, _V], key: _K, value: _V) -> None:
     table[key] = value
 
 
-def py_slot_intern(index: Dict[Any, int], tids: List[Any],
+def slot_intern(index: Dict[Any, int], tids: List[Any],
                    values: List[int], tid: Any) -> int:
     """Intern ``tid`` into the (``index``, ``tids``) table and grow the
     ``values`` storage to cover its slot; returns the slot index."""
@@ -140,7 +106,7 @@ def py_slot_intern(index: Dict[Any, int], tids: List[Any],
     return idx
 
 
-def py_source_join_into(entries: Dict[int, DenseRec], values: List[int],
+def source_join_into(entries: Dict[int, DenseRec], values: List[int],
                         skip_ti: int) -> Optional[List[int]]:
     """Dense rule (a)/volatile join: fold every other thread's snapshot
     whose source event is not already covered (vector-clock edge
@@ -150,7 +116,7 @@ def py_source_join_into(entries: Dict[int, DenseRec], values: List[int],
     for u, rec in entries.items():
         if u == skip_ti or values[u] >= rec[1]:
             continue
-        py_join_into_list(values, rec[2])
+        join_into_list(values, rec[2])
         if out is None:
             out = [rec[0]]
         else:
@@ -158,7 +124,7 @@ def py_source_join_into(entries: Dict[int, DenseRec], values: List[int],
     return out
 
 
-def py_rule_b_fixpoint(records: Dict[int, List[List[Any]]],
+def rule_b_fixpoint(records: Dict[int, List[List[Any]]],
                        cursors: Dict[int, int],
                        values: List[int]) -> Optional[List[int]]:
     """Dense rule (b) fixpoint over per-thread critical-section queues
@@ -182,7 +148,7 @@ def py_rule_b_fixpoint(records: Dict[int, List[List[Any]]],
                 if values[u] < rec[0]:
                     break  # FIFO heads are monotone per thread
                 if values[u] < rec[2]:
-                    py_join_into_list(values, snap)
+                    join_into_list(values, snap)
                     if out is None:
                         out = [rec[1]]
                     else:
@@ -193,7 +159,7 @@ def py_rule_b_fixpoint(records: Dict[int, List[List[Any]]],
     return out
 
 
-def py_gated_scan(
+def gated_scan(
     writes: Optional[Dict[int, Tuple[int, Any, Optional[List[int]]]]],
     reads: Optional[Dict[int, Tuple[int, Any, Optional[List[int]]]]],
     ti: int, values: List[int], use_gates: bool,
@@ -246,7 +212,7 @@ def py_gated_scan(
     return racing, w_gate, r_gate
 
 
-def py_scan_racing_sparse(
+def scan_racing_sparse(
     last_write: Dict[Any, Tuple[Any, Any]],
     last_read: Optional[Dict[Any, Tuple[Any, Any]]],
     tid: Any, local_time: Sequence[int],
@@ -278,9 +244,9 @@ def py_scan_racing_sparse(
     return racing
 
 
-def py_source_join_into_sparse(entries: Dict[Any, Tuple[int, int, Any]],
+def source_join_into_sparse(entries: Dict[Any, Tuple[int, int, Any]],
                                target: Any, skip_tid: Any) -> List[int]:
-    """Sparse analog of :func:`py_source_join_into` over dict-backed
+    """Sparse analog of :func:`source_join_into` over dict-backed
     clocks (``target`` is a ``VectorClock``-shaped object). Returns the
     newly ordered source eids (empty list when nothing joined, matching
     the historical ``SourceClocks.join_into`` contract)."""
@@ -295,7 +261,7 @@ def py_source_join_into_sparse(entries: Dict[Any, Tuple[int, int, Any]],
     return new_sources
 
 
-def py_rule_b_fixpoint_sparse(records: Dict[Any, List[Any]],
+def rule_b_fixpoint_sparse(records: Dict[Any, List[Any]],
                               cursors: Dict[Any, int],
                               clock: Any) -> List[int]:
     """Sparse rule (b) fixpoint over ``CSRecord`` queues and a
@@ -331,7 +297,7 @@ def py_rule_b_fixpoint_sparse(records: Dict[Any, List[Any]],
     return new_sources
 
 
-def py_drain_edges(pairs: List[int],
+def drain_edges(pairs: List[int],
                    add_edge: Callable[[int, int], Any]) -> int:
     """Drain a DC *edge buffer* into a constraint graph.
 
@@ -341,10 +307,8 @@ def py_drain_edges(pairs: List[int],
     have made, in the reference's exact insertion order (every reference
     edge is inserted while processing its destination event, and events
     are processed in trace order, so a single append-ordered stream
-    reproduces it). Both backends append into the same plain list: the
-    Python detector paths via ``list.append`` and the fused compiled
-    kernels via C-side ``PyList_Append`` — a growable C array either
-    way, with no per-edge Python call on the compiled path.
+    reproduces it). Batching the pairs keeps the per-edge graph call
+    out of the per-event loop.
 
     Calls ``add_edge(src, dst)`` for every pair, clears the buffer, and
     returns the number of pairs drained.
@@ -358,169 +322,17 @@ def py_drain_edges(pairs: List[int],
     return n
 
 
-# ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
-#: Kernels with a native implementation in repro.core._kernels.
-_COMPILED_NAMES: Tuple[str, ...] = (
-    "join_into_list",
-    "join_into_list_changed",
-    "dominates_list",
-    "record_latest",
-    "slot_intern",
-    "source_join_into",
-    "rule_b_fixpoint",
-    "gated_scan",
-    "scan_racing_sparse",
-)
-
-#: Kernels behind the boundary whose compiled backend reuses the Python
-#: implementation: the sparse rule (a)/(b) loops spend their time in
-#: VectorClock method calls, so a native loop harness buys nothing —
-#: they are routed here so a future backend (or a set-based detector's
-#: kernel set) can take them without touching the analyses again.
-_PYTHON_ONLY_NAMES: Tuple[str, ...] = (
-    "source_join_into_sparse",
-    "rule_b_fixpoint_sparse",
-    "drain_edges",
-)
-
-#: Compiled-only *fused* kernels: one call executes the whole per-access
-#: fast path of an epoch detector (advance + rule (a) staging +
-#: prefilter gate + exclusive-stage store), returning 1 when the rare
-#: SHARED-stage check must still run in Python.  Under the python
-#: backend these bind to None and the detectors run their open-coded
-#: ``_on_access`` — which *is* the reference implementation the fused
-#: kernels are line-for-line transcriptions of.  Consumers must
-#: therefore test for None at trace start (see
-#: ``_EpochDetectorBase``); bit-identical behaviour across the two
-#: routes is enforced by the end-to-end differential suites.
-_FUSED_NAMES: Tuple[str, ...] = (
-    "access_wcp",
-    "access_dc",
-)
-
-#: Compiled-only fused *sync-op* kernels: one call executes the whole
-#: ``on_acquire`` / ``on_release`` / ``on_fork`` / ``on_join`` body of an
-#: epoch detector — clock advance, rule (a)/(b) queue maintenance, CCS
-#: ownership-tag updates, H/P snapshot recording, and (for DC with the
-#: graph on) edge-buffer appends — against a per-trace sync context
-#: tuple.  Like the fused access kernels they bind to None under the
-#: python backend (the detectors' open-coded ``on_*`` methods are the
-#: reference these transcribe).  The release kernels return a status
-#: int (0 — handled, 1 — no matching acquire) so the caller raises the
-#: exact exception the open-coded path would.
-_SYNC_NAMES: Tuple[str, ...] = (
-    "acquire_wcp",
-    "release_wcp",
-    "fork_wcp",
-    "join_wcp",
-    "acquire_dc",
-    "release_dc",
-    "fork_dc",
-    "join_dc",
-)
-
-_compiled_mod: Optional[Any]
-try:  # pragma: no cover - exercised only when the extension is built
-    from repro.core import _kernels as _compiled_mod  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - default source checkout
-    _compiled_mod = None
-
-_active = "python"
-
-# Dispatched public bindings (rebound by set_backend; call through the
-# module attribute, never `from`-import these).
-join_into_list: Callable[[List[int], Sequence[int]], None]
-join_into_list_changed: Callable[[List[int], Sequence[int]], bool]
-dominates_list: Callable[[Sequence[int], Sequence[int]], bool]
-record_latest: Callable[..., None]
-slot_intern: Callable[[Dict[Any, int], List[Any], List[int], Any], int]
-source_join_into: Callable[
-    [Dict[int, DenseRec], List[int], int], Optional[List[int]]]
-rule_b_fixpoint: Callable[
-    [Dict[int, List[List[Any]]], Dict[int, int], List[int]],
-    Optional[List[int]]]
-gated_scan: Callable[..., Tuple[Optional[List[Any]], bool, bool]]
-scan_racing_sparse: Callable[..., Optional[List[Tuple[Any, Any]]]]
-source_join_into_sparse: Callable[
-    [Dict[Any, Tuple[int, int, Any]], Any, Any], List[int]]
-rule_b_fixpoint_sparse: Callable[
-    [Dict[Any, List[Any]], Dict[Any, int], Any], List[int]]
-drain_edges: Callable[[List[int], Callable[[int, int], Any]], int]
-access_wcp: Optional[Callable[..., int]]
-access_dc: Optional[Callable[..., int]]
-acquire_wcp: Optional[Callable[..., Any]]
-release_wcp: Optional[Callable[..., int]]
-fork_wcp: Optional[Callable[..., Any]]
-join_wcp: Optional[Callable[..., Any]]
-acquire_dc: Optional[Callable[..., Any]]
-release_dc: Optional[Callable[..., int]]
-fork_dc: Optional[Callable[..., Any]]
-join_dc: Optional[Callable[..., Any]]
-
-
-#: Valid arguments to :func:`set_backend` (``"auto"`` resolves at
-#: bind time to ``"compiled"`` when available, else ``"python"``).
-BACKENDS = ("auto", "python", "compiled")
-
-
-def compiled_available() -> bool:
-    """Whether the native :mod:`repro.core._kernels` extension imported."""
-    return _compiled_mod is not None
-
-
-def backends() -> Tuple[str, ...]:
-    """The backends available in this environment."""
-    return ("python", "compiled") if compiled_available() else ("python",)
-
-
 def active_backend() -> str:
-    """The implementation currently live: ``"python"`` or ``"compiled"``."""
-    return _active
+    """The kernel implementation: always ``"python"``."""
+    return "python"
 
 
 def set_backend(choice: str) -> str:
-    """Bind the kernel layer to ``choice`` and return the active backend.
-
-    ``"auto"`` selects the compiled backend when the extension is
-    importable and degrades to pure Python otherwise; ``"python"`` and
-    ``"compiled"`` are explicit (``"compiled"`` raises RuntimeError when
-    the extension is unavailable rather than silently running the slow
-    path — an explicit request must not produce misleading benchmarks).
-    Workers and serve shards re-apply the parent's *resolved* backend,
-    so a fleet never mixes implementations silently.
-    """
-    global _active
-    if choice == "auto":
-        target = "compiled" if _compiled_mod is not None else "python"
-    elif choice in ("python", "compiled"):
-        if choice == "compiled" and _compiled_mod is None:
-            raise RuntimeError(
-                "kernels backend 'compiled' requested but the "
-                "repro.core._kernels extension is not importable; build it "
-                "with `python setup.py build_ext --inplace` (requires a C "
-                "compiler) or use --kernels auto")
-        target = choice
-    else:
+    """Accept ``"auto"`` or ``"python"`` (both name the one
+    implementation) and return :func:`active_backend`; any other choice
+    raises ValueError."""
+    if choice not in ("auto", "python"):
         raise ValueError(
-            f"unknown kernels backend {choice!r}; expected one of "
-            f"'auto', 'python', 'compiled'")
-    g = globals()
-    for name in _COMPILED_NAMES:
-        g[name] = (getattr(_compiled_mod, name) if target == "compiled"
-                   else g["py_" + name])
-    for name in _PYTHON_ONLY_NAMES:
-        g[name] = g["py_" + name]
-    for name in _FUSED_NAMES + _SYNC_NAMES:
-        g[name] = (getattr(_compiled_mod, name) if target == "compiled"
-                   else None)
-    _active = target
-    return target
-
-
-#: Environment override consulted once at import; the CLI's --kernels
-#: flag calls set_backend() again after argument parsing.
-ENV_VAR = "VINDICATOR_KERNELS"
-
-set_backend(os.environ.get(ENV_VAR, "auto"))
+            f"unknown kernels backend {choice!r}; expected 'auto' or "
+            f"'python'")
+    return active_backend()

@@ -30,6 +30,12 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.core import kernels as _k
 from repro.core.events import Tid
+# The list kernels live in repro.core.kernels; re-exported under their
+# historical names here.
+from repro.core.kernels import (dominates_list as dominates_list,
+                                join_into_list as join_into_list,
+                                join_into_list_changed as
+                                join_into_list_changed)
 from repro.core.vectorclock import VectorClock
 
 
@@ -65,33 +71,6 @@ class TidTable:
 
     def __repr__(self) -> str:
         return f"TidTable({self.tids!r})"
-
-
-# ----------------------------------------------------------------------
-# Fused kernels over raw component lists
-# ----------------------------------------------------------------------
-# The implementations live in :mod:`repro.core.kernels` (pure Python or
-# the compiled ``repro.core._kernels`` extension, chosen at import time
-# or via ``--kernels``).  These wrappers keep the historical public
-# names; hot loops call through the ``kernels`` module attribute
-# directly so a later ``set_backend()`` still takes effect.
-def join_into_list(dst: List[int], src: Sequence[int]) -> None:
-    """In-place pointwise max: ``dst[i] = max(dst[i], src[i])``.
-
-    Requires ``len(src) <= len(dst)`` (clocks sharing one table and
-    allocated at full table size always satisfy this).
-    """
-    _k.join_into_list(dst, src)
-
-
-def join_into_list_changed(dst: List[int], src: Sequence[int]) -> bool:
-    """:func:`join_into_list` that also reports whether ``dst`` grew."""
-    return _k.join_into_list_changed(dst, src)
-
-
-def dominates_list(big: Sequence[int], small: Sequence[int]) -> bool:
-    """Pointwise ``small <= big`` (missing trailing components are 0)."""
-    return _k.dominates_list(big, small)
 
 
 class DenseVectorClock:

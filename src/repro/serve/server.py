@@ -35,7 +35,6 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core import kernels
 from repro.obs.export import to_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.protocol import (ProtocolError, MAX_FRAME_BYTES,
@@ -93,11 +92,6 @@ class ServeDaemon:
                         "checkpoints_written", "checkpoint_bytes_total"):
             self.registry.add(f"serve.{counter}", 0)
         self.registry.gauge("serve.sessions_open").set(0)
-        # 1 when the compiled clock kernels are live in this daemon (the
-        # shards inherit its resolved backend), 0 on pure Python — so a
-        # fleet's backend mix is visible straight from /metrics.
-        self.registry.gauge("serve.kernels_compiled").set(
-            1 if kernels.active_backend() == "compiled" else 0)
         self._metrics_lock = threading.Lock()
         #: Last-seen cumulative (events, gc_runs, gc_retired) per
         #: session, for folding shard responses into counters as deltas.

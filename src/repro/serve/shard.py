@@ -24,9 +24,8 @@ import signal
 import threading
 from multiprocessing.connection import Connection
 from multiprocessing.context import BaseContext
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.core import kernels
 from repro.obs.schema import validate_serve_request, SchemaError
 from repro.serve.checkpoint import (CheckpointError, resume_session,
                                     write_checkpoint)
@@ -184,18 +183,12 @@ class InlineShard:
         pass
 
 
-def _shard_main(conn: "Connection", index: int,
-                backend: Optional[str] = None) -> None:
+def _shard_main(conn: "Connection", index: int) -> None:
     """Forked worker loop: one request in, one response out, until the
     exit sentinel. Signals are the parent's job — the worker must keep
     serving drain requests while the parent handles SIGTERM."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    # Re-apply the daemon's resolved kernel backend: under `spawn` the
-    # worker would otherwise re-resolve the env default, and a fleet
-    # must never silently mix kernel implementations.
-    if backend is not None:
-        kernels.set_backend(backend)
     state = ShardState(checkpoint_dir=os.environ.get("TMPDIR", "/tmp"))
     while True:
         try:
@@ -228,8 +221,7 @@ class ProcessShard:
         self._conn: "Connection" = parent_conn
         self._lock = threading.Lock()
         self._proc = ctx.Process(target=_shard_main,
-                                 args=(child_conn, index,
-                                       kernels.active_backend()),
+                                 args=(child_conn, index),
                                  name=f"vindicator-shard-{index}",
                                  daemon=True)
         self._proc.start()

@@ -209,11 +209,6 @@ class VindicatorReport:
     #: Metrics snapshot captured when the pipeline ran with
     #: observability enabled; None otherwise.
     obs: Optional[Dict[str, object]] = None
-    #: Which clock-kernel backend produced this report ("python" or
-    #: "compiled"); captured at construction so documents are traceable
-    #: to the implementation that computed them (the backends are
-    #: bit-identical, so this is provenance, not a verdict input).
-    kernels_backend: str = field(default_factory=kernels.active_backend)
 
     @property
     def dc_only_races(self) -> List[DynamicRace]:
@@ -277,7 +272,7 @@ class VindicatorReport:
             "metrics": self.obs,
             # Kept for document consumers; the pipeline is serial.
             "parallel": {"jobs": 1},
-            "kernels": {"backend": self.kernels_backend},
+            "kernels": {"backend": kernels.active_backend()},
         }
 
 
@@ -344,8 +339,8 @@ class Vindicator:
             production path; ``"reference"`` runs the dict-backed
             detectors that define the semantics. Both give identical
             races, counters and DC constraint graphs. A
-            :class:`~repro.analysis.variants.VariantSpec` may also pin
-            the kernel backend. HB always runs the reference detector
+            :class:`~repro.analysis.variants.VariantSpec` is accepted
+            too. HB always runs the reference detector
             (it is not the bottleneck and its ``racing_at`` drives
             classification).
     """
@@ -369,19 +364,14 @@ class Vindicator:
         #: Enable the lockset cross-check on all three race reports.
         self.sanitize = sanitize
         spec = coerce(variant)
-        #: The resolved variant × kernel-backend selection
-        #: (:class:`repro.analysis.variants.VariantSpec`). Accepts a bare
-        #: variant string; a full spec additionally pins the kernel
-        #: backend, installed at :meth:`run` entry.
+        #: The resolved variant selection
+        #: (:class:`repro.analysis.variants.VariantSpec`).
         self.variant_spec = spec
         #: Detector implementation: "fast" (epoch/dense) or "reference".
         self.variant = spec.variant
 
     def run(self, trace: Trace) -> VindicatorReport:
         """Analyze ``trace`` end to end."""
-        # Install the spec's kernel backend before any detector binds
-        # its fused-kernel context (a no-op for a backend-less spec).
-        self.variant_spec.apply()
         with obs.span("pipeline.run") as pipeline_span:
             report = self._run(trace, pipeline_span)
         reg = obs.metrics()

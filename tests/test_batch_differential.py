@@ -2,11 +2,10 @@
 
 The epoch detectors (:class:`~repro.analysis.smarttrack.EpochWCPDetector`
 and :class:`~repro.analysis.smarttrack.EpochDCDetector`) are the
-production WCP/DC path. They run a whole trace through a specialised
-``analyze()`` loop, which hands accesses straight to the fused access
-kernel when the compiled backend is active; a streaming caller drives
-the same detector by hand through ``begin_trace``/``handle``/``finish``.
-Both ways must be *bit-identical* to each other and to
+production WCP/DC path. ``analyze()`` runs a whole trace through
+them; a streaming caller drives the same detector by hand through
+``begin_trace``/``handle``/``finish``. Both ways must be
+*bit-identical* to each other and to
 :class:`~repro.analysis.wcp.WCPDetector` /
 :class:`~repro.analysis.dc.DCDetector`: same races in the same order,
 same ``racing_at`` sets, same counters, the same constraint-graph edge

@@ -386,17 +386,30 @@ class TestVariantFlagMatrix:
     def test_variant_resolution_precedence(self):
         from repro.analysis.variants import VariantSpec, coerce
 
-        assert coerce(None) == VariantSpec("fast", None)
-        assert coerce("reference") == VariantSpec("reference", None)
-        spec = VariantSpec("reference", "python")
+        assert coerce(None) == VariantSpec("fast")
+        assert coerce("reference") == VariantSpec("reference")
+        spec = VariantSpec("reference")
         assert coerce(spec) is spec
         assert Vindicator(variant=spec).variant_spec is spec
         assert Vindicator(variant="reference").variant == "reference"
         for name in ("warp", "batch"):
             with pytest.raises(ValueError):
                 coerce(name)
+
+    def test_kernels_surface_is_python_only(self):
+        # One kernel implementation; the backend calls that callers
+        # outside the package still make keep answering "python".
+        from repro.analysis.variants import VariantSpec
+        from repro.core import kernels
+
+        assert kernels.active_backend() == "python"
+        assert kernels.set_backend("auto") == "python"
+        assert kernels.set_backend("python") == "python"
         with pytest.raises(ValueError):
-            VariantSpec("fast", "fortran")
+            kernels.set_backend("compiled")
+        assert VariantSpec().apply() == "python"
+        doc = Vindicator().run(figure2()).to_document()
+        assert doc["kernels"]["backend"] == "python"
 
 
 class TestBadTraceInput:

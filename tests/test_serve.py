@@ -362,6 +362,21 @@ class TestProtocolErrors:
                 client.hello("x", config={"gc_window": -3})
             assert excinfo.value.code == "bad-request"
 
+    def test_bad_policy_is_rejected_at_hello(self, daemon_factory):
+        daemon = daemon_factory()
+        with connect(daemon) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.hello("p", config={"policy": "bogus",
+                                          "gc_window": 0})
+            assert excinfo.value.code == "bad-request"
+            assert "bogus" in excinfo.value.error["message"]
+            # No session was opened: the name is still free and unknown.
+            with pytest.raises(ServeError) as excinfo:
+                client.status("p")
+            assert excinfo.value.code == "unknown-session"
+            client.hello("p", config={"policy": "earliest", "gc_window": 0})
+            assert client.status("p")["events"] == 0
+
     def test_raw_garbage_frame(self, daemon_factory):
         daemon = daemon_factory()
         client = connect(daemon)
