@@ -78,6 +78,7 @@ from repro.stats.distances import static_distance_ranges
 from repro.traces.render import render_witness
 from repro.traces.io import load_events, load_trace
 from repro.traces.litmus import ALL as LITMUS
+from repro.vindicate.construct import POLICIES
 from repro.vindicate.vindicator import Vindicator, VindicatorReport
 
 
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("trace", help="path to the trace file")
     analyze.add_argument("--vindicate-all", action="store_true",
                          help="vindicate every DC-race, not only DC-only ones")
-    analyze.add_argument("--policy", choices=("latest", "earliest", "random"),
+    analyze.add_argument("--policy", choices=POLICIES,
                          default="latest", help="greedy construction policy")
     analyze.add_argument("--witness", action="store_true",
                          help="print witness traces for confirmed races")

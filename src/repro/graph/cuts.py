@@ -75,6 +75,8 @@ class CutIndex:
         #: thread's acquires (releases) of the lock.
         self._acquires: List[Tuple[int, Tid, Target, List[int]]] = []
         self._releases: List[Tuple[int, Tid, Target, List[int]]] = []
+        #: Per lock: ``(thread index, sorted local times)`` of its acquires.
+        self._lock_acquires: Dict[Target, List[Tuple[int, List[int]]]] = {}
         #: Edges the tables do not cover, in insertion order.
         self._overlay: Dict[Edge, None] = {}
         self.hits = 0
@@ -214,6 +216,9 @@ class CutIndex:
                           for (tid, lock), times in acquires.items()]
         self._releases = [(index_of[tid], tid, lock, times)
                           for (tid, lock), times in releases.items()]
+        self._lock_acquires = {}
+        for t, _, lock, times in self._acquires:
+            self._lock_acquires.setdefault(lock, []).append((t, times))
 
     # ------------------------------------------------------------------
     # Cuts
@@ -292,6 +297,31 @@ class CutIndex:
         """Whether the ancestor cut ``cut`` holds event ``eid``."""
         return self.trace.local_time[eid] <= cut[self._thread[eid]]
 
+    def thread_of(self, eid: int) -> int:
+        """The index of event ``eid``'s thread in the cut tuples."""
+        return self._thread[eid]
+
+    def cut_events(self, cut: Cut) -> Set[int]:
+        """The event ids an ancestor cut holds."""
+        return set(sorted(chain.from_iterable(
+            eids[:count] for eids, count in zip(self._eids, cut) if count)))
+
+    def last_event(self, cut: Cut, thread: int) -> int:
+        """The eid of the latest event ``cut`` holds of the thread with
+        index ``thread``, or -1."""
+        count = cut[thread]
+        return self._eids[thread][count - 1] if count else -1
+
+    def last_acquire(self, cut: Cut, lock: Target) -> int:
+        """The eid of the latest acquire of ``lock`` that the ancestor cut
+        ``cut`` holds, or -1: one bisection per thread that takes it."""
+        latest = -1
+        for t, times in self._lock_acquires.get(lock, ()):
+            i = bisect_right(times, cut[t])
+            if i:
+                latest = max(latest, self._eids[t][times[i - 1] - 1])
+        return latest
+
     # ------------------------------------------------------------------
     # Query API (mirrors ConstraintGraph's)
     # ------------------------------------------------------------------
@@ -300,9 +330,7 @@ class CutIndex:
         """All nodes from which some root is reachable; see
         :meth:`ConstraintGraph.ancestors`."""
         roots = tuple(roots)
-        cut = self.ancestor_cut(roots)
-        result = set(sorted(chain.from_iterable(
-            eids[:count] for eids, count in zip(self._eids, cut) if count)))
+        result = self.cut_events(self.ancestor_cut(roots))
         if include_roots:
             result.update(roots)
         return result

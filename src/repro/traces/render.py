@@ -24,6 +24,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Union
 
 from repro.core.events import Event, Tid
 from repro.core.trace import Trace
+from repro.core.witness import CutWitness, ListedWitness, Witness
 
 
 def _label(e: Event) -> str:
@@ -71,7 +72,9 @@ def render_columns(events: Union[Trace, Sequence[Event]],
     return "\n".join(lines)
 
 
-def render_witness(witness: Sequence[Event], first: Event,
+def render_witness(witness: Union[Witness, Sequence[Event]], first: Event,
                    second: Event) -> str:
     """Render a vindication witness with its racing pair highlighted."""
+    if isinstance(witness, (CutWitness, ListedWitness)):
+        witness = witness.events()
     return render_columns(witness, highlight=(first.eid, second.eid))

@@ -22,6 +22,19 @@ adjacency. At the first event that fails either test the attempt builds
 the greedy's ready set for what remains and continues from there. When
 the witness is the observed order, no ready set is built.
 
+Before any of that, a ``latest`` attempt tests whether the replay would
+place the whole needed set, which is a cut: the race's ancestors, plus
+each retry's release and its ancestors. If so it returns the witness as
+that cut (:class:`~repro.core.witness.CutWitness`) without listing its
+events. The replay places every event exactly when no backward edge has
+both ends in the cut and every critical section left open by the cut
+(those of ``e1`` and ``e2`` included) is its lock's latest acquire in
+the cut (``docs/ALGORITHMS.md``, "Cut witnesses"). That takes, per
+open section, one bisection per thread that takes its lock, so the fast
+path costs O(T²) per race for T threads, whatever the cut's size.
+Everything else gets today's replay and greedy, and an explicit list
+(:class:`~repro.core.witness.ListedWitness`).
+
 Lock-semantics bookkeeping for backward construction:
 
 * ``open_front[m]`` — the critical section on ``m`` whose release or
@@ -45,8 +58,9 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from repro.core.events import Event, Target
 from repro.core.exceptions import VindicationError
 from repro.core.trace import Trace
+from repro.core.witness import CutWitness, ListedWitness, Witness
 from repro.graph.constraint_graph import ConstraintGraph
-from repro.graph.cuts import CutIndex
+from repro.graph.cuts import Cut, CutIndex
 
 #: Greedy tie-break policies for ATTEMPTTOCONSTRUCTTRACE.
 POLICIES = ("latest", "earliest", "random")
@@ -60,7 +74,8 @@ class ConstructionStats:
     no missing-release retry was needed); ``extra_releases`` counts the
     releases pulled into ``R`` by retries. ``placed_events`` is the
     witness length and ``replayed_events`` how many of its events the
-    observed-order replay placed (both 0 without a witness).
+    observed-order replay placed (both 0 without a witness); a cut
+    witness counts as replayed in full.
     """
 
     attempts: int = 0
@@ -84,7 +99,7 @@ def construct_reordered_trace(
     policy: str = "latest",
     seed: int = 0,
     index: Optional[CutIndex] = None,
-) -> Tuple[Optional[List[Event]], ConstructionStats]:
+) -> Tuple[Optional[Witness], ConstructionStats]:
     """Try to build a correctly reordered trace with ``e1, e2`` at the
     end, consecutive. Returns ``(witness, stats)`` with ``witness`` None
     on failure (the algorithm is greedy and incomplete, so failure does
@@ -95,31 +110,95 @@ def construct_reordered_trace(
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if index is None:
         index = CutIndex(graph, trace)
-    rng = random.Random(seed)
-    needed: Set[int] = index.ancestors([e1.eid, e2.eid])
-    needed.discard(e1.eid)
-    needed.discard(e2.eid)
     stats = ConstructionStats()
+    rng = random.Random(seed)
+    # The needed set is kept as a cut (the pair included) for the fast
+    # path, and listed only when an attempt has to run.
+    cut = index.ancestor_cut((e1.eid, e2.eid))
+    needed: Optional[Set[int]] = None
     max_retries = len(trace) + 1
     for _ in range(max_retries):
         stats.attempts += 1
+        if policy == "latest":
+            needed_cut = _without_pair(index, cut, e1, e2)
+            if needed_cut is not None and _replays_whole_cut(
+                    graph, trace, index, needed_cut, e1, e2):
+                stats.replayed_events = sum(needed_cut)
+                stats.placed_events = stats.replayed_events + 2
+                return CutWitness(trace, needed_cut, e1, e2), stats
+        if needed is None:
+            needed = index.cut_events(cut)
+            needed.discard(e1.eid)
+            needed.discard(e2.eid)
         outcome, replayed = _attempt(graph, trace, needed, e1, e2,
                                      policy, rng)
         if isinstance(outcome, _MissingRelease):
             release = outcome.release
             stats.extra_releases += 1
+            release_cut = list(index.ancestor_cut((release.eid,)))
             needed.add(release.eid)
-            needed.update(index.ancestors([release.eid]))
+            needed.update(index.cut_events(release_cut))
             needed.discard(e1.eid)
             needed.discard(e2.eid)
+            t = index.thread_of(release.eid)
+            release_cut[t] = max(release_cut[t],
+                                 trace.local_time[release.eid])
+            cut = tuple(map(max, cut, release_cut))
             continue
-        if outcome is not None:
-            stats.placed_events = len(outcome)
-            stats.replayed_events = replayed
-        return outcome, stats
+        if outcome is None:
+            return None, stats
+        stats.placed_events = len(outcome)
+        stats.replayed_events = replayed
+        return ListedWitness(outcome), stats
     raise VindicationError(
         "missing-release retries exceeded the trace length; "
         "this contradicts the algorithm's termination bound")
+
+
+def _without_pair(index: CutIndex, cut: Cut, e1: Event,
+                  e2: Event) -> Optional[Cut]:
+    """The needed set as a cut: the race's ancestor ``cut`` less ``e1``
+    and ``e2``, which the race's constraints can make ancestors of each
+    other. None when it is no cut, because an event after ``e1`` or
+    ``e2`` in its thread is needed too."""
+    needed = list(cut)
+    for e in (e1, e2):
+        if index.holds(cut, e.eid):
+            t = index.thread_of(e.eid)
+            local = index.trace.local_time[e.eid]
+            if needed[t] > local:
+                return None
+            needed[t] = local - 1
+    return tuple(needed)
+
+
+def _replays_whole_cut(graph: ConstraintGraph, trace: Trace,
+                       index: CutIndex, cut: Cut, e1: Event,
+                       e2: Event) -> bool:
+    """Whether the observed-order replay would place every event of the
+    needed ``cut``: no backward edge has both ends in it, and every
+    section it leaves open is its lock's latest acquire in it.
+
+    The pair must be accesses, so that the witness's open sections are
+    the cut's own."""
+    if not (e1.is_access and e2.is_access):
+        return False
+    holds = index.holds
+    for src, dst in graph.backward_edges():
+        if holds(cut, src) and holds(cut, dst):
+            return False
+    events, enclosing = trace.events, trace.enclosing_acquires
+    for t in range(len(cut)):
+        last = index.last_event(cut, t)
+        if last < 0:
+            continue
+        closed = trace.acquire_of(events[last]).eid \
+            if events[last].is_release else -1
+        for acquire in enclosing[last]:
+            if acquire != closed and \
+                    index.last_acquire(cut, events[acquire].target) != acquire:
+                return False
+    return True
 
 
 def _attempt(

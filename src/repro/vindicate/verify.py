@@ -32,6 +32,20 @@ each thread form a prefix, so an included access only needs its
 a write, the reads since that write; the earlier ones follow by
 induction (``docs/ALGORITHMS.md``, "Witness checker").
 
+**Cut witnesses.** A :class:`~repro.core.witness.CutWitness` — the
+observed order restricted to one prefix per thread, then the racing
+pair — is decided from the cut alone, in O(T²) for T threads plus the
+pair's own conflict predecessors, without listing its events. The same
+index holds, per thread prefix, a *requirement clock*: the latest local
+time per other thread that the prefix's accesses need (previous writes,
+and for a write the reads since it), and separately what its joins need
+(the whole child). Both are sparse change points, bisected per
+(thread, thread). Per (thread, lock) it holds the acquire eids, so a
+section the cut leaves open can be checked to be its lock's last
+acquire in the cut. The rules run in the precedence above, so a cut
+witness gets the verdict, and on rejection the rule, that its event
+list would (``docs/ALGORITHMS.md``, "Cut witnesses").
+
 **Independence.** The checker shares no code with the constructor: it
 imports nothing from ``construct``, ``add_constraints`` or
 ``repro.graph`` (``tests/test_verify_cost.py`` enforces this).
@@ -40,18 +54,26 @@ imports nothing from ``construct``, ``add_constraints`` or
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.events import Event, EventKind, Target, Tid, conflicts
 from repro.core.exceptions import MalformedReorderingError
 from repro.core.trace import Trace
+from repro.core.witness import CutWitness, ListedWitness, Witness
 
 _READ = EventKind.READ
 _WRITE = EventKind.WRITE
 _VOLATILE_READ = EventKind.VOLATILE_READ
 _VOLATILE_WRITE = EventKind.VOLATILE_WRITE
 _JOIN = EventKind.JOIN
+_ACQUIRE = EventKind.ACQUIRE
+
+
+#: Per other thread index: the local times of a thread at which a
+#: requirement rises, and the required local time from there on.
+Requirements = Dict[int, Tuple[List[int], List[int]]]
 
 
 class TraceIndex:
@@ -68,34 +90,104 @@ class TraceIndex:
             same variable, or -1 (also -1 for non-accesses).
         reads_before: Plain write eid -> eids of the reads of its variable
             since the previous write (omitted when there are none).
+        thread_index: Thread id -> its index in ``trace.threads``.
+        requires: Per thread index, the requirement clock of its
+            prefixes: what their accesses' immediate conflict
+            predecessors need of each other thread.
+        joins: Per thread index, what its prefixes' joins need of each
+            other thread: the child's length, or one more when a child
+            event follows the join in the trace (no cut satisfies it).
+        lock_acquires: Lock -> ``(thread index, acquire eids)`` per
+            thread that acquires it.
     """
 
-    __slots__ = ("size", "fork_of", "prev_write", "reads_before")
+    __slots__ = ("size", "fork_of", "prev_write", "reads_before",
+                 "thread_index", "requires", "joins", "lock_acquires")
 
     def __init__(self, trace: Trace) -> None:
         events = trace.events
+        local = trace.local_time
+        threads = trace.threads
         self.size = len(events)
         self.fork_of: Dict[Tid, int] = {}
         self.prev_write: List[int] = [-1] * self.size
         self.reads_before: Dict[int, List[int]] = {}
+        self.thread_index: Dict[Tid, int] = {
+            tid: i for i, tid in enumerate(threads)}
+        self.requires: List[Requirements] = [{} for _ in threads]
+        self.joins: List[Requirements] = [{} for _ in threads]
+        thread_index, requires = self.thread_index, self.requires
+        acquires: Dict[Tuple[int, Target], List[int]] = {}
         last_write: Dict[Target, int] = {}
         pending_reads: Dict[Target, List[int]] = {}
         for e in events:
             eid, kind = e.eid, e.kind
-            if kind is _READ:
-                self.prev_write[eid] = last_write.get(e.target, -1)
-                reads = pending_reads.get(e.target)
-                if reads is None:
-                    reads = pending_reads[e.target] = []
-                reads.append(eid)
-            elif kind is _WRITE:
-                self.prev_write[eid] = last_write.get(e.target, -1)
+            if kind is _READ or kind is _WRITE:
+                write = last_write.get(e.target, -1)
+                self.prev_write[eid] = write
+                if write >= 0 and events[write].tid != e.tid:
+                    _require(requires[thread_index[e.tid]], local[eid],
+                             thread_index[events[write].tid], local[write])
+                if kind is _READ:
+                    reads = pending_reads.get(e.target)
+                    if reads is None:
+                        reads = pending_reads[e.target] = []
+                    reads.append(eid)
+                    continue
                 reads = pending_reads.pop(e.target, None)
                 if reads is not None:
                     self.reads_before[eid] = reads
+                    for read in reads:
+                        if events[read].tid != e.tid:
+                            _require(requires[thread_index[e.tid]],
+                                     local[eid],
+                                     thread_index[events[read].tid],
+                                     local[read])
                 last_write[e.target] = eid
+            elif kind is _ACQUIRE:
+                key = (thread_index[e.tid], e.target)
+                held = acquires.get(key)
+                if held is None:
+                    held = acquires[key] = []
+                held.append(eid)
             elif kind is EventKind.FORK:
                 self.fork_of[e.target] = eid
+            elif kind is _JOIN:
+                child = trace.eids_of(e.target)
+                if child and e.target != e.tid:
+                    need = len(child) + (child[-1] > eid)
+                    _require(self.joins[thread_index[e.tid]], local[eid],
+                             thread_index[e.target], need)
+        self.lock_acquires: Dict[Target, List[Tuple[int, List[int]]]] = {}
+        for (t, lock), eids in acquires.items():
+            self.lock_acquires.setdefault(lock, []).append((t, eids))
+
+
+def _require(points: Requirements, at: int, thread: int, need: int) -> None:
+    """Raise a thread's requirement on another ``thread`` to ``need``
+    from its local time ``at`` on. (Program order covers its own.)"""
+    entry = points.get(thread)
+    if entry is None:
+        points[thread] = ([at], [need])
+        return
+    times, needs = entry
+    if need <= needs[-1]:
+        return
+    if times[-1] == at:
+        needs[-1] = need
+    else:
+        times.append(at)
+        needs.append(need)
+
+
+def _required(points: Requirements, count: int, cut: Sequence[int]) -> int:
+    """A thread index whose cut falls short of what a prefix of
+    ``count`` events requires, or -1."""
+    for thread, (times, needs) in points.items():
+        i = bisect_right(times, count)
+        if i and needs[i - 1] > cut[thread]:
+            return thread
+    return -1
 
 
 _INDEXES: "weakref.WeakKeyDictionary[Trace, TraceIndex]" = \
@@ -117,30 +209,68 @@ def _trace_index(trace: Trace) -> TraceIndex:
     return index
 
 
-def check_correct_reordering(original: Trace, reordered: Sequence[Event]) -> None:
+Reordering = Union[Witness, Sequence[Event]]
+
+
+def check_correct_reordering(original: Trace, reordered: Reordering) -> None:
     """Raise :class:`MalformedReorderingError` unless ``reordered`` is a
     correct reordering of ``original`` per Definition 2.1 (plus the
     fork/join/volatile extensions)."""
-    _check_reordering(original, reordered)
+    if _in_cut_form(reordered):
+        _check_cut(original, _trace_index(original), reordered)
+    else:
+        _check_reordering(original, _listed(reordered))
 
 
-def check_witness(original: Trace, reordered: Sequence[Event],
+def check_witness(original: Trace, reordered: Reordering,
                   first: Event, second: Event) -> None:
     """Check that ``reordered`` witnesses a predictable race between
     ``first`` and ``second`` (Definition 2.2): it is a correct reordering
-    in which the two conflicting events execute consecutively."""
-    position = _check_reordering(original, reordered)
+    in which the two conflicting events execute consecutively.
+
+    A :class:`CutWitness` whose own racing pair are plain accesses is
+    checked in cut form, anything else as an event list; the metrics
+    counters ``vindicate.witness.cut`` and ``vindicate.witness.listed``
+    count which."""
+    cut_form = _in_cut_form(reordered)
+    reg = obs.metrics()
+    if reg.enabled:
+        reg.add("vindicate.witness.cut" if cut_form
+                else "vindicate.witness.listed", 1)
+    if cut_form:
+        index = _trace_index(original)
+        _check_cut(original, index, reordered)
+        at = _cut_position(original, index, reordered, first)
+        then = _cut_position(original, index, reordered, second)
+    else:
+        position = _check_reordering(original, _listed(reordered))
+        at = position.get(first.eid)
+        then = position.get(second.eid)
     if not conflicts(first, second):
         raise MalformedReorderingError(
             f"{first} and {second} are not conflicting", rule="EVENTS")
-    if first.eid not in position or second.eid not in position:
+    if at is None or then is None:
         raise MalformedReorderingError(
             "witness omits one of the racing events", rule="EVENTS")
-    if position[second.eid] != position[first.eid] + 1:
+    if then != at + 1:
         raise MalformedReorderingError(
-            f"racing events are not consecutive: positions "
-            f"{position[first.eid]} and {position[second.eid]}",
+            f"racing events are not consecutive: positions {at} and {then}",
             rule="EVENTS")
+
+
+def _in_cut_form(reordered: Reordering) -> bool:
+    """Whether ``reordered`` is checked as a cut: a cut witness whose
+    racing pair are plain accesses, so that the pair take or release no
+    lock, fork or join nothing, and only the cut's sections and thread
+    edges need checking."""
+    return (isinstance(reordered, CutWitness)
+            and reordered.first.is_access and reordered.second.is_access)
+
+
+def _listed(reordered: Reordering) -> Sequence[Event]:
+    if isinstance(reordered, (CutWitness, ListedWitness)):
+        return reordered.events()
+    return reordered
 
 
 def _check_reordering(original: Trace,
@@ -153,6 +283,145 @@ def _check_reordering(original: Trace,
     _check_lock_semantics(reordered)
     _check_thread_edges(original, index, reordered, position, prefix_len)
     return position
+
+
+# ----------------------------------------------------------------------
+# Cut witnesses
+# ----------------------------------------------------------------------
+def _check_cut(original: Trace, index: TraceIndex,
+               witness: CutWitness) -> None:
+    """Definition 2.1 for the observed order restricted to the cut, then
+    the racing pair, rule by rule in the event-level precedence.
+
+    The cut part keeps trace order, so only inclusion can fail there:
+    each rule asks whether the cut holds what its prefixes need, and
+    whether the pair, placed after the whole cut, may follow it.
+    """
+    events, local = original.events, original.local_time
+    threads = original.threads
+    cut = witness.cut
+    first, second = witness.first, witness.second
+    n = len(events)
+    # Membership: the cut fits the trace, the pair are trace events
+    # outside it, and distinct.
+    if len(cut) != len(threads) or any(
+            not 0 <= count <= len(original.eids_of(tid))
+            for tid, count in zip(threads, cut)):
+        raise MalformedReorderingError(
+            f"cut {cut} does not fit the trace's threads", rule="EVENTS")
+    for e in (first, second):
+        eid = e.eid
+        if not 0 <= eid < n or (events[eid] is not e and events[eid] != e):
+            raise MalformedReorderingError(
+                f"{e} is not an event of the original trace", rule="EVENTS")
+    thread_index = index.thread_index
+    t1, t2 = thread_index[first.tid], thread_index[second.tid]
+    for e, t in ((first, t1), (second, t2)):
+        if local[e.eid] <= cut[t]:
+            raise MalformedReorderingError(f"{e} appears twice", rule="EVENTS")
+    if first.eid == second.eid:
+        raise MalformedReorderingError(f"{second} appears twice",
+                                       rule="EVENTS")
+    # PO: the pair continue their threads' prefixes.
+    if local[first.eid] != cut[t1] + 1 or \
+            local[second.eid] != cut[t2] + 1 + (t1 == t2):
+        raise MalformedReorderingError(
+            f"the racing events {first} and {second} do not continue "
+            f"their threads' prefixes {cut[t1]} and {cut[t2]}", rule="PO")
+    # CA: every prefix holds its accesses' conflict predecessors, and
+    # the pair's own are in the cut (the second's may be the first).
+    requires = index.requires
+    for t, count in enumerate(cut):
+        short = _required(requires[t], count, cut)
+        if short >= 0:
+            raise MalformedReorderingError(
+                f"thread {threads[t]!r}'s first {count} events need "
+                f"more of thread {threads[short]!r} than its "
+                f"{cut[short]}", rule="CA")
+    for e, allowed in ((first, -1), (second, first.eid)):
+        for pred in _conflict_predecessors(index, e):
+            if pred != allowed and \
+                    local[pred] > cut[thread_index[events[pred].tid]]:
+                raise MalformedReorderingError(
+                    f"{e} is included but its conflicting predecessor "
+                    f"{events[pred]} is not before it", rule="CA")
+    _check_cut_sections(original, index, cut)
+    # Hard edges: a thread's first included event follows its fork, and
+    # a join follows the whole child.
+    fork_of = index.fork_of
+    for t, tid in enumerate(threads):
+        if not (cut[t] or t == t1 or t == t2):
+            continue
+        fork = fork_of.get(tid)
+        if fork is None:
+            continue
+        if local[fork] > cut[thread_index[events[fork].tid]] or (
+                cut[t] and original.eids_of(tid)[0] < fork):
+            raise MalformedReorderingError(
+                f"thread {tid!r} executes without (or before) its fork "
+                f"{events[fork]}", rule="PO")
+    joins = index.joins
+    for t, count in enumerate(cut):
+        short = _required(joins[t], count, cut)
+        if short >= 0:
+            raise MalformedReorderingError(
+                f"thread {threads[t]!r} joins thread "
+                f"{threads[short]!r} before all its events", rule="PO")
+
+
+def _conflict_predecessors(index: TraceIndex, e: Event) -> List[int]:
+    """The immediate conflict predecessors of the access ``e``."""
+    preds = list(index.reads_before.get(e.eid, ())) if e.is_write else []
+    write = index.prev_write[e.eid]
+    if write >= 0:
+        preds.append(write)
+    return preds
+
+
+def _check_cut_sections(original: Trace, index: TraceIndex,
+                        cut: Sequence[int]) -> None:
+    """LS for a cut: critical sections in trace order never overlap, so
+    the only overlap is a section the cut leaves open followed by a
+    later acquire of its lock that the cut holds. The racing pair are
+    accesses, so they open and close nothing."""
+    events = original.events
+    threads = original.threads
+    bounds = [original.eids_of(tid)[count - 1] if count else -1
+              for tid, count in zip(threads, cut)]
+    for t, last in enumerate(bounds):
+        held = original.enclosing_acquires[last] if last >= 0 else ()
+        if not held:
+            continue
+        closed = original.acquire_of(events[last]).eid \
+            if events[last].kind is EventKind.RELEASE else -1
+        for acquire in held:
+            if acquire == closed:
+                continue
+            for u, acquires in index.lock_acquires[events[acquire].target]:
+                i = bisect_right(acquires, bounds[u])
+                if u != t and i and acquires[i - 1] > acquire:
+                    raise MalformedReorderingError(
+                        f"{events[acquires[i - 1]]} acquires a lock held "
+                        f"by thread {threads[t]!r}", rule="LS")
+
+
+def _cut_position(original: Trace, index: TraceIndex, witness: CutWitness,
+                  e: Event) -> Optional[int]:
+    """The position of the event with ``e``'s eid in the witness, or
+    None: the pair come last, and a cut event follows every cut event
+    with a smaller eid."""
+    eid = e.eid
+    if eid == witness.second.eid:
+        return len(witness) - 1
+    if eid == witness.first.eid:
+        return len(witness) - 2
+    if not 0 <= eid < len(original.events):
+        return None
+    tid = original.events[eid].tid
+    if original.local_time[eid] > witness.cut[index.thread_index[tid]]:
+        return None
+    return sum(bisect_left(original.eids_of(u), eid, 0, count)
+               for u, count in zip(original.threads, witness.cut))
 
 
 # ----------------------------------------------------------------------

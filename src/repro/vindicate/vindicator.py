@@ -28,6 +28,7 @@ from repro.core import kernels
 from repro.core.events import Event
 from repro.core.exceptions import SanitizerError
 from repro.core.trace import Trace
+from repro.core.witness import Witness
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.graph.cuts import CutIndex
 from repro.analysis.dc import DCDetector
@@ -39,7 +40,8 @@ from repro.analysis.wcp import WCPDetector
 from repro.obs.schema import ANALYZE_SCHEMA_ID
 from repro.static.lockset import LocksetResult, analyze_locksets, cross_check
 from repro.vindicate.add_constraints import add_constraints
-from repro.vindicate.construct import ConstructionStats, construct_reordered_trace
+from repro.vindicate.construct import (POLICIES, ConstructionStats,
+                                       construct_reordered_trace)
 from repro.vindicate.verify import check_witness
 
 
@@ -61,7 +63,10 @@ class Vindication:
     Attributes:
         race: The DC-race that was checked.
         verdict: RACE / NO_RACE / UNKNOWN.
-        witness: The correctly reordered witness trace (verdict RACE).
+        witness: The correctly reordered witness trace (verdict RACE):
+            a thread cut when it is the observed order restricted to the
+            race's ancestors, an event list otherwise; ``events()``
+            lists either.
         cycle: The refuting constraint cycle's event ids (verdict NO_RACE).
         consecutive_edges: Consecutive-event constraints added.
         ls_constraints: Lock-semantics constraints added (Table 3 metric).
@@ -71,7 +76,7 @@ class Vindication:
 
     race: DynamicRace
     verdict: Verdict
-    witness: Optional[List[Event]] = None
+    witness: Optional[Witness] = None
     cycle: Optional[List[int]] = None
     consecutive_edges: int = 0
     ls_constraints: int = 0
@@ -350,6 +355,9 @@ class Vindicator:
                  use_window: bool = False, prefilter: bool = False,
                  sanitize: bool = False,
                  variant: "str | VariantSpec" = VARIANTS[0]):
+        if policy not in POLICIES:
+            raise ValueError(
+                f"unknown policy {policy!r}; expected one of {POLICIES}")
         self.vindicate_all = vindicate_all
         self.policy = policy
         self.check_witnesses = check_witnesses

@@ -35,7 +35,7 @@ class TestConstruction:
             graph, trace, race.first, race.second)
         assert witness is not None
         check_witness(trace, witness, race.first, race.second)
-        order = [e.eid for e in witness]
+        order = [e.eid for e in witness.events()]
         # Thread 3's critical section on m (events 9/10) runs, while
         # thread 2's (events 7/8) is omitted entirely: the critical
         # sections effectively run in the opposite order, which WCP's
@@ -49,8 +49,8 @@ class TestConstruction:
         witness, _ = construct_reordered_trace(
             graph, trace, race.first, race.second)
         assert witness is not None
-        assert witness[-2].eid == race.first.eid
-        assert witness[-1].eid == race.second.eid
+        assert witness.events()[-2].eid == race.first.eid
+        assert witness.events()[-1].eid == race.second.eid
 
     def test_retry_pulls_in_missing_release(self):
         trace = retry_case()
@@ -101,8 +101,8 @@ class TestPolicies:
                                           race.second, policy="random", seed=5)
         w2, _ = construct_reordered_trace(graph, trace, race.first,
                                           race.second, policy="random", seed=5)
-        assert ([e.eid for e in w1] if w1 else None) == \
-            ([e.eid for e in w2] if w2 else None)
+        assert ([e.eid for e in w1.events()] if w1 else None) == \
+            ([e.eid for e in w2.events()] if w2 else None)
 
     def test_every_successful_policy_yields_correct_witness(self):
         trace = figure2()

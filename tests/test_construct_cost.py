@@ -4,6 +4,11 @@
   order, ``construct`` places every event by the replay and reads no
   adjacency at all: no successor scan builds the greedy's ``blocking``
   map, and no predecessor scan updates it.
+* **Cut witnesses.** The constructor's fast path and the checker's cut
+  check work from per-thread tables, so padding each racing thread with
+  ten times its length of independent events leaves their work — index
+  probes, bisections and reads of the trace's per-event lists —
+  unchanged for every race.
 * **Cycle window.** The cycle search only visits the racing pair's
   ancestors between the graph's lowest backward target and highest
   backward source. Padding every racing thread with a long prefix of
@@ -12,19 +17,25 @@
   and gets no DFS at all.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.dc import DCDetector
 from repro.core.events import Event, EventKind
 from repro.core.trace import Trace
+from repro.core.witness import CutWitness
+from repro.graph import cuts
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.graph.cuts import CutIndex
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
 from repro.traces.gen import GeneratorConfig, random_trace
 from repro.traces.litmus import figure2, figure4a
+from repro.vindicate import verify
 from repro.vindicate.add_constraints import add_constraints
 from repro.vindicate.construct import construct_reordered_trace
+from repro.vindicate.verify import check_witness
 
 
 class _CountingGraph:
@@ -88,7 +99,7 @@ def test_observed_order_witness_reads_no_adjacency():
             counting, trace, e1, e2, index=index)
         for src, dst in reversed(added.added_edges):
             graph.remove_edge(src, dst)
-        if [e.eid for e in witness] != sorted(needed) + [e1.eid, e2.eid]:
+        if [e.eid for e in witness.events()] != sorted(needed) + [e1.eid, e2.eid]:
             continue
         checked += 1
         assert counting.reads == 0, (e1, e2, counting.reads)
@@ -111,10 +122,120 @@ def test_replay_hands_over_to_the_greedy():
     counting = _CountingGraph(detector.graph)
     witness, stats = construct_reordered_trace(
         counting, trace, race.first, race.second)
-    order = [e.eid for e in witness]
+    order = [e.eid for e in witness.events()]
     assert order[:-2] != sorted(order[:-2])
     assert stats.replayed_events == 0
     assert counting.reads > 0
+
+
+# ----------------------------------------------------------------------
+# Cut witnesses
+# ----------------------------------------------------------------------
+def _padded_threads(trace: Trace, tids, factor: int) -> Trace:
+    """``trace`` with ``factor`` times each of ``tids``' length of writes
+    to variables of their own inserted right after that thread's first
+    event: program-order ancestors of its later races, related to
+    nothing else. (After, not before: a race on a thread's first event
+    keeps an empty prefix of that thread.)"""
+    pads = {tid: factor * len(trace.eids_of(tid)) for tid in tids}
+    out = []
+    for e in trace:
+        out.append(e)
+        out.extend(Event(0, e.tid, EventKind.WRITE, f"pad.{e.tid}.{i}")
+                   for i in range(pads.pop(e.tid, 0)))
+    return Trace.from_events(out)
+
+
+class _Work(Counter):
+    """Work counts per phase: calls of the hooked functions, and
+    elements read from the trace's per-event lists."""
+
+    phase = "other"
+
+    def hook(self, monkeypatch, owner, names):
+        for name in names:
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, **kwargs):
+                self[self.phase] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+    def watch(self, monkeypatch, trace):
+        for name in ("events", "local_time", "enclosing_acquires"):
+            monkeypatch.setattr(trace, name,
+                                _CountingList(getattr(trace, name), self))
+
+
+class _CountingList(list):
+    def __init__(self, items, work):
+        super().__init__(items)
+        self.work = work
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        self.work[self.work.phase] += len(item) if isinstance(key, slice) else 1
+        return item
+
+    def __iter__(self):
+        self.work[self.work.phase] += len(self)
+        return super().__iter__()
+
+
+def _witness_work(monkeypatch, trace):
+    """Per race: the witness's form, and the work that constructing it
+    and checking it took."""
+    work = _Work()
+    work.hook(monkeypatch, cuts, ("bisect_left", "bisect_right"))
+    work.hook(monkeypatch, CutIndex, ("ancestor_cut", "holds", "last_event",
+                                      "last_acquire", "cut_events"))
+    work.hook(monkeypatch, verify, ("bisect_left", "bisect_right"))
+    detector = DCDetector()
+    races = detector.analyze(trace).races
+    index = CutIndex(detector.graph, trace)
+    index.sync()
+    # The first check builds the checker's index: one pass, not per race.
+    verify._trace_index(trace)
+    work.watch(monkeypatch, trace)
+    found = []
+    for race in races:
+        e1, e2 = race.first, race.second
+        added = add_constraints(detector.graph, trace, e1, e2, index=index)
+        work.clear()
+        work.phase = "construct"
+        witness, stats = construct_reordered_trace(
+            detector.graph, trace, e1, e2, index=index)
+        work.phase = "check"
+        if witness is not None:
+            check_witness(trace, witness, e1, e2)
+        work.phase = "other"
+        found.append((type(witness).__name__, stats.attempts,
+                      work["construct"], work["check"]))
+        for src, dst in reversed(added.added_edges):
+            detector.graph.remove_edge(src, dst)
+    return found
+
+
+def test_padding_racing_threads_leaves_witness_work_unchanged(monkeypatch):
+    """A missing-release retry runs the replay and greedy on its first
+    attempt, which walk the needed set; only its check, and the
+    construction of first-attempt cut witnesses, must not grow."""
+    trace = execute(WORKLOADS["xalan"](scale=1), seed=3)
+    races = DCDetector().analyze(trace).races
+    tids = {e.tid for race in races for e in (race.first, race.second)}
+    base = _witness_work(monkeypatch, trace)
+    padded = _witness_work(monkeypatch, _padded_threads(trace, tids, 10))
+    assert [race[:2] for race in base] == [race[:2] for race in padded]
+    cut = CutWitness.__name__
+    for (form, attempts, built, checked), (_, _, padded_built,
+                                           padded_checked) in zip(base, padded):
+        if form != cut:
+            continue
+        assert checked and padded_checked == checked
+        if attempts == 1:
+            assert built and padded_built == built
+    assert sum(form == cut and attempts == 1
+               for form, attempts, _, _ in base) >= 3
 
 
 # ----------------------------------------------------------------------

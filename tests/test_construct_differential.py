@@ -8,6 +8,12 @@ re-sorts its ready set for every event it places, and the cycle search
 over the race's whole ancestor set. Both must give every race the same
 verdict, the same witness (eid for eid) and the same attempt count.
 
+Under the ``latest`` policy the constructor returns a cut witness
+exactly when the reference's greedy places the needed set in observed
+order (then the greedy's run is the replay), and every witness is
+accepted by the witness checker in both forms: from the cut, and as the
+event list it stands for.
+
 A refuting cycle may be found from a different DFS root, so it is not
 compared with the reference's; instead every NO_RACE cycle is checked
 to be a real cycle of the race's constraint graph whose nodes reach
@@ -34,6 +40,7 @@ import construct_reference
 from repro.analysis.dc import DCDetector
 from repro.core.events import Event, EventKind
 from repro.core.trace import Trace, TraceBuilder
+from repro.core.witness import CutWitness
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.graph.cuts import CutIndex
 from repro.graph.reachability import ReachabilityIndex
@@ -43,6 +50,7 @@ from repro.traces.gen import GeneratorConfig, random_trace
 from repro.traces.litmus import ALL as LITMUS
 from repro.vindicate.add_constraints import add_constraints
 from repro.vindicate.construct import construct_reordered_trace
+from repro.vindicate.verify import check_witness
 from repro.vindicate.vindicator import Vindicator, vindicate_race
 
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -99,13 +107,29 @@ def _assert_agree(reference: _Reference, vindications,
     for v in vindications:
         e1, e2 = v.race.first, v.race.second
         new = (v.verdict.name, _eids(v.witness), v.attempts)
-        assert new == reference.outcome(e1, e2, policy), (e1, e2)
+        old = reference.outcome(e1, e2, policy)
+        assert new == old, (e1, e2)
+        cut_form = isinstance(v.witness, CutWitness)
+        assert cut_form == (policy == "latest" and _observed_order(old)), \
+            (e1, e2)
+        if v.witness is not None:
+            check_witness(reference.trace, v.witness, e1, e2)
+            check_witness(reference.trace, v.witness.events(), e1, e2)
+            seen["cut" if cut_form else "listed"] += 1
         if v.cycle is not None:
             reference.assert_real_cycle(e1, e2, v.cycle)
         seen[v.verdict.name] += 1
         if v.attempts > 1:
             seen["retry"] += 1
     return seen
+
+
+def _observed_order(outcome: Outcome) -> bool:
+    """Whether the reference's greedy placed its witness's needed set in
+    observed order: then every step took the latest remaining event,
+    which is the replay placing them all."""
+    verdict, witness, _ = outcome
+    return verdict == "RACE" and witness[:-2] == sorted(witness[:-2])
 
 
 def _check_races(trace: Trace, transitive_force: bool,
@@ -153,6 +177,15 @@ def test_analog_agrees(name, scale):
         _assert_agree(reference, report.vindications)
 
 
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_analog_scale_1_cut_witnesses(name):
+    """The analogs at scale 1 too: the fast path fires exactly where the
+    reference replays the observed order, and both checkers accept."""
+    trace = execute(WORKLOADS[name](scale=1), seed=7)
+    report = Vindicator(vindicate_all=True, check_witnesses=False).run(trace)
+    _assert_agree(_Reference(trace), report.vindications)
+
+
 # ----------------------------------------------------------------------
 # Hypothesis-generated traces
 # ----------------------------------------------------------------------
@@ -176,6 +209,19 @@ configs = st.builds(
        transitive_force=st.booleans())
 def test_random_traces_agree(config, seed, transitive_force):
     _check_races(random_trace(seed, config), transitive_force)
+
+
+def test_random_traces_reach_both_witness_forms():
+    """Every litmus witness is a cut; random traces with busy locks also
+    reorder critical sections, so the fast path's test is seen both
+    passing and failing."""
+    config = GeneratorConfig(threads=3, events=40, locks=2, variables=1,
+                             acquire_weight=0.4, release_weight=0.3,
+                             write_fraction=0.7)
+    seen: Counter = Counter()
+    for seed in range(30, 40):
+        seen += _check_races(random_trace(seed, config), True)
+    assert seen["cut"] and seen["listed"], seen
 
 
 @SETTINGS
@@ -202,6 +248,15 @@ def test_construct_agrees_on_arbitrary_graphs(config, seed, extra):
                 graph, trace, e1, e2, policy=policy)
             assert _eids(witness) == _eids(old), (e1, e2, policy)
             assert stats.attempts == old_stats.attempts
+            # An extra edge may make an event after e1 or e2 in its
+            # thread needed; that needed set is no cut, so the fast path
+            # leaves it to the replay (after add_constraints it would
+            # close a cycle through the pair and refute the race).
+            observed = old is not None and _observed_order(
+                ("RACE", _eids(old), old_stats.attempts)) and \
+                _program_order_prefixes(trace, old)
+            assert isinstance(witness, CutWitness) == (
+                policy == "latest" and observed), (e1, e2, _eids(old))
 
 
 def test_backward_edge_holds_the_replay():
@@ -219,8 +274,23 @@ def test_backward_edge_holds_the_replay():
     assert stats.replayed_events == 0
 
 
+def _program_order_prefixes(trace: Trace, witness) -> bool:
+    """Whether each thread's events in ``witness`` are its first ones,
+    in program order."""
+    count: Counter = Counter()
+    for e in _listed(witness):
+        count[e.tid] += 1
+        if trace.local_time[e.eid] != count[e.tid]:
+            return False
+    return True
+
+
+def _listed(witness):
+    return witness if isinstance(witness, list) else witness.events()
+
+
 def _eids(witness):
-    return [e.eid for e in witness] if witness is not None else None
+    return None if witness is None else [e.eid for e in _listed(witness)]
 
 
 def _interleave(base: Trace, noise: Trace, rng: random.Random) -> Trace:

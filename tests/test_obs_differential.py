@@ -37,7 +37,7 @@ def _signature(report):
                       v.ls_constraints, v.attempts)
                      for v in report.vindications],
         "witnesses": [None if v.witness is None
-                      else [e.eid for e in v.witness]
+                      else [e.eid for e in v.witness.events()]
                       for v in report.vindications],
     }
 

@@ -110,8 +110,8 @@ class TestVindicatorSoundness:
         for v in report.vindications:
             if v.witness is not None:
                 check_witness(trace, v.witness, v.race.first, v.race.second)
-                assert v.witness[-2].eid == v.race.first.eid
-                assert v.witness[-1].eid == v.race.second.eid
+                assert v.witness.events()[-2].eid == v.race.first.eid
+                assert v.witness.events()[-1].eid == v.race.second.eid
 
 
 #: Configs that force volatile rd→wr chains between racing accesses —

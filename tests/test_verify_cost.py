@@ -6,13 +6,17 @@
   wrapping ``Trace.__iter__``, ``Trace.events_of`` and the other
   whole-trace helpers, and by swapping ``trace.events`` for a list that
   counts iterations and slices.
+  A cut witness is checked from the cut alone: zero passes too.
 * **Independence.** The checker is a certificate check that shares no
-  code with the constructor: ``repro.vindicate.verify`` must not import
+  code with the constructor: neither ``repro.vindicate.verify`` nor the
+  witness type it reads (``repro.core.witness``) may import
   ``repro.vindicate.construct``, ``repro.vindicate.add_constraints`` or
   anything under ``repro.graph`` (an AST lint, like ``test_lint.py``).
 * **Observability.** Every ``vindicate.check_witness`` span carries the
   witness length as ``events``; the one check that builds a trace's
-  index opens a ``vindicate.check_witness.index`` child span.
+  index opens a ``vindicate.check_witness.index`` child span. The
+  counters ``vindicate.witness.cut`` and ``vindicate.witness.listed``
+  count the checks by form.
 """
 
 import ast
@@ -23,13 +27,15 @@ import pytest
 from repro import obs
 from repro.core.exceptions import MalformedReorderingError
 from repro.core.trace import Trace
+from repro.core.witness import CutWitness
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
 from repro.vindicate.verify import check_witness
-from repro.vindicate.vindicator import Vindicator
+from repro.vindicate.vindicator import Verdict, Vindicator
 
-VERIFY_SOURCE = (pathlib.Path(__file__).resolve().parent.parent
-                 / "src" / "repro" / "vindicate" / "verify.py")
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+VERIFY_SOURCE = SRC / "vindicate" / "verify.py"
+WITNESS_SOURCE = SRC / "core" / "witness.py"
 FORBIDDEN_IMPORTS = ("repro.vindicate.construct",
                      "repro.vindicate.add_constraints", "repro.graph")
 #: Trace methods that walk the whole trace.
@@ -73,10 +79,34 @@ class _PassCounter:
 def xalan_witnesses():
     trace = execute(WORKLOADS["xalan"](scale=1), seed=3)
     report = Vindicator(check_witnesses=False).run(trace)
-    witnessed = [(v.witness, v.race.first, v.race.second)
+    witnessed = [(v.witness.events(), v.race.first, v.race.second)
                  for v in report.vindications if v.witness is not None]
     assert witnessed
     return trace, witnessed
+
+
+@pytest.fixture(scope="module")
+def xalan_cuts():
+    trace = execute(WORKLOADS["xalan"](scale=1), seed=3)
+    report = Vindicator(check_witnesses=False).run(trace)
+    cuts = [v.witness for v in report.vindications
+            if isinstance(v.witness, CutWitness)]
+    assert cuts
+    return trace, cuts
+
+
+def _rejected_cuts(trace, witness):
+    """Cut checks each rule rejects: EVENTS (the first racing event
+    inside the cut), PO (the first racing event's thread one short) and
+    EVENTS (racing pair named in reverse)."""
+    cut, first, second = list(witness.cut), witness.first, witness.second
+    t = trace.threads.index(first.tid)
+    inside = cut[:t] + [cut[t] + 1] + cut[t + 1:]
+    yield CutWitness(trace, inside, first, second), first, second
+    if cut[t]:
+        short = cut[:t] + [cut[t] - 1] + cut[t + 1:]
+        yield CutWitness(trace, short, first, second), first, second
+    yield CutWitness(trace, cut, first, second), second, first
 
 
 def _rejected_checks(witness, first, second):
@@ -110,6 +140,28 @@ class TestNoPassesOverTheTrace:
         assert counter.passes == 0
         assert rules == {"PO", "CA", "EVENTS"}
 
+    def test_cut_checks_never_scan(self, monkeypatch, xalan_cuts):
+        trace, cuts = xalan_cuts
+        fresh = Trace(list(trace))
+        counter = _PassCounter(monkeypatch, fresh)
+        witness = cuts[0]
+        check_witness(fresh, CutWitness(fresh, witness.cut, witness.first,
+                                        witness.second),
+                      witness.first, witness.second)
+        assert counter.passes == 1, "the first check builds the index"
+        counter.passes = 0
+        rules = set()
+        for witness in cuts:
+            check_witness(fresh, CutWitness(fresh, witness.cut, witness.first,
+                                            witness.second),
+                          witness.first, witness.second)
+            for args in _rejected_cuts(fresh, witness):
+                with pytest.raises(MalformedReorderingError) as err:
+                    check_witness(fresh, *args)
+                rules.add(err.value.rule)
+        assert counter.passes == 0
+        assert rules == {"PO", "EVENTS"}
+
 
 def _imported_modules(tree):
     for node in ast.walk(tree):
@@ -131,14 +183,15 @@ def _imported_modules(tree):
 
 class TestIndependence:
     def test_checker_imports_nothing_from_the_constructor(self):
-        tree = ast.parse(VERIFY_SOURCE.read_text(encoding="utf-8"))
-        modules = set(_imported_modules(tree))
-        assert "repro.core.trace" in modules  # the walk sees imports
-        bad = sorted(m for m in modules
-                     if m in ("importlib", "__import__")
-                     or any(m == f or m.startswith(f + ".")
-                            for f in FORBIDDEN_IMPORTS))
-        assert not bad, f"verify.py must stay independent: imports {bad}"
+        for source in (VERIFY_SOURCE, WITNESS_SOURCE):
+            tree = ast.parse(source.read_text(encoding="utf-8"))
+            modules = set(_imported_modules(tree))
+            assert "repro.core.trace" in modules  # the walk sees imports
+            bad = sorted(m for m in modules
+                         if m in ("importlib", "__import__")
+                         or any(m == f or m.startswith(f + ".")
+                                for f in FORBIDDEN_IMPORTS))
+            assert not bad, f"{source.name} must stay independent: imports {bad}"
 
 
 def _walk(spans):
@@ -166,3 +219,19 @@ class TestObservability:
         assert len(indexes) == 1
         assert indexes[0].counts["events"] == len(trace)
         assert indexes[0] in checks[0].children
+
+    def test_form_counters_count_every_check(self):
+        trace = execute(WORKLOADS["xalan"](scale=1), seed=3)
+        try:
+            obs.enable(sample_memory=False)
+            report = Vindicator().run(trace)
+            counters = obs.metrics().snapshot()["counters"]
+        finally:
+            obs.disable()
+        races = [v for v in report.vindications if v.verdict is Verdict.RACE]
+        assert races
+        # On xalan every witness is the observed order restricted to a
+        # cut, the missing-release retry's included.
+        assert all(isinstance(v.witness, CutWitness) for v in races)
+        assert counters["vindicate.witness.cut"] == len(races)
+        assert "vindicate.witness.listed" not in counters

@@ -21,6 +21,13 @@ identity reordering, then mutated by one strategy per rule class:
 
 The mutants come from hypothesis-generated small traces and from a
 seeded sweep over witnesses of real workload runs.
+
+Cut witnesses (the observed order restricted to per-thread prefixes,
+then the racing pair) are checked from the cut alone. They must get the
+verdict and rule of the event list they stand for, under both
+event-level checkers — unmutated, and mutated as cuts: one thread's
+prefix moved, a critical section opened or closed, a fork dropped, a
+child cut short of its join, or the racing pair renamed.
 """
 
 import random
@@ -35,6 +42,7 @@ import verify_reference
 from repro.core.events import Event, EventKind, conflicts
 from repro.core.exceptions import MalformedReorderingError
 from repro.core.trace import Trace
+from repro.core.witness import CutWitness
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
 from repro.traces.gen import GeneratorConfig, random_trace
@@ -296,7 +304,7 @@ def _candidates(trace: Trace, identity: bool = True) -> List[Candidate]:
     reordering."""
     report = Vindicator(vindicate_all=True, check_witnesses=False).run(trace)
     found: List[Candidate] = [
-        (list(v.witness), (v.race.first, v.race.second))
+        (v.witness.events(), (v.race.first, v.race.second))
         for v in report.vindications if v.witness is not None]
     if identity:
         events = trace.events
@@ -375,5 +383,161 @@ def test_xalan_scale_2_witnesses_accepted_by_both():
     assert witnessed
     for v in witnessed:
         pair = (v.race.first, v.race.second)
-        verify_reference.check_witness(trace, v.witness, *pair)
+        verify_reference.check_witness(trace, v.witness.events(), *pair)
         verify.check_witness(trace, v.witness, *pair)
+
+
+# ----------------------------------------------------------------------
+# Cut witnesses
+# ----------------------------------------------------------------------
+CutMutator = Callable[[Trace, CutWitness, random.Random],
+                      Optional[Tuple[CutWitness, Pair]]]
+
+
+def assert_cut_agree(trace: Trace, witness: CutWitness, pair: Pair) -> str:
+    """The cut check gives the verdict that both event-level checkers
+    give the event list the cut stands for; returns it."""
+    listed = witness.events()
+    old = assert_agree(trace, listed, pair)
+    new = _outcome(verify.check_witness, trace, witness, *pair)
+    assert old == new, (
+        f"check_witness{pair}: event list {old}, cut {new} on {witness}")
+    assert _outcome(verify.check_correct_reordering, trace, witness) == \
+        _outcome(verify.check_correct_reordering, trace, listed), witness
+    return new
+
+
+def _with(witness: CutWitness, thread: int, count: int) -> CutWitness:
+    cut = list(witness.cut)
+    cut[thread] = count
+    return CutWitness(witness.trace, cut, witness.first, witness.second)
+
+
+def _pair_of(witness: CutWitness) -> Pair:
+    return witness.first, witness.second
+
+
+def cut_perturb(trace, witness, rng):
+    """Move one thread's prefix end anywhere in the thread."""
+    thread = rng.randrange(len(witness.cut))
+    length = len(trace.eids_of(trace.threads[thread]))
+    return _with(witness, thread, rng.randint(0, length)), _pair_of(witness)
+
+
+def cut_section(trace, witness, rng):
+    """End one thread's prefix right after one of its acquires (leaving
+    the section open) or releases (closing it)."""
+    locks = [e for e in trace if e.kind in (EventKind.ACQUIRE,
+                                            EventKind.RELEASE)]
+    if not locks:
+        return None
+    e = rng.choice(locks)
+    return (_with(witness, trace.threads.index(e.tid), trace.local_time[e.eid]),
+            _pair_of(witness))
+
+
+def cut_drop_fork(trace, witness, rng):
+    """End the parent's prefix just before a fork whose child runs."""
+    included = {tid for tid, count in zip(trace.threads, witness.cut) if count}
+    included.update((witness.first.tid, witness.second.tid))
+    forks = [e for e in trace
+             if e.kind is EventKind.FORK and e.target in included]
+    if not forks:
+        return None
+    fork = rng.choice(forks)
+    return (_with(witness, trace.threads.index(fork.tid),
+                  trace.local_time[fork.eid] - 1), _pair_of(witness))
+
+
+def cut_short_child(trace, witness, rng):
+    """End a joined child's prefix one event short of its end."""
+    joins = [e for e in trace if e.kind is EventKind.JOIN
+             and e.target in trace.threads]
+    if not joins:
+        return None
+    child = trace.threads.index(rng.choice(joins).target)
+    length = len(trace.eids_of(trace.threads[child]))
+    return _with(witness, child, length - 1), _pair_of(witness)
+
+
+def cut_rename_pair(trace, witness, rng):
+    """Name the racing pair in reverse, two adjacent conflicting events
+    (placed by the cut, so the pair is consecutive all the same), or
+    two other events."""
+    listed = witness.events()
+    adjacent = [(a, b) for a, b in zip(listed, listed[1:]) if conflicts(a, b)]
+    roll = rng.random()
+    if roll < 0.3:
+        return witness, (witness.second, witness.first)
+    if roll < 0.6 and adjacent:
+        return witness, rng.choice(adjacent)
+    i = rng.randrange(len(listed))
+    return witness, (listed[i], listed[min(i + 1, len(listed) - 1)])
+
+
+CUT_MUTATORS: Dict[str, CutMutator] = {
+    "prefix": cut_perturb,
+    "section": cut_section,
+    "fork": cut_drop_fork,
+    "join": cut_short_child,
+    "pair": cut_rename_pair,
+}
+
+#: The rules each cut mutator is seen to trip over the sweep.
+CUT_TARGET_RULES = {"prefix": {"OK", "EVENTS", "PO", "CA"},
+                    "section": {"LS"}, "fork": {"PO"}, "join": {"PO"},
+                    "pair": {"OK", "EVENTS"}}
+
+
+def _cut_witnesses(trace: Trace) -> List[CutWitness]:
+    report = Vindicator(vindicate_all=True, check_witnesses=False).run(trace)
+    return [v.witness for v in report.vindications
+            if isinstance(v.witness, CutWitness)]
+
+
+@pytest.fixture(scope="module")
+def cut_pools() -> List[List[Tuple[Trace, CutWitness]]]:
+    """Cut witnesses of the sweep's workload runs and random traces."""
+    workloads = [(trace, w) for trace in (
+        execute(WORKLOADS[name](scale=scale), seed=3)
+        for name, scale in SWEEP_RUNS) for w in _cut_witnesses(trace)]
+    randoms = [(trace, w) for trace in (
+        random_trace(seed, SWEEP_RANDOM) for seed in SWEEP_RANDOM_SEEDS)
+        for w in _cut_witnesses(trace)]
+    return [workloads, randoms]
+
+
+class TestCutWitnesses:
+    def test_unmutated_cuts_agree(self, cut_pools):
+        for pool in cut_pools:
+            assert pool
+            verdicts = Counter(assert_cut_agree(trace, w, _pair_of(w))
+                               for trace, w in pool)
+            assert verdicts["OK"] == len(pool), verdicts
+
+    @pytest.mark.parametrize("strategy", sorted(CUT_MUTATORS))
+    def test_cut_mutants_agree(self, strategy, cut_pools):
+        rng = random.Random(strategy)
+        verdicts: Counter = Counter()
+        for k in range(SWEEP_MUTANTS_PER_CLASS):
+            trace, witness = rng.choice(cut_pools[k % 2])
+            mutant = CUT_MUTATORS[strategy](trace, witness, rng)
+            if mutant is not None:
+                verdicts[assert_cut_agree(trace, *mutant)] += 1
+        assert CUT_TARGET_RULES[strategy] <= set(verdicts), verdicts
+
+    @SETTINGS
+    @given(seed=st.integers(0, 10_000), config=small_configs,
+           pick=st.integers(0, 2**32 - 1))
+    def test_small_trace_cut_mutants_agree(self, seed, config, pick):
+        trace = random_trace(seed, config)
+        witnesses = _cut_witnesses(trace)
+        if not witnesses:
+            return
+        rng = random.Random(pick)
+        witness = rng.choice(witnesses)
+        assert assert_cut_agree(trace, witness, _pair_of(witness)) == "OK"
+        strategy = rng.choice(sorted(CUT_MUTATORS))
+        mutant = CUT_MUTATORS[strategy](trace, witness, rng)
+        if mutant is not None:
+            assert_cut_agree(trace, *mutant)

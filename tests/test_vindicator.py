@@ -148,6 +148,11 @@ class TestVindicatorPipeline:
         for v in report.vindications:
             assert v.verdict in (Verdict.RACE, Verdict.NO_RACE, Verdict.UNKNOWN)
 
+    def test_unknown_policy_rejected_at_construction(self):
+        # Before any analysis runs, not at the first race to vindicate.
+        with pytest.raises(ValueError, match="unknown policy"):
+            Vindicator(policy="bogus")
+
     def test_subset_property_on_reports(self):
         for name in ALL:
             report = Vindicator(vindicate_all=True).run(ALL[name]())
