@@ -32,7 +32,9 @@ detector's races against that pre-analysis; exit 1 on a violation) and
 ``--variant reference`` (run the reference WCP/DC detectors instead of
 the default epoch detectors; same verdicts). ``analyze`` and
 ``workload`` accept ``--json`` to emit the machine-readable
-``vindicator.analyze/1`` document instead of the human report.
+``vindicator.analyze/1`` document instead of the human report. Every
+``--json`` document is one compact line with sorted keys; pipe it
+through ``python -m json.tool`` to read it.
 
 The global ``--metrics <path>`` flag (before the sub-command) enables
 the observability subsystem for any command and exports by extension:
@@ -44,7 +46,9 @@ gates: **0** — clean, or warnings/notes only; **1** — at least one
 error-severity finding; **2** — usage failure (missing or unreadable
 input, unparsable source). ``analyze`` and ``profile`` also exit 2 on
 a missing or malformed trace file; their exit 1 is a sanitizer
-violation.
+violation. Any command exits **141** (128 + SIGPIPE, what a shell
+reports for a C tool killed the same way), without a traceback, when
+the reader of its stdout closes the pipe early (``| head``).
 
 Examples::
 
@@ -63,7 +67,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional
@@ -73,6 +76,7 @@ from repro.analysis.races import RaceClass
 from repro.analysis.variants import VARIANTS
 from repro.core.exceptions import SanitizerError, TraceFormatError
 from repro.core.trace import Trace
+from repro.obs.export import write_document
 from repro.static.lint import Severity, lint_document, lint_events
 from repro.stats.distances import static_distance_ranges
 from repro.traces.render import render_witness
@@ -80,6 +84,10 @@ from repro.traces.io import load_events, load_trace
 from repro.traces.litmus import ALL as LITMUS
 from repro.vindicate.construct import POLICIES
 from repro.vindicate.vindicator import Vindicator, VindicatorReport
+
+
+#: Exit status when stdout's reader closed the pipe: 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 
 
 def _print_report(report: VindicatorReport, show_witness: bool) -> None:
@@ -141,8 +149,10 @@ def _run_and_print(vindicator: Vindicator, trace, show_witness: bool,
         print(exc, file=sys.stderr)
         return 1
     if as_json:
-        json.dump(report.to_document(), sys.stdout, indent=2, sort_keys=True)
-        print()
+        with obs.span("report.document"):
+            doc = report.to_document()
+        with obs.span("report.emit"):
+            write_document(doc, sys.stdout)
     else:
         _print_report(report, show_witness=show_witness)
     return 0
@@ -178,8 +188,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.json:
         doc = lint_document(args.trace, len(events), diagnostics,
                             line_numbers)
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        print()
+        write_document(doc, sys.stdout)
     else:
         for diag in diagnostics:
             line = (line_numbers[diag.event_index]
@@ -207,9 +216,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print(f"no Python files under {args.path!r}", file=sys.stderr)
         return 2
     if args.json:
-        json.dump(result.to_document(), sys.stdout, indent=2,
-                  sort_keys=True)
-        print()
+        write_document(result.to_document(), sys.stdout)
         return 1 if result.error_count() else 0
     for path, message in sorted(result.failed.items()):
         print(f"{path}: skipped (syntax error: {message})",
@@ -262,8 +269,10 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     trace = execute(factory(scale=args.scale), seed=args.seed)
     if args.fast_path:
         trace, stats = fast_path_filter(trace)
+        # Under --json stdout carries only the document.
         print(f"fast path removed {stats.removed} of {stats.original_events} "
-              f"events ({stats.hit_rate:.0%})")
+              f"events ({stats.hit_rate:.0%})",
+              file=sys.stderr if args.json else sys.stdout)
     vindicator = Vindicator(vindicate_all=args.vindicate_all,
                             prefilter=args.prefilter,
                             sanitize=args.sanitize,
@@ -537,16 +546,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    if args.func is _cmd_profile:
-        # profile manages its own observability session (always enabled,
-        # --metrics only picks the export path).
-        return args.func(args)
-    if args.metrics:
-        with obs.session(metrics_path=args.metrics,
-                         meta={"command": args.command}):
+    try:
+        if args.metrics and args.func is not _cmd_profile:
+            # profile manages its own observability session (always
+            # enabled, --metrics only picks the export path).
+            with obs.session(metrics_path=args.metrics,
+                             meta={"command": args.command}):
+                status = args.func(args)
+        else:
             status = args.func(args)
-        return status
-    return args.func(args)
+        # Flush here, not at interpreter exit, so a closed pipe is
+        # caught below instead of reported after main returns.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``). Point stdout at devnull so
+        # the interpreter's own final flush cannot fail again, and exit
+        # like a C tool killed by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

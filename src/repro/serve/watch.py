@@ -20,10 +20,11 @@ problem: write elsewhere and ``mv`` in (atomic on one filesystem).
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from typing import Any, Callable, Dict, List
+
+from repro.obs.export import write_document
 
 #: Lines per ``events`` request when replaying a drop file.
 CHUNK_LINES = 2000
@@ -119,6 +120,5 @@ class Watcher:
     def _write_json(path: str, doc: Dict[str, Any]) -> None:
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_document(doc, fh)
         os.replace(tmp, path)
