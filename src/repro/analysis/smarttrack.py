@@ -3,11 +3,11 @@
 :class:`EpochWCPDetector` and :class:`EpochDCDetector` are drop-in
 replacements for :class:`~repro.analysis.wcp.WCPDetector` and
 :class:`~repro.analysis.dc.DCDetector` that report *identical* races
-(and, for DC, an identical constraint graph, edge for edge in insertion
-order) while doing substantially less work per event. They follow
-SmartTrack [Roemer, Genç & Bond, PLDI 2020], which ported FastTrack's
-[Flanagan & Freund 2009] epoch/ownership ideas to the predictive
-analyses, adapted to this repo's exact reference semantics:
+(and, for DC, a constraint graph with the same edge set, kept with
+program order implicit) while doing substantially less work per event.
+They follow SmartTrack [Roemer, Genç & Bond, PLDI 2020], which ported
+FastTrack's [Flanagan & Freund 2009] epoch/ownership ideas to the
+predictive analyses, adapted to this repo's exact reference semantics:
 
 * **Dense clock kernel** — one :class:`~repro.core.vectorclock_dense.TidTable`
   per trace interns thread ids to indices; every clock is a plain
@@ -81,6 +81,7 @@ from repro.core import kernels as _k
 from repro.core.vectorclock_dense import DenseVectorClock, TidTable
 from repro.analysis.sync_structures import DenseLockQueues, DenseSourceClocks
 from repro.graph.constraint_graph import ConstraintGraph
+from repro.graph.program_order import ProgramOrderGraph
 
 __all__ = ["EpochDCDetector", "EpochWCPDetector"]
 
@@ -784,8 +785,9 @@ class EpochWCPDetector(_EpochDetectorBase):
 
 
 class EpochDCDetector(_EpochDetectorBase):
-    """Epoch-optimised DC detector (verdict- and graph-identical to
-    :class:`~repro.analysis.dc.DCDetector`).
+    """Epoch-optimised DC detector (verdict-identical to
+    :class:`~repro.analysis.dc.DCDetector`, with the same graph edge
+    set).
 
     On top of the shared fast paths, DC enables the epoch gates (valid
     because DC propagates full post-force snapshots when transitive
@@ -794,8 +796,9 @@ class EpochDCDetector(_EpochDetectorBase):
 
     Args:
         build_graph: Build the constraint graph ``G`` alongside the
-            clocks (edge-for-edge identical to the reference detector,
-            including insertion order, so vindication behaves the same).
+            clocks, as a :class:`~repro.graph.program_order.ProgramOrderGraph`
+            holding the reference detector's edges other than program
+            order, which the trace implies.
         prefilter: Race-candidate variable set for the lockset fast path.
     """
 
@@ -806,7 +809,7 @@ class EpochDCDetector(_EpochDetectorBase):
                  prefilter: Optional[Collection[Target]] = None):
         super().__init__(prefilter)
         self.build_graph = build_graph
-        self.graph = ConstraintGraph()
+        self.graph: ConstraintGraph = ConstraintGraph()
         self._values: List[Optional[List[int]]] = []
         self._queues: List[Optional[DenseLockQueues]] = []
         self._cs_writes: Dict[int, DenseSourceClocks] = {}
@@ -816,23 +819,14 @@ class EpochDCDetector(_EpochDetectorBase):
         self._pending_fork: Dict[int, Tuple[int, List[int]]] = {}
         self._last_event: List[int] = []
         self._n_graph_edges = 0
-        # Graph edges are staged in a flat [src0, dst0, src1, dst1, ...]
-        # buffer and drained into the constraint graph at finish().
-        # Every reference edge is inserted while its destination event is
-        # being processed and events arrive in order, so the append order
-        # *is* the reference insertion order; nothing reads the graph
-        # mid-analysis (vindication and finalizers run post-finish).
-        self._ebuf: List[int] = []
 
     def begin_trace(self, trace: Trace) -> None:
         super().begin_trace(trace)
         assert self._ix is not None
-        # With graph building off the adjacency lists would never be
-        # touched; allocating 2*len(trace) sets is pure per-trace
-        # overhead on the no-graph hot path.  Consumers that need the
-        # graph (vindication, serve finish) always run with
-        # build_graph=True; the empty graph still grows on demand.
-        self.graph = (ConstraintGraph(len(trace)) if self.build_graph
+        # Program order is the trace's own, so the graph stores only
+        # the edges this detector adds. With graph building off it
+        # stays an empty plain graph.
+        self.graph = (ProgramOrderGraph(trace) if self.build_graph
                       else ConstraintGraph())
         self._n_graph_edges = 0
         self._values = [None] * self._T
@@ -845,12 +839,9 @@ class EpochDCDetector(_EpochDetectorBase):
         self._vol_reads = [None] * n_vols
         self._pending_fork = {}
         self._last_event = [-1] * self._T
-        self._ebuf = []
 
     def finish(self) -> RaceReport:
         assert self.report is not None, "begin_trace was never called"
-        if self._ebuf:
-            _k.drain_edges(self._ebuf, self.graph.add_edge)
         if self._n_graph_edges:
             counters = self.report.counters
             counters["graph_edges"] = (
@@ -871,12 +862,6 @@ class EpochDCDetector(_EpochDetectorBase):
         if values is None:
             values = self._values[ti] = [0] * self._T
         values[ti] = t
-        if self.build_graph:
-            prev = self._last_event[ti]
-            if prev >= 0:
-                ebuf = self._ebuf
-                ebuf.append(prev)
-                ebuf.append(eid)
         if self._pending_fork:
             pending = self._pending_fork.pop(ti, None)
             if pending is not None:
@@ -890,9 +875,7 @@ class EpochDCDetector(_EpochDetectorBase):
 
     def _add_edge(self, src: int, dst: int) -> None:
         if self.build_graph:
-            ebuf = self._ebuf
-            ebuf.append(src)
-            ebuf.append(dst)
+            self.graph.add_edge(src, dst)
             self._n_graph_edges += 1
 
     def _forced_order_dense(self, prior: Event, e: Event,
@@ -937,12 +920,6 @@ class EpochDCDetector(_EpochDetectorBase):
         if values is None:
             values = self._values[ti] = [0] * self._T
         values[ti] = t
-        if self.build_graph:
-            prev = self._last_event[ti]
-            if prev >= 0:
-                ebuf = self._ebuf
-                ebuf.append(prev)
-                ebuf.append(eid)
         if self._pending_fork:
             pending = self._pending_fork.pop(ti, None)
             if pending is not None:

@@ -130,10 +130,14 @@ def _print_report(report: VindicatorReport, show_witness: bool) -> None:
 
 
 def _read_trace(path: str) -> Optional[Trace]:
-    """Load a trace file, or print one line to stderr and return None
-    when the file is unreadable or malformed (the caller exits 2)."""
+    """Load a trace file inside a ``traces.load`` span, or print one
+    line to stderr and return None when the file is unreadable or
+    malformed (the caller exits 2)."""
     try:
-        return load_trace(path)
+        with obs.span("traces.load") as span:
+            trace = load_trace(path)
+            span.annotate("events", len(trace))
+        return trace
     except OSError as exc:
         print(f"cannot read trace {path!r}: {exc}", file=sys.stderr)
     except TraceFormatError as exc:

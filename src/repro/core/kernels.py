@@ -38,7 +38,6 @@ __all__ = [
     "scan_racing_sparse",
     "source_join_into_sparse",
     "rule_b_fixpoint_sparse",
-    "drain_edges",
 ]
 
 _K = TypeVar("_K")
@@ -295,31 +294,6 @@ def rule_b_fixpoint_sparse(records: Dict[Any, List[Any]],
                 i += 1
             cursors[tid] = i
     return new_sources
-
-
-def drain_edges(pairs: List[int],
-                   add_edge: Callable[[int, int], Any]) -> int:
-    """Drain a DC *edge buffer* into a constraint graph.
-
-    ``pairs`` is the flat append-ordered buffer the graph-building DC
-    detectors accumulate — ``[src0, dst0, src1, dst1, ...]`` — with one
-    (src, dst) pair per ``add_edge`` call the reference detector would
-    have made, in the reference's exact insertion order (every reference
-    edge is inserted while processing its destination event, and events
-    are processed in trace order, so a single append-ordered stream
-    reproduces it). Batching the pairs keeps the per-edge graph call
-    out of the per-event loop.
-
-    Calls ``add_edge(src, dst)`` for every pair, clears the buffer, and
-    returns the number of pairs drained.
-    """
-    it = iter(pairs)
-    n = 0
-    for src, dst in zip(it, it):
-        add_edge(src, dst)
-        n += 1
-    pairs.clear()
-    return n
 
 
 def active_backend() -> str:

@@ -16,13 +16,24 @@ VindicateRace then temporarily adds *consecutive-event* and
 afterwards, leaving ``G`` pristine for the next race (Section 6.1,
 "VindicateRace").
 
+:class:`ConstraintGraph` stores every edge, program order included: the
+reference DC detector and serve sessions build it, one ``prev(e) → e``
+edge per event. The epoch DC detector builds the subclass
+:class:`~repro.graph.program_order.ProgramOrderGraph`, which reads
+program order from the trace and stores only the other edges. Every
+query below is written against :meth:`successor_set` /
+:meth:`predecessor_set`, so it serves both.
+
 Adjacency is kept in both directions because AddConstraints queries
 direct predecessors of the racing events, and reachability is needed both
 forward (descendants) and backward (ancestors). Since event ids are dense
 trace positions, adjacency is an event-id-indexed array of per-node sets:
 ``has_edge`` and ``remove_edge`` are O(1), which matters under
 VindicateRace's add/remove-tagged-edges churn (one batch of temporary
-edges per vindicated race).
+edges per vindicated race). A set's iteration order depends on its
+add/remove history, so every read whose order matters (the cycle search
+here, the consecutive-edge loops of AddConstraints) goes in ascending
+eid order.
 
 The graph also keeps the set of its *backward* edges (``dst < src``).
 Every cycle has one, so the cycle search only has to look between the
@@ -42,7 +53,8 @@ way to invalidate only the closures a mutation can affect).
 from __future__ import annotations
 
 from collections import deque
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (Callable, Collection, FrozenSet, Iterable, Iterator,
+                    List, Optional, Sequence, Set, Tuple)
 
 Edge = Tuple[int, int]
 
@@ -56,9 +68,16 @@ class ConstraintGraph:
     #: Journal entries kept before consumers fall back to a full flush.
     _JOURNAL_LIMIT = 4096
 
+    #: Whether program-order edges are implied by the trace rather than
+    #: stored (see :class:`~repro.graph.program_order.ProgramOrderGraph`).
+    implicit_program_order = False
+
     def __init__(self, num_events: int = 0):
         self._succ: List[Set[int]] = [set() for _ in range(num_events)]
         self._pred: List[Set[int]] = [set() for _ in range(num_events)]
+        self._start_bookkeeping(num_events)
+
+    def _start_bookkeeping(self, num_events: int) -> None:
         self._edge_count = 0
         #: The edges with ``dst < src``; see :meth:`backward_span`.
         self._backward: Set[Edge] = set()
@@ -93,10 +112,6 @@ class ConstraintGraph:
             return False
         succ.add(dst)
         self._pred[dst].add(src)
-        if dst < src:
-            self._backward.add((src, dst))
-        self._edge_count += 1
-        self.generation += 1
         self._record(True, src, dst)
         return True
 
@@ -106,13 +121,18 @@ class ConstraintGraph:
             return
         self._succ[src].discard(dst)
         self._pred[dst].discard(src)
-        if dst < src:
-            self._backward.discard((src, dst))
-        self._edge_count -= 1
-        self.generation += 1
         self._record(False, src, dst)
 
     def _record(self, is_add: bool, src: int, dst: int) -> None:
+        """Bookkeeping for one stored edge added or removed: the edge
+        count, the backward set, the generation and the journal."""
+        if dst < src:
+            if is_add:
+                self._backward.add((src, dst))
+            else:
+                self._backward.discard((src, dst))
+        self._edge_count += 1 if is_add else -1
+        self.generation += 1
         journal = self._journal
         journal.append((is_add, src, dst))
         if len(journal) > self._JOURNAL_LIMIT:
@@ -171,6 +191,10 @@ class ConstraintGraph:
             for dst in succ:
                 yield (src, dst)
 
+    def stored_edges(self) -> Iterator[Edge]:
+        """The edges held in memory (every edge, here)."""
+        return self.edges()
+
     @property
     def edge_count(self) -> int:
         return self._edge_count
@@ -190,10 +214,13 @@ class ConstraintGraph:
                 max(src for src, _ in self._backward))
 
     def stats(self) -> "dict[str, int]":
-        """Structure counters for the metrics registry / reports."""
+        """Structure counters for the metrics registry / reports:
+        ``edges`` counts every edge, program order included, and
+        ``stored_edges`` the ones held in memory."""
         return {
             "nodes": self.num_events,
-            "edges": self._edge_count,
+            "edges": self.edge_count,
+            "stored_edges": self._edge_count,
             "generation": self.generation,
         }
 
@@ -209,15 +236,16 @@ class ConstraintGraph:
         With ``within=(lo, hi)``, traversal is restricted to nodes whose
         event id lies in the window (the paper's Lamport-timestamp window
         optimisation for AddConstraints)."""
-        return self._bfs(roots, self._succ, include_roots, within)
+        return self._bfs(roots, self.successor_set, include_roots, within)
 
     def ancestors(self, roots: Iterable[int],
                   include_roots: bool = False,
                   within: Optional[Tuple[int, int]] = None) -> Set[int]:
         """All nodes from which some root is reachable (``e ⇝_G root``)."""
-        return self._bfs(roots, self._pred, include_roots, within)
+        return self._bfs(roots, self.predecessor_set, include_roots, within)
 
-    def _bfs(self, roots: Iterable[int], adjacency: List[Set[int]],
+    def _bfs(self, roots: Iterable[int],
+             adjacency: Callable[[int], Collection[int]],
              include_roots: bool,
              within: Optional[Tuple[int, int]] = None) -> Set[int]:
         roots = list(roots)
@@ -228,7 +256,7 @@ class ConstraintGraph:
             node = queue.popleft()
             if node >= n or node < 0:
                 continue
-            for nxt in adjacency[node]:
+            for nxt in adjacency(node):
                 if nxt in seen:
                     continue
                 if within is not None and not within[0] <= nxt <= within[1]:
@@ -254,7 +282,7 @@ class ConstraintGraph:
         n = self.num_events
         while queue:
             node = queue.popleft()
-            for nxt in self._succ[node]:
+            for nxt in self.successor_set(node):
                 if nxt == dst:
                     return True
                 if nxt not in seen and nxt < n:
@@ -264,7 +292,7 @@ class ConstraintGraph:
 
     def _on_cycle(self, node: int) -> bool:
         seen: Set[int] = set()
-        queue = deque(self._succ[node])
+        queue = deque(self.successor_set(node))
         while queue:
             cur = queue.popleft()
             if cur == node:
@@ -272,8 +300,12 @@ class ConstraintGraph:
             if cur in seen:
                 continue
             seen.add(cur)
-            queue.extend(self._succ[cur])
+            queue.extend(self.successor_set(cur))
         return False
+
+    def _ordered_successors(self, node: int) -> Sequence[int]:
+        """The successors of ``node`` in ascending eid order."""
+        return sorted(self.successor_set(node))
 
     def find_cycle_reaching(self, targets: Set[int],
                             region: Optional[Set[int]] = None) -> Optional[List[int]]:
@@ -284,7 +316,9 @@ class ConstraintGraph:
         Implemented as an iterative DFS with colouring over the subgraph
         induced by the ancestors of ``targets`` (targets included) that
         lie in :meth:`backward_span`; with no backward edge there is no
-        cycle and no search. ``region`` optionally supplies the ancestor
+        cycle and no search. Roots and successors are visited in
+        ascending eid order, so the cycle found depends only on the
+        edge set, not on the order the edges were added and removed in. ``region`` optionally supplies the ancestor
         set precomputed (e.g. by
         :meth:`~repro.graph.cuts.CutIndex.ancestors_between`).
         """
@@ -299,11 +333,11 @@ class ConstraintGraph:
         WHITE, GRAY, BLACK = 0, 1, 2
         color: "dict[int, int]" = {}
         parent: "dict[int, int]" = {}
-        for root in region:
+        for root in sorted(region):
             if color.get(root, WHITE) != WHITE:
                 continue
             stack: List[Tuple[int, Iterator[int]]] = [
-                (root, iter(self.successor_set(root)))]
+                (root, iter(self._ordered_successors(root)))]
             color[root] = GRAY
             while stack:
                 node, it = stack[-1]
@@ -323,7 +357,8 @@ class ConstraintGraph:
                     if c == WHITE:
                         color[nxt] = GRAY
                         parent[nxt] = node
-                        stack.append((nxt, iter(self.successor_set(nxt))))
+                        stack.append(
+                            (nxt, iter(self._ordered_successors(nxt))))
                         advanced = True
                         break
                 if not advanced:

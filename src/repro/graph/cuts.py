@@ -1,22 +1,30 @@
 """Reachability in the constraint graph as per-thread cuts.
 
 VindicateRace (Algorithm 1) asks ``G`` for the ancestors and
-descendants of event sets and for ``reaches`` probes. ``G`` holds every
-program-order edge (the DC detectors add ``prev(e) → e`` for each
-event), so a strict ancestor set is closed downward in program order:
-it is a *cut*, one prefix per thread, stored as the latest 1-based local
-time it holds per thread (0 for none). A descendant set is closed
-upward: one suffix per thread, stored as the earliest local time it
-holds (``len(trace) + 1`` for none).
+descendants of event sets and for ``reaches`` probes. ``G`` contains
+every program-order edge ``prev(e) → e``: the production
+:class:`~repro.graph.program_order.ProgramOrderGraph` by construction
+(it reads PO from the trace), a plain
+:class:`~repro.graph.constraint_graph.ConstraintGraph` because the
+reference DC detector and serve sessions store one per event (checked
+at build; a graph without PO is refused). So a strict ancestor set is
+closed downward in program order: it is a *cut*, one prefix per
+thread, stored as the latest 1-based local time it holds per thread (0
+for none). A descendant set is closed upward: one suffix per thread,
+stored as the earliest local time it holds (``len(trace) + 1`` for
+none).
 
 :class:`CutIndex` keeps two cut tables over the trace, built once by
-one forward and one reverse pass over the graph's *forward* edges
-(``src < dst``). The forward-edge graph is acyclic, so an event's own
-thread contributes exactly its program-order prefix (suffix) and the
-tables only have to carry the other threads. An event whose only
-forward in-edge (out-edge) is the program-order one shares its thread
-neighbour's tuple; only events with a cross-thread edge get a tuple of
-their own.
+one forward and one reverse pass over the graph's *forward* cross-thread
+edges (``src < dst``, different threads). The forward-edge graph is
+acyclic, so an event's own thread contributes exactly its program-order
+prefix (suffix) and the tables only have to carry the other threads.
+An event's cut is its thread neighbour's unless it is a *junction*: the
+sink of a forward cross-thread edge (forward pass) or its source
+(reverse pass). So the passes visit only the junctions, in eid order
+and in reverse, and keep per thread the junctions' local times and
+cuts; any other event's cut is that of the nearest earlier junction of
+its thread (nearest later one for descendant cuts), found by bisection.
 
 Every other edge is an *overlay* edge: the backward edges present at
 build time, and whatever was added since, read from the graph's
@@ -63,12 +71,20 @@ class CutIndex:
         self.trace = trace
         self._generation = -1
         self._journal_pos = 0
-        #: Per event: the strict ancestor cut (descendant cut) of the
-        #: forward-edge graph, own-thread entry excepted; None until built.
-        self._anc: Optional[List[Cut]] = None
-        self._desc: List[Cut] = []
-        #: Per event: its thread's index into the cut tuples.
-        self._thread: List[int] = []
+        #: Per thread index: the local times of the thread's forward-pass
+        #: junctions, ascending, and their strict ancestor cuts in the
+        #: forward-edge graph (own-thread entry excepted); None until
+        #: built.
+        self._anc_at: Optional[List[List[int]]] = None
+        self._anc_cuts: List[List[Cut]] = []
+        #: Per thread index: the *negated* local times of the thread's
+        #: reverse-pass junctions, ascending, and their descendant cuts.
+        self._desc_at: List[List[int]] = []
+        self._desc_cuts: List[List[Cut]] = []
+        self._zero: Cut = ()
+        self._none: Cut = ()
+        #: Thread id -> the thread's index into the cut tuples.
+        self._index_of: Dict[Tid, int] = {}
         #: Per thread index: the thread's event ids in program order.
         self._eids: List[Sequence[int]] = []
         #: ``(thread index, tid, lock, sorted local times)`` of the
@@ -93,7 +109,7 @@ class CutIndex:
         graph = self.graph
         if self._generation == graph.generation:
             return
-        if self._anc is None:
+        if self._anc_at is None:
             self._build()
             return
         self._generation = graph.generation
@@ -121,96 +137,120 @@ class CutIndex:
             self.misses += 1
             self._overlay = dict.fromkeys(sorted(graph.backward_edges()))
             threads = trace.threads
-            index_of = {tid: i for i, tid in enumerate(threads)}
-            self._thread = thread = [index_of[e.tid] for e in trace.events]
+            self._index_of = {tid: i for i, tid in enumerate(threads)}
             self._eids = [trace.eids_of(tid) for tid in threads]
-            self._index_locks(index_of)
-            self._anc = self._forward_pass(len(threads))
-            self._desc = self._reverse_pass(len(threads))
+            width = len(threads)
+            self._zero = (0,) * width
+            self._none = (len(trace) + 1,) * width
+            self._index_locks()
+            if not graph.implicit_program_order:
+                self._check_program_order()
+            into, out_of = self._cross_edges()
+            self._forward_pass(into)
+            self._reverse_pass(out_of)
             self._generation = graph.generation
             self._journal_pos = graph.journal_position
-            span.annotate("events", len(thread))
-            span.annotate("threads", len(threads))
+            span.annotate("events", len(trace))
+            span.annotate("threads", width)
+            span.annotate("junctions", len(into.keys() | out_of.keys()))
             span.annotate("cuts", self.footprint()["closure_entries"])
 
-    def _forward_pass(self, width: int) -> List[Cut]:
-        """Ancestor cuts in eid order: an event's cut joins its thread
-        predecessor's with each cross-thread forward predecessor's cut
-        and local time."""
-        graph = self.graph
-        thread, local = self._thread, self.trace.local_time
-        n = len(thread)
-        table: List[Cut] = [()] * n
-        previous = [-1] * width
-        zero: Cut = (0,) * width
-        for eid in range(n):
-            t = thread[eid]
-            prev = previous[t]
-            previous[t] = eid
-            cut = table[prev] if prev >= 0 else zero
-            preds = graph.predecessor_set(eid)
-            if prev >= 0:
-                if prev not in preds:
+    def _check_program_order(self) -> None:
+        """Refuse a graph that stores its edges but lacks a PO edge."""
+        has_edge = self.graph.has_edge
+        for eids in self._eids:
+            for prev, eid in zip(eids, eids[1:]):
+                if not has_edge(prev, eid):
                     raise ValueError(
                         f"constraint graph lacks the program-order edge "
                         f"{prev} -> {eid}; cuts represent reachability only "
                         "in graphs that contain PO")
-                if len(preds) == 1:
-                    table[eid] = cut
-                    continue
-            joined: Optional[List[int]] = None
-            for pred in preds:
-                if pred > eid:
-                    continue  # backward: an overlay edge
-                tp = thread[pred]
-                if tp == t:
-                    continue  # implied by program order
-                joined = list(map(max, joined or cut, table[pred]))
-                if joined[tp] < local[pred]:
-                    joined[tp] = local[pred]
-            table[eid] = cut if joined is None else tuple(joined)
-        return table
 
-    def _reverse_pass(self, width: int) -> List[Cut]:
-        """Descendant cuts in reverse eid order, the mirror image of
-        :meth:`_forward_pass` (the program-order check is done there)."""
-        graph = self.graph
-        thread, local = self._thread, self.trace.local_time
-        n = len(thread)
-        table: List[Cut] = [()] * n
-        following = [-1] * width
-        none: Cut = (n + 1,) * width
-        for eid in range(n - 1, -1, -1):
-            t = thread[eid]
-            nxt = following[t]
-            following[t] = eid
-            cut = table[nxt] if nxt >= 0 else none
-            succs = graph.successor_set(eid)
-            if not succs or (nxt >= 0 and len(succs) == 1):
-                table[eid] = cut  # no out-edge, or only the PO one
-                continue
-            joined: Optional[List[int]] = None
-            for succ in succs:
-                if succ < eid:
-                    continue
-                ts = thread[succ]
-                if ts == t:
-                    continue
-                joined = list(map(min, joined or cut, table[succ]))
-                if joined[ts] > local[succ]:
-                    joined[ts] = local[succ]
-            table[eid] = cut if joined is None else tuple(joined)
-        return table
+    def _cross_edges(self) -> Tuple[Dict[int, List[int]],
+                                    Dict[int, List[int]]]:
+        """The graph's forward edges between threads, grouped by sink
+        and by source. Their sinks are the forward pass's junctions and
+        their sources the reverse pass's: every other event's cut is its
+        thread neighbour's."""
+        thread_of = self.thread_of
+        into: Dict[int, List[int]] = {}
+        out_of: Dict[int, List[int]] = {}
+        for src, dst in self.graph.stored_edges():
+            if src < dst and thread_of(src) != thread_of(dst):
+                into.setdefault(dst, []).append(src)
+                out_of.setdefault(src, []).append(dst)
+        return into, out_of
 
-    def _index_locks(self, index_of: Dict[Tid, int]) -> None:
+    def _forward_pass(self, into: Dict[int, List[int]]) -> None:
+        """Ancestor cuts of the junctions in eid order: a junction's cut
+        joins its thread predecessor's with each cross-thread forward
+        predecessor's cut and local time."""
+        local, thread_of = self.trace.local_time, self.thread_of
+        width = len(self._eids)
+        self._anc_at = at = [[] for _ in range(width)]
+        self._anc_cuts = cuts = [[] for _ in range(width)]
+        anc_at = self._anc_at_time
+        for eid in sorted(into):
+            t = thread_of(eid)
+            preds = [(thread_of(pred), local[pred]) for pred in into[eid]]
+            joined = list(map(max, anc_at(t, local[eid] - 1),
+                              *[anc_at(tp, time) for tp, time in preds]))
+            for tp, time in preds:
+                if joined[tp] < time:
+                    joined[tp] = time
+            at[t].append(local[eid])
+            cuts[t].append(tuple(joined))
+
+    def _reverse_pass(self, out_of: Dict[int, List[int]]) -> None:
+        """Descendant cuts of the junctions in reverse eid order, the
+        mirror image of :meth:`_forward_pass`."""
+        local, thread_of = self.trace.local_time, self.thread_of
+        width = len(self._eids)
+        self._desc_at = at = [[] for _ in range(width)]
+        self._desc_cuts = cuts = [[] for _ in range(width)]
+        desc_at = self._desc_at_time
+        for eid in sorted(out_of, reverse=True):
+            t = thread_of(eid)
+            succs = [(thread_of(succ), local[succ]) for succ in out_of[eid]]
+            joined = list(map(min, desc_at(t, local[eid] + 1),
+                              *[desc_at(ts, time) for ts, time in succs]))
+            for ts, time in succs:
+                if joined[ts] > time:
+                    joined[ts] = time
+            at[t].append(-local[eid])
+            cuts[t].append(tuple(joined))
+
+    def _anc_at_time(self, t: int, time: int) -> Cut:
+        """The table ancestor cut of thread ``t``'s event at local time
+        ``time``: its latest junction's at or before it."""
+        i = bisect_right(self._anc_at[t], time)
+        return self._anc_cuts[t][i - 1] if i else self._zero
+
+    def _desc_at_time(self, t: int, time: int) -> Cut:
+        """The table descendant cut of thread ``t``'s event at local
+        time ``time``: its earliest junction's at or after it."""
+        i = bisect_right(self._desc_at[t], -time)
+        return self._desc_cuts[t][i - 1] if i else self._none
+
+    def _anc(self, eid: int) -> Cut:
+        return self._anc_at_time(self.thread_of(eid),
+                                 self.trace.local_time[eid])
+
+    def _desc(self, eid: int) -> Cut:
+        return self._desc_at_time(self.thread_of(eid),
+                                  self.trace.local_time[eid])
+
+    def _index_locks(self) -> None:
         """Per (thread, lock): sorted local times of acquires and releases."""
-        local = self.trace.local_time
+        index_of, local = self._index_of, self.trace.local_time
         acquires: Dict[Tuple[Tid, Target], List[int]] = {}
         releases: Dict[Tuple[Tid, Target], List[int]] = {}
+        acquire, release = EventKind.ACQUIRE, EventKind.RELEASE
         for e in self.trace.events:
-            if e.kind is EventKind.ACQUIRE:
+            kind = e.kind
+            if kind is acquire:
                 acquires.setdefault((e.tid, e.target), []).append(local[e.eid])
-            elif e.kind is EventKind.RELEASE:
+            elif kind is release:
                 releases.setdefault((e.tid, e.target), []).append(local[e.eid])
         self._acquires = [(index_of[tid], tid, lock, times)
                           for (tid, lock), times in acquires.items()]
@@ -227,13 +267,12 @@ class CutIndex:
         """The strict ancestor set of ``roots`` as a cut: per thread
         index, the latest local time it holds (0 for none)."""
         self.sync()
-        anc, thread, local = self._anc, self._thread, self.trace.local_time
-        assert anc is not None
+        anc, thread, local = self._anc, self.thread_of, self.trace.local_time
         roots = tuple(roots)
-        cut = [0] * len(self._eids)
+        cut = list(self._zero)
         for root in roots:
-            cut = list(map(max, cut, anc[root]))
-            t = thread[root]
+            cut = list(map(max, cut, anc(root)))
+            t = thread(root)
             if cut[t] < local[root] - 1:
                 cut[t] = local[root] - 1
         pending = list(self._overlay)
@@ -241,9 +280,9 @@ class CutIndex:
         while pending:
             rest = []
             for src, dst in pending:
-                if dst in roots or local[dst] <= cut[thread[dst]]:
-                    cut = list(map(max, cut, anc[src]))
-                    t = thread[src]
+                if dst in roots or local[dst] <= cut[thread(dst)]:
+                    cut = list(map(max, cut, anc(src)))
+                    t = thread(src)
                     if cut[t] < local[src]:
                         cut[t] = local[src]
                     joined = True
@@ -260,12 +299,12 @@ class CutIndex:
         index, the earliest local time it holds (``len(trace) + 1`` for
         none)."""
         self.sync()
-        desc, thread, local = self._desc, self._thread, self.trace.local_time
+        desc, thread, local = self._desc, self.thread_of, self.trace.local_time
         roots = tuple(roots)
-        cut = [len(thread) + 1] * len(self._eids)
+        cut = list(self._none)
         for root in roots:
-            cut = list(map(min, cut, desc[root]))
-            t = thread[root]
+            cut = list(map(min, cut, desc(root)))
+            t = thread(root)
             if cut[t] > local[root] + 1:
                 cut[t] = local[root] + 1
         pending = list(self._overlay)
@@ -273,9 +312,9 @@ class CutIndex:
         while pending:
             rest = []
             for src, dst in pending:
-                if src in roots or local[src] >= cut[thread[src]]:
-                    cut = list(map(min, cut, desc[dst]))
-                    t = thread[dst]
+                if src in roots or local[src] >= cut[thread(src)]:
+                    cut = list(map(min, cut, desc(dst)))
+                    t = thread(dst)
                     if cut[t] > local[dst]:
                         cut[t] = local[dst]
                     joined = True
@@ -295,11 +334,11 @@ class CutIndex:
 
     def holds(self, cut: Cut, eid: int) -> bool:
         """Whether the ancestor cut ``cut`` holds event ``eid``."""
-        return self.trace.local_time[eid] <= cut[self._thread[eid]]
+        return self.trace.local_time[eid] <= cut[self.thread_of(eid)]
 
     def thread_of(self, eid: int) -> int:
         """The index of event ``eid``'s thread in the cut tuples."""
-        return self._thread[eid]
+        return self._index_of[self.trace.events[eid].tid]
 
     def cut_events(self, cut: Cut) -> Set[int]:
         """The event ids an ancestor cut holds."""
@@ -369,7 +408,7 @@ class CutIndex:
     def latest_acquires(self, src: int) -> Dict[Tuple[Tid, Target], Event]:
         """Per (thread, lock), the latest acquire in ``anc(src) ∪ {src}``."""
         cut = list(self.ancestor_cut((src,)))
-        own = self._thread[src]
+        own = self.thread_of(src)
         cut[own] = max(cut[own], self.trace.local_time[src])
         events = self.trace.events
         found: Dict[Tuple[Tid, Target], Event] = {}
@@ -382,7 +421,7 @@ class CutIndex:
     def earliest_releases(self, snk: int) -> Dict[Tuple[Tid, Target], Event]:
         """Per (thread, lock), the earliest release in ``desc(snk) ∪ {snk}``."""
         cut = list(self.descendant_cut((snk,)))
-        own = self._thread[snk]
+        own = self.thread_of(snk)
         cut[own] = min(cut[own], self.trace.local_time[snk])
         events = self.trace.events
         found: Dict[Tuple[Tid, Target], Event] = {}
@@ -404,12 +443,14 @@ class CutIndex:
         }
 
     def footprint(self) -> Dict[str, int]:
-        """Table size: distinct cut tuples, and bytes of the two tables,
-        their distinct tuples and the per-event thread index (zero before
-        the first build)."""
-        if self._anc is None:
+        """Table size: the junctions' cut tuples, and bytes of the
+        per-thread junction lists and their tuples (zero before the
+        first build)."""
+        if self._anc_at is None:
             return {"closure_entries": 0, "closure_bytes": 0}
-        cuts = {id(c): c for c in chain(self._anc, self._desc)}
-        size = sum(map(sys.getsizeof, (self._anc, self._desc, self._thread)))
-        return {"closure_entries": len(cuts),
-                "closure_bytes": size + sum(map(sys.getsizeof, cuts.values()))}
+        lists = [*self._anc_at, *self._anc_cuts, *self._desc_at,
+                 *self._desc_cuts]
+        cuts = [*chain.from_iterable(self._anc_cuts),
+                *chain.from_iterable(self._desc_cuts)]
+        size = sum(map(sys.getsizeof, chain(lists, cuts)))
+        return {"closure_entries": len(cuts), "closure_bytes": size}

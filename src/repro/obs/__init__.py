@@ -28,6 +28,7 @@ import io
 from contextlib import contextmanager
 from typing import Dict, Iterator, Mapping, Optional
 
+from repro.obs.collector import CollectorWatch
 from repro.obs.export import (
     JsonlWriter,
     meta_record,
@@ -71,6 +72,7 @@ __all__ = [
 
 _metrics: AnyRegistry = NULL_REGISTRY
 _tracer: AnyTracer = NULL_TRACER
+_collector: Optional[CollectorWatch] = None
 
 
 def metrics() -> AnyRegistry:
@@ -95,17 +97,26 @@ def enabled() -> bool:
 
 def enable(sample_memory: bool = True, deep_memory: bool = False,
            on_close: Optional[CloseHook] = None) -> MetricsRegistry:
-    """Install a fresh live registry + tracer; returns the registry."""
-    global _metrics, _tracer
-    _metrics = MetricsRegistry()
-    _tracer = Tracer(sample_memory=sample_memory, deep_memory=deep_memory,
-                     on_close=on_close)
-    return _metrics
+    """Install a fresh live registry + tracer, and a collector watch
+    feeding them (:mod:`repro.obs.collector`); returns the registry."""
+    global _metrics, _tracer, _collector
+    disable()
+    registry = MetricsRegistry()
+    live = Tracer(sample_memory=sample_memory, deep_memory=deep_memory,
+                  on_close=on_close)
+    _metrics, _tracer = registry, live
+    _collector = CollectorWatch(registry, live)
+    _collector.install()
+    return registry
 
 
 def disable() -> None:
-    """Restore the null registry + tracer (the default state)."""
-    global _metrics, _tracer
+    """Restore the null registry + tracer (the default state) and
+    remove the collector watch."""
+    global _metrics, _tracer, _collector
+    if _collector is not None:
+        _collector.uninstall()
+        _collector = None
     _metrics = NULL_REGISTRY
     _tracer = NULL_TRACER
 

@@ -147,13 +147,33 @@ _HISTOGRAM = {
     },
 }
 
+_INTEGER = {"type": "integer"}
+
+#: Collector attribution (``repro.obs.collector``): present once a
+#: collection has run while observability was on.
+_GC_COUNTERS = {
+    "type": "object",
+    "additionalProperties": _NUMBER,
+    "properties": {
+        "runtime.gc.collections.gen0": _INTEGER,
+        "runtime.gc.collections.gen1": _INTEGER,
+        "runtime.gc.collections.gen2": _INTEGER,
+        "runtime.gc_pause_s": _NUMBER,
+    },
+}
+_GC_GAUGES = {
+    "type": "object",
+    "additionalProperties": _NUMBER,
+    "properties": {"runtime.gc_pause_max_s": _NUMBER},
+}
+
 _METRICS_SNAPSHOT = {
     "type": "object",
     "required": ["counters", "gauges", "histograms"],
     "additionalProperties": False,
     "properties": {
-        "counters": _COUNTS,
-        "gauges": _COUNTS,
+        "counters": _GC_COUNTERS,
+        "gauges": _GC_GAUGES,
         "histograms": {"type": "object", "additionalProperties": _HISTOGRAM},
     },
 }

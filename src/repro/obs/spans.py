@@ -259,6 +259,11 @@ class Tracer:
     def depth(self) -> int:
         return len(self._stack)
 
+    @property
+    def innermost(self) -> Optional[Span]:
+        """The innermost open span, or None."""
+        return self._stack[-1] if self._stack else None
+
     def total_seconds(self) -> float:
         return sum(root.elapsed_seconds for root in self.roots)
 

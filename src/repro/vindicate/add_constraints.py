@@ -119,10 +119,12 @@ def add_constraints(graph: ConstraintGraph, trace: Trace,
         return True
 
     # --- Consecutive-event constraints (lines 12–13) -------------------
-    for src in list(graph.predecessors(e1.eid)):
+    # In ascending eid order: the edges' order drives the LS fixpoint,
+    # and must not depend on the graph's adjacency history.
+    for src in sorted(graph.predecessors(e1.eid)):
         if add(src, e2.eid):
             result.consecutive_edges += 1
-    for src in list(graph.predecessors(e2.eid)):
+    for src in sorted(graph.predecessors(e2.eid)):
         if add(src, e1.eid):
             result.consecutive_edges += 1
 

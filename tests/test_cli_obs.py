@@ -92,7 +92,10 @@ class TestGlobalMetricsFlag:
         doc = json.loads(out_path.read_text())
         validate_snapshot(doc)
         assert doc["metrics"]["counters"]["analysis.dc_epoch.events"] == 12
-        assert doc["spans"][0]["name"] == "pipeline.run"
+        # Loading the trace is its own root span, before the pipeline.
+        assert [s["name"] for s in doc["spans"]] == ["traces.load",
+                                                     "pipeline.run"]
+        assert doc["spans"][0]["counts"]["events"] == 12
 
     def test_prometheus_text(self, trace_file, tmp_path, capsys):
         out_path = tmp_path / "run.prom"

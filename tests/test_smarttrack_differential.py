@@ -4,7 +4,8 @@
 :class:`~repro.analysis.smarttrack.EpochDCDetector` are *optimisations*,
 never semantic changes: for every trace they must report the same races
 in the same order, the same per-access ``racing_at`` sets, the same
-counters, and (for DC) the same constraint-graph edge list as
+counters, and (for DC) the same constraint-graph edge set, program
+order expanded, as
 :class:`~repro.analysis.wcp.WCPDetector` /
 :class:`~repro.analysis.dc.DCDetector` — under every combination of the
 ``force_order`` / ``transitive_force`` flags and with or without the
@@ -67,7 +68,7 @@ def assert_equivalent(ref, fast, trace, flags=(True, True), graphs=False):
     assert dict(ref.racing_at) == dict(fast.racing_at)
     assert ref_report.counters == fast_report.counters
     if graphs:
-        assert list(ref.graph.edges()) == list(fast.graph.edges())
+        assert sorted(ref.graph.edges()) == sorted(fast.graph.edges())
     return fast
 
 
