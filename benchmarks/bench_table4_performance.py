@@ -33,13 +33,13 @@ import pytest
 
 from repro.analysis.dc import DCDetector
 from repro.analysis.hb import HBDetector
-from repro.analysis.smarttrack import EpochDCDetector, EpochWCPDetector
+from repro.analysis.smarttrack import (EpochDCDetector, EpochHBDetector,
+                                       EpochWCPDetector)
 from repro.analysis.wcp import WCPDetector
 from repro.obs.memory import traced_heap_peak_kb
 from repro.obs.timing import best_of
 from repro.runtime import execute, fast_path_filter
 from repro.runtime.workloads import WORKLOADS
-from repro.static.lockset import analyze_locksets
 
 from harness import write_json, write_result
 
@@ -71,6 +71,7 @@ def replay(trace):
 CONFIGS = [
     ("replay (no analysis)", None),
     ("HB", lambda: HBDetector()),
+    ("HB epoch", lambda: EpochHBDetector()),
     ("WCP", lambda: WCPDetector()),
     ("WCP epoch", lambda: EpochWCPDetector()),
     ("DC (no graph)", lambda: DCDetector(build_graph=False)),
@@ -88,27 +89,11 @@ def _run(trace, factory):
     return detector
 
 
-#: Ablation: the same detectors with the lockset pre-filter on/off.
-#: Factories take ``prefilter=`` so each can run both ways.
-ABLATION_CONFIGS = [
-    ("HB", lambda **kw: HBDetector(**kw)),
-    ("WCP", lambda **kw: WCPDetector(**kw)),
-    ("DC (no graph)", lambda **kw: DCDetector(build_graph=False, **kw)),
-]
-
 
 @pytest.mark.parametrize("label,factory", CONFIGS,
                          ids=[label for label, _ in CONFIGS])
 def test_analysis_throughput(perf_trace, benchmark, label, factory):
     benchmark(lambda: _run(perf_trace, factory))
-
-
-@pytest.mark.parametrize("label,factory", ABLATION_CONFIGS,
-                         ids=[f"{label}+prefilter"
-                              for label, _ in ABLATION_CONFIGS])
-def test_prefilter_throughput(perf_trace, benchmark, label, factory):
-    candidates = analyze_locksets(perf_trace.events).race_candidates
-    benchmark(lambda: factory(prefilter=candidates).analyze(perf_trace))
 
 
 def test_table4_summary(perf_trace, benchmark):
@@ -153,38 +138,6 @@ def test_table4_summary(perf_trace, benchmark):
                      f"{counters.get('reach_misses', 0):,} misses, "
                      f"{counters.get('reach_invalidations', 0):,} "
                      "invalidations")
-    # Lockset pre-filter ablation: each detector with the filter off vs
-    # on, same trace.  "on" timings include the lockset pass itself (it
-    # is amortised across the three detectors in a real Vindicator run,
-    # but charging it fully keeps the speedups honest).
-    lockset = analyze_locksets(perf_trace.events)
-    candidates = lockset.race_candidates
-    lines.append("")
-    lines.append(f"Lockset pre-filter ablation ({lockset.summary()}):")
-    lines.append(f"{'configuration':22s} | {'off ev/s':>12s} | "
-                 f"{'on ev/s':>12s} | {'speedup':>8s}")
-    lines.append("-" * 64)
-    speedups = {}
-    for label, factory in ABLATION_CONFIGS:
-        off_report = factory().analyze(perf_trace)
-        off = best_of(lambda: factory().analyze(perf_trace))
-        on_report = factory(prefilter=candidates).analyze(perf_trace)
-        on = best_of(lambda: (analyze_locksets(perf_trace.events),
-                              factory(prefilter=candidates)
-                              .analyze(perf_trace)))
-        # The filter must not change what the detector finds.
-        assert ([(r.first.eid, r.second.eid) for r in off_report.races]
-                == [(r.first.eid, r.second.eid) for r in on_report.races]), \
-            f"{label}: pre-filter changed the race set"
-        speedups[label] = off / on
-        lines.append(f"{label:22s} | {len(perf_trace) / off:12,.0f} | "
-                     f"{len(perf_trace) / on:12,.0f} | "
-                     f"{off / on:7.2f}x")
-    skipped = on_report.counters["lockset_skipped"]
-    checked = on_report.counters["lockset_checked"]
-    lines.append(f"filter hit rate: {skipped:,} of {skipped + checked:,} "
-                 f"access checks skipped "
-                 f"({skipped / (skipped + checked):.0%})")
     write_result("table4.txt", "\n".join(lines))
     write_json("BENCH_table4.json", {
         "trace": {"workload": "xalan", "scale": 2.0, "seed": 1,
@@ -196,17 +149,7 @@ def test_table4_summary(perf_trace, benchmark):
              "heap_peak_kb": heap_kb,
              "slowdown_vs_replay": round(slowdown, 2)}
             for label, elapsed, throughput, slowdown, heap_kb in rows],
-        "prefilter_ablation": {
-            "summary": lockset.summary(),
-            "speedups": {label: round(ratio, 3)
-                         for label, ratio in speedups.items()},
-            "hit_rate": round(skipped / (skipped + checked), 4),
-        },
     })
-
-    # Acceptance: the pre-filter buys a measurable speedup on at least
-    # one configuration without changing any verdict (asserted above).
-    assert max(speedups.values()) >= 1.3, speedups
 
     throughputs = {label: tp for label, _, tp, _, _ in rows}
     # The relative ordering the paper's Table 4 shape implies.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.core import kernels as _k
@@ -107,31 +107,15 @@ class Detector(abc.ABC):
     Subclasses set :attr:`relation` and implement the event hooks that
     define the relation's clock updates. The base class provides event
     dispatch, the access history, the race check, and race recording.
-
-    Args:
-        prefilter: When given, the set of *race-candidate* variables
-            from the lockset pre-analysis
-            (:func:`repro.static.lockset.analyze_locksets`); the race
-            check and access-history bookkeeping are skipped for every
-            other variable. The verdicts over-approximate race
-            candidates, so the filter cannot change which races are
-            reported — it only removes provably fruitless work. Clock
-            updates (including rule (a) critical-section recording)
-            always run: they define the relation for *other* variables.
     """
 
     #: Relation name, e.g. ``"HB"``; set by subclasses.
     relation: str = "?"
 
-    def __init__(self, prefilter: Optional[Collection[Target]] = None):
+    def __init__(self) -> None:
         self.trace: Optional[Trace] = None
         self.report: Optional[RaceReport] = None
         self._history: Dict[Target, AccessHistory] = {}
-        #: Race-candidate variables, or None to race-check every access.
-        self.prefilter: Optional[FrozenSet[Target]] = (
-            None if prefilter is None else frozenset(prefilter))
-        self._filter_skips = 0
-        self._filter_checks = 0
         #: Per-thread memo of the last clock snapshot taken by
         #: :meth:`check_access`: ``tid -> (clock object, snapshot,
         #: version at copy time)``. While the clock object is unchanged
@@ -188,17 +172,12 @@ class Detector(abc.ABC):
         self.report = RaceReport(relation=self.relation)
         self._history = {}
         self.racing_at = {}
-        self._filter_skips = 0
-        self._filter_checks = 0
         self._snap_cache = {}
         self._n_joins = 0
 
     def finish(self) -> RaceReport:
         """Return the report for the trace processed so far."""
         assert self.report is not None, "begin_trace was never called"
-        if self.prefilter is not None:
-            self.report.counters["lockset_skipped"] = self._filter_skips
-            self.report.counters["lockset_checked"] = self._filter_checks
         reg = obs.metrics()
         if reg.enabled:
             self._publish(reg)
@@ -315,17 +294,7 @@ class Detector(abc.ABC):
         unordered and therefore racing. After reporting, all racing priors
         are force-ordered into ``clock`` so subsequent races are
         independent (Section 6.1, "Handling DC-races").
-
-        With a :attr:`prefilter` installed, accesses to variables that
-        provably cannot race skip the check (and its clock snapshot)
-        entirely. No force-ordering is lost: forcing only follows a
-        race, and filtered variables have none.
         """
-        if self.prefilter is not None:
-            if e.target not in self.prefilter:
-                self._filter_skips += 1
-                return None
-            self._filter_checks += 1
         assert self.trace is not None
         tid = e.tid
         history = self._history.get(e.target)

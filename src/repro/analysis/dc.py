@@ -17,7 +17,7 @@ the clocks and the graph.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.events import Event, Target, Tid
 from repro.core.exceptions import MalformedTraceError
@@ -37,15 +37,12 @@ class DCDetector(Detector):
         build_graph: Whether to build the constraint graph ``G``
             alongside the vector clocks (needed for vindication; can be
             disabled to measure the pure analysis cost).
-        prefilter: Race-candidate variable set for the lockset fast
-            path (see :class:`~repro.analysis.base.Detector`).
     """
 
     relation = "DC"
 
-    def __init__(self, build_graph: bool = True,
-                 prefilter: Optional[Collection[Target]] = None):
-        super().__init__(prefilter)
+    def __init__(self, build_graph: bool = True):
+        super().__init__()
         self.build_graph = build_graph
         self.graph = ConstraintGraph()
         self._clocks: Dict[Tid, VectorClock] = {}

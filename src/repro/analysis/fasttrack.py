@@ -16,7 +16,7 @@ metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.events import Event, Target, Tid
 from repro.core.trace import Trace
@@ -47,8 +47,8 @@ class FastTrackDetector(HBDetector):
 
     relation = "HB/FastTrack"
 
-    def __init__(self, prefilter: Optional[Collection[Target]] = None):
-        super().__init__(prefilter)
+    def __init__(self) -> None:
+        super().__init__()
         self._vars: Dict[Target, _VarState] = {}
         #: Same-epoch write fast-path hits — FastTrack's headline O(1)
         #: case. A plain int on the per-event hot path; folded into the
@@ -81,22 +81,8 @@ class FastTrackDetector(HBDetector):
         self.racing_at.setdefault(e.eid, frozenset())
         self.racing_at[e.eid] = self.racing_at[e.eid] | {prior.eid}
 
-    def _filtered(self, e: Event) -> bool:
-        """Lockset fast path: FastTrack bypasses ``check_access``, so the
-        pre-filter gate lives here (after the clock advance, which is
-        relation bookkeeping and must always run)."""
-        if self.prefilter is None:
-            return False
-        if e.target not in self.prefilter:
-            self._filter_skips += 1
-            return True
-        self._filter_checks += 1
-        return False
-
     def on_read(self, e: Event) -> None:
         clock = self._advance(e)
-        if self._filtered(e):
-            return
         state = self._vars.setdefault(e.target, _VarState())
         assert self.trace is not None
         my_time = self.trace.local_time[e.eid]
@@ -124,8 +110,6 @@ class FastTrackDetector(HBDetector):
 
     def on_write(self, e: Event) -> None:
         clock = self._advance(e)
-        if self._filtered(e):
-            return
         state = self._vars.setdefault(e.target, _VarState())
         assert self.trace is not None
         my_time = self.trace.local_time[e.eid]

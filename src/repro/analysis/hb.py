@@ -11,7 +11,7 @@ HB is the baseline relation: it is sound but predicts the fewest races
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Optional
+from typing import Dict, Optional
 
 from repro.core.events import Event, Target, Tid
 from repro.core.trace import Trace
@@ -24,8 +24,8 @@ class HBDetector(Detector):
 
     relation = "HB"
 
-    def __init__(self, prefilter: Optional[Collection[Target]] = None):
-        super().__init__(prefilter)
+    def __init__(self) -> None:
+        super().__init__()
         self._clocks: Dict[Tid, VectorClock] = {}
         self._lock_clocks: Dict[Target, VectorClock] = {}
         self._volatile_writes: Dict[Target, VectorClock] = {}

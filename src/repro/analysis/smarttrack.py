@@ -1,10 +1,14 @@
-"""SmartTrack-style epoch & ownership fast paths for WCP and DC.
+"""SmartTrack-style epoch & ownership fast paths for HB, WCP and DC.
 
-:class:`EpochWCPDetector` and :class:`EpochDCDetector` are drop-in
-replacements for :class:`~repro.analysis.wcp.WCPDetector` and
+:class:`EpochHBDetector`, :class:`EpochWCPDetector` and
+:class:`EpochDCDetector` are drop-in replacements for
+:class:`~repro.analysis.hb.HBDetector`,
+:class:`~repro.analysis.wcp.WCPDetector` and
 :class:`~repro.analysis.dc.DCDetector` that report *identical* races
-(and, for DC, a constraint graph with the same edge set, kept with
-program order implicit) while doing substantially less work per event.
+and ``racing_at`` sets (and, for DC, a constraint graph with the same
+edge set, kept with program order implicit) while doing substantially
+less work per event. All three read one shared per-trace index, so the
+lockstep pipeline preprocesses a trace once.
 They follow SmartTrack [Roemer, Genç & Bond, PLDI 2020], which ported
 FastTrack's [Flanagan & Freund 2009] epoch/ownership ideas to the
 predictive analyses, adapted to this repo's exact reference semantics:
@@ -25,17 +29,27 @@ predictive analyses, adapted to this repo's exact reference semantics:
   scan — and therefore race reporting and forced-ordering order — is
   bit-identical.
 
-* **Epoch gates (DC only)** — after promotion, the last write is also
-  kept as a FastTrack-style epoch ``t@u``, plus a chained
+* **Epoch gates (HB and DC)** — after promotion, the last write is
+  also kept as a FastTrack-style epoch ``t@u``, plus a chained
   single-read epoch for the reads since that write. When the current
   clock covers the write epoch, *every* prior write (and every read up
   to that write) is provably covered, so the scan is skipped in O(1);
   likewise the read scan when the read epoch chain is intact and
   covered. The proof needs every clock component ``c[u] >= t`` to imply
-  ``c ⊒`` (u's full post-access clock at time t), which holds for DC
-  exactly when ``force_order`` *and* ``transitive_force`` are on: every
-  propagation channel (access snapshots, release clocks, rule (a)/(b)
-  records, fork copies) then carries full post-force snapshots. The
+  ``c ⊒`` (u's full post-access clock at time t). Under ``force_order``
+  *and* ``transitive_force``, u's post-access clock covers every access
+  it race-checked (ordered, or forced by joining the racing prior's
+  snapshot), so the implication carries the coverage over. It holds
+  when a component can only reach another clock inside a full clock of
+  its thread, taken after the access: own advances are monotone, and
+  the remaining channels carry whole clocks. For DC those are access
+  snapshots, release clocks, rule (a)/(b) records and fork copies. For
+  HB they are release copies joined at acquire, fork copies, joined
+  child clocks, the volatile accumulators (pointwise joins of whole
+  clocks, so their maximal ``u`` component comes from one of u's
+  clocks) and forced access snapshots. A snapshot reused across
+  self-advances lags only in its own component, which the forcing
+  consumer sets to the prior's time before joining. The
   gates check both flags at consult time and fall back to the exact
   scan otherwise. They are *never* used for WCP: the access snapshots
   are P clocks, but rules (a)/(b) join H snapshots into P only, so a P
@@ -69,7 +83,7 @@ from __future__ import annotations
 
 import weakref
 from operator import attrgetter
-from typing import Collection, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.analysis.base import Detector
@@ -83,7 +97,7 @@ from repro.analysis.sync_structures import DenseLockQueues, DenseSourceClocks
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.graph.program_order import ProgramOrderGraph
 
-__all__ = ["EpochDCDetector", "EpochWCPDetector"]
+__all__ = ["EpochDCDetector", "EpochHBDetector", "EpochWCPDetector"]
 
 _by_eid = attrgetter("eid")
 
@@ -180,7 +194,7 @@ class _TraceIndex:
         self.vol_names: List[Target] = list(vol_ix)
 
 
-#: One preprocessing pass per trace: WCP and DC (and repeated runs over
+#: One preprocessing pass per trace: HB, WCP and DC (and repeated runs over
 #: the same trace, e.g. the lockstep Vindicator pipeline) share the
 #: read-only index. Weak keys keep the cache from pinning traces.
 _INDEX_CACHE: "weakref.WeakKeyDictionary[Trace, _TraceIndex]" = (
@@ -233,15 +247,16 @@ class _VarState:
 
 
 class _EpochDetectorBase(Detector):
-    """Shared machinery of the epoch-optimised WCP/DC detectors: trace
-    preprocessing, staged variable metadata, the gated race check, and
-    the dirty-flag snapshot cache."""
+    """Shared machinery of the epoch-optimised HB/WCP/DC detectors:
+    trace preprocessing, staged variable metadata, the gated race check,
+    and the dirty-flag snapshot cache."""
 
-    #: Whether the epoch gates may be consulted (DC only; see module doc).
+    #: Whether the epoch gates may be consulted (HB and DC; see the
+    #: module docstring).
     _use_gates = False
 
-    def __init__(self, prefilter: Optional[Collection[Target]] = None):
-        super().__init__(prefilter)
+    def __init__(self) -> None:
+        super().__init__()
         self._ix: Optional[_TraceIndex] = None
         self._codes = bytearray()
         self._tix: List[int] = []
@@ -253,7 +268,6 @@ class _EpochDetectorBase(Detector):
         self._vars: List[Optional[_VarState]] = []
         self._snaps: List[Optional[List[int]]] = []
         self._snap_ok: List[bool] = []
-        self._cand: Optional[List[bool]] = None
         self._pending_vars: List[Dict[int, Tuple[Set[int], Set[int]]]] = []
         self._n_excl_fast = 0
         self._n_w_gate = 0
@@ -283,11 +297,6 @@ class _EpochDetectorBase(Detector):
         self._snaps = [None] * self._T
         self._snap_ok = [False] * self._T
         self._pending_vars = [{} for _ in range(self._T)]
-        if self.prefilter is not None:
-            pf = self.prefilter
-            self._cand = [v in pf for v in ix.var_names]
-        else:
-            self._cand = None
         self._n_excl_fast = 0
         self._n_w_gate = 0
         self._n_r_gate = 0
@@ -323,6 +332,40 @@ class _EpochDetectorBase(Detector):
         label = self.metric_label()
         for name, value in self.fast_stats().items():
             reg.add(f"analysis.{label}.{name}", value)
+
+    # ------------------------------------------------------------------
+    # Dispatch (kind codes from the shared index; begin/end only advance)
+    # ------------------------------------------------------------------
+    def handle(self, event: Event) -> None:
+        code = self._codes[event.eid]
+        if code <= _WRITE:
+            self._on_access(event, code == _WRITE)
+        elif code == _ACQ:
+            self.on_acquire(event)
+        elif code == _REL:
+            self.on_release(event)
+        elif code == _FORK:
+            self.on_fork(event)
+        elif code == _JOIN:
+            self.on_join(event)
+        elif code == _VWR:
+            self.on_volatile_write(event)
+        elif code == _VRD:
+            self.on_volatile_read(event)
+        else:
+            self._on_other(event)
+
+    def _on_access(self, e: Event, is_write: bool) -> None:
+        raise NotImplementedError
+
+    def _on_other(self, event: Event) -> None:
+        raise NotImplementedError
+
+    def on_read(self, e: Event) -> None:
+        self._on_access(e, False)
+
+    def on_write(self, e: Event) -> None:
+        self._on_access(e, True)
 
     # ------------------------------------------------------------------
     # Snapshots (version-gated reuse via a per-thread dirty flag)
@@ -379,9 +422,9 @@ class _EpochDetectorBase(Detector):
 
     # ------------------------------------------------------------------
     # The race check (exact mirror of Detector.check_access outcomes).
-    # The prefilter gate and the exclusive fast path are inlined into
-    # each subclass's _on_access — the overwhelmingly common cases pay
-    # no extra call — so this only handles SHARED-stage variables.
+    # The exclusive fast path is inlined into each subclass's
+    # _on_access — the overwhelmingly common case pays no extra call —
+    # so this only handles SHARED-stage variables.
     # ------------------------------------------------------------------
     def _check_shared(self, e: Event, ti: int, t: int,
                       values: List[int], is_write: bool,
@@ -451,7 +494,7 @@ class _EpochDetectorBase(Detector):
         list after the force was joined into the analysis clock."""
 
     # ------------------------------------------------------------------
-    # Queries shared by both subclasses
+    # Queries shared by the subclasses
     # ------------------------------------------------------------------
     def _clock_values_of(self, tid: Tid) -> Optional[List[int]]:
         raise NotImplementedError
@@ -474,6 +517,183 @@ class _EpochDetectorBase(Detector):
         return values[self._tix[prior.eid]] >= self._lt[prior.eid]
 
 
+class EpochHBDetector(_EpochDetectorBase):
+    """Epoch-optimised HB detector (verdict-identical to
+    :class:`~repro.analysis.hb.HBDetector`, ``racing_at`` sets and
+    ``vc_joins`` included).
+
+    One dense clock per thread; lock, fork and volatile state are dense
+    lists joined exactly as the reference joins its dict clocks. HB
+    enables the epoch gates: every channel that carries another
+    thread's component — release copies, fork copies, joined child
+    clocks, the volatile accumulators and transitively forced access
+    snapshots — carries that thread's full clock (see the module
+    docstring). There is no rule (b), so no ownership skip.
+    """
+
+    relation = "HB"
+    _use_gates = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._c: List[Optional[List[int]]] = []
+        self._lock_c: List[Optional[List[int]]] = []
+        self._vol_writes: List[Optional[List[int]]] = []
+        self._vol_reads: List[Optional[List[int]]] = []
+        self._pending_fork: Dict[int, List[int]] = {}
+
+    def begin_trace(self, trace: Trace) -> None:
+        super().begin_trace(trace)
+        assert self._ix is not None
+        self._c = [None] * self._T
+        self._lock_c = [None] * len(self._ix.lock_names)
+        n_vols = len(self._ix.vol_names)
+        self._vol_writes = [None] * n_vols
+        self._vol_reads = [None] * n_vols
+        self._pending_fork = {}
+
+    def _clock_values_of(self, tid: Tid) -> Optional[List[int]]:
+        assert self._ix is not None
+        idx = self._ix.table.index.get(tid)
+        return None if idx is None else self._c[idx]
+
+    # ------------------------------------------------------------------
+    # Clock plumbing
+    # ------------------------------------------------------------------
+    def _advance(self, ti: int, t: int) -> List[int]:
+        """Advance the thread's clock to this event and consume any
+        pending fork edge."""
+        c = self._c[ti]
+        if c is None:
+            c = self._c[ti] = [0] * self._T
+        c[ti] = t
+        if self._pending_fork:
+            parent = self._pending_fork.pop(ti, None)
+            if parent is not None:
+                if _k.join_into_list_changed(c, parent):
+                    self._snap_ok[ti] = False
+                self._n_joins += 1
+        return c
+
+    def _on_other(self, event: Event) -> None:
+        eid = event.eid
+        self._advance(self._tix[eid], self._lt[eid])
+
+    # ------------------------------------------------------------------
+    # Accesses
+    # ------------------------------------------------------------------
+    def _on_access(self, e: Event, is_write: bool) -> None:
+        eid = e.eid
+        ti = self._tix[eid]
+        t = self._lt[eid]
+        # Inlined _advance: one method call per access is measurable.
+        c = self._c[ti]
+        if c is None:
+            c = self._c[ti] = [0] * self._T
+        c[ti] = t
+        if self._pending_fork:
+            parent = self._pending_fork.pop(ti, None)
+            if parent is not None:
+                if _k.join_into_list_changed(c, parent):
+                    self._snap_ok[ti] = False
+                self._n_joins += 1
+        # Inlined race-check entry: the exclusive (single-accessor) fast
+        # path, the overwhelmingly common case.
+        vi = self._tgt[eid]
+        st = self._vars[vi]
+        if st is None:
+            st = self._vars[vi] = _VarState(ti)
+        if st.owner == ti:
+            self._n_excl_fast += 1
+            if self.force_order and self.transitive_force:
+                if self._snap_ok[ti]:
+                    self._n_snap_reuses += 1
+                    snap = self._snaps[ti]
+                else:
+                    snap = c.copy()
+                    self._snaps[ti] = snap
+                    self._snap_ok[ti] = True
+                    self._n_snap_copies += 1
+            else:
+                snap = None
+            if is_write:
+                st.xw_time = t
+                st.xw_ev = e
+                st.xw_snap = snap
+            else:
+                st.xr_time = t
+                st.xr_ev = e
+                st.xr_snap = snap
+            return
+        self._check_shared(e, ti, t, c, is_write, st)
+
+    # ------------------------------------------------------------------
+    # Synchronisation: release→acquire, fork/join and volatile orders
+    # ------------------------------------------------------------------
+    def on_acquire(self, e: Event) -> None:
+        eid = e.eid
+        ti = self._tix[eid]
+        c = self._advance(ti, self._lt[eid])
+        released = self._lock_c[self._tgt[eid]]
+        if released is not None:
+            if _k.join_into_list_changed(c, released):
+                self._snap_ok[ti] = False
+            self._n_joins += 1
+
+    def on_release(self, e: Event) -> None:
+        eid = e.eid
+        c = self._advance(self._tix[eid], self._lt[eid])
+        self._lock_c[self._tgt[eid]] = c.copy()
+
+    def on_fork(self, e: Event) -> None:
+        eid = e.eid
+        c = self._advance(self._tix[eid], self._lt[eid])
+        self._pending_fork[self._tgt[eid]] = c.copy()
+
+    def on_join(self, e: Event) -> None:
+        eid = e.eid
+        ti = self._tix[eid]
+        c = self._advance(ti, self._lt[eid])
+        ci = self._tgt[eid]
+        parent = self._pending_fork.pop(ci, None)
+        if parent is not None:
+            # Child never executed an event: the fork ordering still
+            # flows through the (empty) child into the join.
+            if _k.join_into_list_changed(c, parent):
+                self._snap_ok[ti] = False
+            self._n_joins += 1
+        child = self._c[ci]
+        if child is not None:
+            if _k.join_into_list_changed(c, child):
+                self._snap_ok[ti] = False
+            self._n_joins += 1
+
+    def on_volatile_write(self, e: Event) -> None:
+        eid = e.eid
+        ti = self._tix[eid]
+        c = self._advance(ti, self._lt[eid])
+        xi = self._tgt[eid]
+        for prior in (self._vol_writes[xi], self._vol_reads[xi]):
+            if prior is not None and _k.join_into_list_changed(c, prior):
+                self._snap_ok[ti] = False
+        # c now covers the accumulated writes, so their join with c is c.
+        self._vol_writes[xi] = c.copy()
+
+    def on_volatile_read(self, e: Event) -> None:
+        eid = e.eid
+        ti = self._tix[eid]
+        c = self._advance(ti, self._lt[eid])
+        xi = self._tgt[eid]
+        writes = self._vol_writes[xi]
+        if writes is not None and _k.join_into_list_changed(c, writes):
+            self._snap_ok[ti] = False
+        reads = self._vol_reads[xi]
+        if reads is None:
+            self._vol_reads[xi] = c.copy()
+        else:
+            _k.join_into_list(reads, c)
+
+
 class EpochWCPDetector(_EpochDetectorBase):
     """Epoch-optimised WCP detector (verdict-identical to
     :class:`~repro.analysis.wcp.WCPDetector`).
@@ -487,8 +707,8 @@ class EpochWCPDetector(_EpochDetectorBase):
     relation = "WCP"
     _use_gates = False
 
-    def __init__(self, prefilter: Optional[Collection[Target]] = None):
-        super().__init__(prefilter)
+    def __init__(self) -> None:
+        super().__init__()
         self._h: List[Optional[List[int]]] = []
         self._p: List[Optional[List[int]]] = []
         self._lock_h: List[Optional[List[int]]] = []
@@ -543,28 +763,9 @@ class EpochWCPDetector(_EpochDetectorBase):
                 self._n_joins += 2
         return h, p
 
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def handle(self, event: Event) -> None:
-        code = self._codes[event.eid]
-        if code <= _WRITE:
-            self._on_access(event, code == _WRITE)
-        elif code == _ACQ:
-            self.on_acquire(event)
-        elif code == _REL:
-            self.on_release(event)
-        elif code == _FORK:
-            self.on_fork(event)
-        elif code == _JOIN:
-            self.on_join(event)
-        elif code == _VWR:
-            self.on_volatile_write(event)
-        elif code == _VRD:
-            self.on_volatile_read(event)
-        else:
-            eid = event.eid
-            self._advance(self._tix[eid], self._lt[eid])
+    def _on_other(self, event: Event) -> None:
+        eid = event.eid
+        self._advance(self._tix[eid], self._lt[eid])
 
     # ------------------------------------------------------------------
     # Accesses
@@ -612,14 +813,8 @@ class EpochWCPDetector(_EpochDetectorBase):
                 if cur is None:
                     cur = pend[li] = (set(), set())
                 cur[is_write].add(vi)
-        # Inlined race-check entry: prefilter gate and the exclusive
-        # (single-accessor) fast path, the overwhelmingly common case.
-        cand = self._cand
-        if cand is not None:
-            if not cand[vi]:
-                self._filter_skips += 1
-                return
-            self._filter_checks += 1
+        # Inlined race-check entry: the exclusive (single-accessor) fast
+        # path, the overwhelmingly common case.
         st = self._vars[vi]
         if st is None:
             st = self._vars[vi] = _VarState(ti)
@@ -646,12 +841,6 @@ class EpochWCPDetector(_EpochDetectorBase):
                 st.xr_snap = snap
             return
         self._check_shared(e, ti, t, p, is_write, st)
-
-    def on_read(self, e: Event) -> None:
-        self._on_access(e, False)
-
-    def on_write(self, e: Event) -> None:
-        self._on_access(e, True)
 
     def _forced_order_dense(self, prior: Event, e: Event,
                             snapshot: Optional[List[int]]) -> None:
@@ -799,15 +988,13 @@ class EpochDCDetector(_EpochDetectorBase):
             clocks, as a :class:`~repro.graph.program_order.ProgramOrderGraph`
             holding the reference detector's edges other than program
             order, which the trace implies.
-        prefilter: Race-candidate variable set for the lockset fast path.
     """
 
     relation = "DC"
     _use_gates = True
 
-    def __init__(self, build_graph: bool = True,
-                 prefilter: Optional[Collection[Target]] = None):
-        super().__init__(prefilter)
+    def __init__(self, build_graph: bool = True):
+        super().__init__()
         self.build_graph = build_graph
         self.graph: ConstraintGraph = ConstraintGraph()
         self._values: List[Optional[List[int]]] = []
@@ -885,28 +1072,9 @@ class EpochDCDetector(_EpochDetectorBase):
         self._add_edge(prior.eid, e.eid)
         self.bump("forced_orders")
 
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def handle(self, event: Event) -> None:
-        code = self._codes[event.eid]
-        if code <= _WRITE:
-            self._on_access(event, code == _WRITE)
-        elif code == _ACQ:
-            self.on_acquire(event)
-        elif code == _REL:
-            self.on_release(event)
-        elif code == _FORK:
-            self.on_fork(event)
-        elif code == _JOIN:
-            self.on_join(event)
-        elif code == _VWR:
-            self.on_volatile_write(event)
-        elif code == _VRD:
-            self.on_volatile_read(event)
-        else:
-            eid = event.eid
-            self._advance(eid, self._tix[eid], self._lt[eid])
+    def _on_other(self, event: Event) -> None:
+        eid = event.eid
+        self._advance(eid, self._tix[eid], self._lt[eid])
 
     # ------------------------------------------------------------------
     # Accesses
@@ -956,14 +1124,8 @@ class EpochDCDetector(_EpochDetectorBase):
                 if cur is None:
                     cur = pend[li] = (set(), set())
                 cur[is_write].add(vi)
-        # Inlined race-check entry: prefilter gate and the exclusive
-        # (single-accessor) fast path, the overwhelmingly common case.
-        cand = self._cand
-        if cand is not None:
-            if not cand[vi]:
-                self._filter_skips += 1
-                return
-            self._filter_checks += 1
+        # Inlined race-check entry: the exclusive (single-accessor) fast
+        # path, the overwhelmingly common case.
         st = self._vars[vi]
         if st is None:
             st = self._vars[vi] = _VarState(ti)
@@ -990,12 +1152,6 @@ class EpochDCDetector(_EpochDetectorBase):
                 st.xr_snap = snap
             return
         self._check_shared(e, ti, t, values, is_write, st)
-
-    def on_read(self, e: Event) -> None:
-        self._on_access(e, False)
-
-    def on_write(self, e: Event) -> None:
-        self._on_access(e, True)
 
     # ------------------------------------------------------------------
     # Lock operations

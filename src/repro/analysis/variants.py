@@ -2,10 +2,11 @@
 
 * :class:`VariantSpec` is the one resolved selection — a detector
   *variant*. ``"fast"`` (the default) runs the SmartTrack-style epoch
-  detectors (:mod:`repro.analysis.smarttrack`), the production path;
-  ``"reference"`` runs the dict-backed detectors that define the
-  semantics and serve as the test oracle. Both produce identical
-  races, counters and DC constraint graphs.
+  HB, WCP and DC detectors (:mod:`repro.analysis.smarttrack`) over one
+  shared trace index, the production path; ``"reference"`` runs the
+  dict-backed detectors that define the semantics and serve as the
+  test oracle. Both produce identical races, ``racing_at`` sets (which
+  drive race classification), counters and DC constraint graphs.
 
 * :func:`make_analysis_detector` / :func:`make_analysis_detectors`
   are the one place that maps a variant to detector classes.
@@ -47,35 +48,35 @@ def coerce(value: Union[str, VariantSpec, None]) -> VariantSpec:
     return VariantSpec() if value is None else VariantSpec(variant=value)
 
 
-def make_analysis_detector(which: str, variant: Union[str, VariantSpec],
-                           prefilter: Any = None) -> Any:
+def make_analysis_detector(which: str,
+                           variant: Union[str, VariantSpec]) -> Any:
     """Construct the ``which`` ∈ {"hb", "wcp", "dc"} detector for a
-    variant. HB always runs the reference detector: epochs do not
-    reproduce its ``racing_at`` sets (which drive race classification)
-    and HB is never the pipeline bottleneck. The DC detector is always
-    built with ``build_graph=True`` — the pipeline needs the constraint
-    graph for vindication."""
+    variant. The DC detector is always built with ``build_graph=True``
+    — the pipeline needs the constraint graph for vindication."""
     variant = coerce(variant).variant
-    if which == "hb":
-        from repro.analysis.hb import HBDetector
-        return HBDetector(prefilter=prefilter)
-    if which not in ("wcp", "dc"):
+    if which not in ("hb", "wcp", "dc"):
         raise ValueError(f"unknown detector {which!r}")
     if variant == "fast":
         from repro.analysis.smarttrack import (EpochDCDetector,
+                                               EpochHBDetector,
                                                EpochWCPDetector)
-        return (EpochWCPDetector(prefilter=prefilter) if which == "wcp"
-                else EpochDCDetector(build_graph=True, prefilter=prefilter))
+        if which == "hb":
+            return EpochHBDetector()
+        return (EpochWCPDetector() if which == "wcp"
+                else EpochDCDetector(build_graph=True))
+    if which == "hb":
+        from repro.analysis.hb import HBDetector
+        return HBDetector()
     if which == "wcp":
         from repro.analysis.wcp import WCPDetector
-        return WCPDetector(prefilter=prefilter)
+        return WCPDetector()
     from repro.analysis.dc import DCDetector
-    return DCDetector(build_graph=True, prefilter=prefilter)
+    return DCDetector(build_graph=True)
 
 
-def make_analysis_detectors(variant: Union[str, VariantSpec],
-                            prefilter: Any = None) -> Tuple[Any, Any, Any]:
+def make_analysis_detectors(
+        variant: Union[str, VariantSpec]) -> Tuple[Any, Any, Any]:
     """The full ``(hb, wcp, dc)`` trio for one variant."""
-    return (make_analysis_detector("hb", variant, prefilter),
-            make_analysis_detector("wcp", variant, prefilter),
-            make_analysis_detector("dc", variant, prefilter))
+    return (make_analysis_detector("hb", variant),
+            make_analysis_detector("wcp", variant),
+            make_analysis_detector("dc", variant))

@@ -27,7 +27,7 @@ thread's own program order.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.events import Event, Target, Tid
 from repro.core.trace import Trace
@@ -42,8 +42,8 @@ class WCPDetector(Detector):
 
     relation = "WCP"
 
-    def __init__(self, prefilter: Optional[Collection[Target]] = None):
-        super().__init__(prefilter)
+    def __init__(self) -> None:
+        super().__init__()
         self._h: Dict[Tid, VectorClock] = {}
         self._p: Dict[Tid, VectorClock] = {}
         self._lock_h: Dict[Target, VectorClock] = {}

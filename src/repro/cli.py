@@ -26,11 +26,10 @@ Sub-commands:
   ``/metrics`` (see ``docs/SERVING.md``).
 
 ``analyze``, ``litmus``, ``workload`` and ``profile`` accept
-``--prefilter`` (skip vector-clock race checks on variables the lockset
-pre-analysis proves race-free), ``--sanitize`` (cross-check every
-detector's races against that pre-analysis; exit 1 on a violation) and
-``--variant reference`` (run the reference WCP/DC detectors instead of
-the default epoch detectors; same verdicts). ``analyze`` and
+``--sanitize`` (cross-check every detector's races against the lockset
+pre-analysis; exit 1 on a violation) and ``--variant reference`` (run
+the reference HB/WCP/DC detectors instead of the default epoch
+detectors; same verdicts). ``analyze`` and
 ``workload`` accept ``--json`` to emit the machine-readable
 ``vindicator.analyze/1`` document instead of the human report. Every
 ``--json`` document is one compact line with sorted keys; pipe it
@@ -54,7 +53,7 @@ Examples::
 
     vindicator litmus figure2
     vindicator analyze mytrace.txt --vindicate-all --witness
-    vindicator analyze mytrace.txt --prefilter --sanitize --json
+    vindicator analyze mytrace.txt --sanitize --json
     vindicator lint mytrace.txt
     vindicator lint mytrace.txt --json
     vindicator scan examples/broken_cache.py
@@ -97,13 +96,6 @@ def _print_report(report: VindicatorReport, show_witness: bool) -> None:
         print(f"  lockset pre-analysis: {report.lockset.summary()}")
     for analysis in (report.hb, report.wcp, report.dc):
         print(f"  {analysis}")
-        skipped = analysis.counters.get("lockset_skipped")
-        if skipped is not None:
-            checked = analysis.counters.get("lockset_checked", 0)
-            total = skipped + checked
-            rate = skipped / total if total else 0.0
-            print(f"    pre-filter: skipped {skipped} of {total} "
-                  f"access checks ({rate:.0%})")
     by_class = report.dc.by_class()
     for race_class in RaceClass:
         races = by_class.get(race_class, [])
@@ -168,7 +160,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 2
     vindicator = Vindicator(vindicate_all=args.vindicate_all,
                             policy=args.policy,
-                            prefilter=args.prefilter,
                             sanitize=args.sanitize,
                             variant=args.variant)
     return _run_and_print(vindicator, trace, args.witness,
@@ -251,7 +242,6 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
         print(f"=== {name} ===")
         vindicator = Vindicator(vindicate_all=True,
                                 transitive_force=not name.startswith("figure4"),
-                                prefilter=args.prefilter,
                                 sanitize=args.sanitize,
                                 variant=args.variant)
         status = _run_and_print(vindicator, factory(), args.witness)
@@ -278,7 +268,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
               f"events ({stats.hit_rate:.0%})",
               file=sys.stderr if args.json else sys.stdout)
     vindicator = Vindicator(vindicate_all=args.vindicate_all,
-                            prefilter=args.prefilter,
                             sanitize=args.sanitize,
                             variant=args.variant)
     return _run_and_print(vindicator, trace, args.witness,
@@ -344,7 +333,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 return 2
             meta["provenance"] = dict(trace.provenance)
             vindicator = Vindicator(vindicate_all=args.vindicate_all,
-                                    prefilter=args.prefilter,
                                     sanitize=args.sanitize,
                                     variant=args.variant)
             try:
@@ -415,17 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_static_flags(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--prefilter", action="store_true",
-                         help="skip race checks on variables the lockset "
-                              "pre-analysis proves race-free (same verdicts, "
-                              "less work)")
         cmd.add_argument("--sanitize", action="store_true",
                          help="cross-check detector races against the lockset "
                               "pre-analysis; exit 1 on violation")
 
     def add_variant_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("--variant", choices=VARIANTS, default=VARIANTS[0],
-                         help="WCP/DC detectors: 'fast' runs the epoch "
+                         help="HB/WCP/DC detectors: 'fast' runs the epoch "
                               "detectors, 'reference' the detectors that "
                               "define the semantics; verdicts are "
                               "identical (default: fast)")

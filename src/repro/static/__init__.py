@@ -9,8 +9,7 @@ relations event by event), this package treats a recorded trace as a
   exposed as ``vindicator lint``;
 * :mod:`repro.static.lockset` — Eraser-style lockset + thread-locality
   verdicts per variable. The verdicts are sound exclusions for
-  *predictive* race detection, so they serve double duty as the
-  detectors' fast-path pre-filter and as an independent
+  *predictive* race detection, so they serve as an independent
   over-approximation the detectors are cross-checked against
   (``--sanitize``, :func:`~repro.static.lockset.cross_check`);
 * :mod:`repro.static.pysrc` — source-level static race analysis over

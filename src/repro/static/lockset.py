@@ -27,10 +27,7 @@ Note the deliberate asymmetry with classic Eraser: Eraser's
 "initialisation" and "shared read-after-write-exclusive" states excuse
 unsynchronised writes that *can* be predictable races, so this pass
 does not implement them — the verdicts here over-approximate race
-candidates, which is exactly what makes them usable both as a detector
-fast path (skip the per-access vector-clock race check for provably
-race-free variables — the relation bookkeeping, including rule (a)
-critical-section recording, is unaffected) and as an independent
+candidates, which is exactly what makes them usable as an independent
 sanitizer: every race any detector reports must be on a race-candidate
 variable (:func:`cross_check`).
 """
@@ -106,8 +103,7 @@ class LocksetResult:
     @property
     def race_candidates(self) -> FrozenSet[Target]:
         """Variables that may participate in a (predictable) race — the
-        set detectors restrict their race checks to, and the sanitizer's
-        over-approximation of every detector's race set."""
+        sanitizer's over-approximation of every detector's race set."""
         return frozenset(
             var for var, info in self.variables.items()
             if info.verdict.can_race)

@@ -6,7 +6,7 @@ item: for each module it lists every access site with its tier and an
 must intercept to reconstruct acq/rel/fork/join events.
 
 The pruning rule is deliberately asymmetric, mirroring the trace-level
-pre-filter in :mod:`repro.static.lockset`: a site is dropped **only**
+race-candidate verdicts in :mod:`repro.static.lockset`: a site is dropped **only**
 when its whole alias cluster is ``thread-local`` — proven unreachable
 from more than one thread.  Every weaker tier (including ``guarded``)
 stays instrumented, because the dynamic detectors, not the static

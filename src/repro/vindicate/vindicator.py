@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro import obs
 from repro.core import kernels
@@ -31,18 +31,20 @@ from repro.core.trace import Trace
 from repro.core.witness import Witness
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.graph.cuts import CutIndex
-from repro.analysis.dc import DCDetector
-from repro.analysis.hb import HBDetector
+from repro.analysis.base import Detector
 from repro.analysis.races import DynamicRace, RaceClass, RaceReport, classify
 from repro.analysis.variants import (VARIANTS, VariantSpec, coerce,
                                      make_analysis_detectors)
-from repro.analysis.wcp import WCPDetector
 from repro.obs.schema import ANALYZE_SCHEMA_ID
 from repro.static.lockset import LocksetResult, analyze_locksets, cross_check
 from repro.vindicate.add_constraints import add_constraints
 from repro.vindicate.construct import (POLICIES, ConstructionStats,
                                        construct_reordered_trace)
 from repro.vindicate.verify import check_witness
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.dc import DCDetector
+    from repro.analysis.smarttrack import EpochDCDetector
 
 
 class Verdict(enum.Enum):
@@ -205,7 +207,7 @@ class VindicatorReport:
     analysis_seconds: float = 0.0
     vindication_seconds: float = 0.0
     #: Lockset pre-analysis verdicts (set when the pipeline ran with
-    #: ``prefilter`` or ``sanitize``; None otherwise).
+    #: ``sanitize``; None otherwise).
     lockset: Optional[LocksetResult] = None
     #: Where the analyzed trace came from (generator/scheduler seed and
     #: config) — copied from :attr:`repro.core.trace.Trace.provenance`
@@ -331,29 +333,23 @@ class Vindicator:
             are already known true, modulo the deadlock caveat).
         policy: Greedy policy for the witness constructor.
         check_witnesses: Validate witnesses against Definition 2.1.
-        prefilter: Run the lockset pre-analysis first and install its
-            race-candidate set as every detector's fast-path filter.
-            Changes no verdict (the verdicts are sound exclusions);
-            skips the race check on provably race-free variables.
         sanitize: Cross-check every detector's races against the
             lockset over-approximation and raise
             :class:`~repro.core.exceptions.SanitizerError` on any race
             over a provably race-free variable.
         variant: ``"fast"`` (default) runs the SmartTrack-style epoch
-            WCP/DC detectors (:mod:`repro.analysis.smarttrack`), the
+            HB/WCP/DC detectors (:mod:`repro.analysis.smarttrack`), the
             production path; ``"reference"`` runs the dict-backed
             detectors that define the semantics. Both give identical
-            races, counters and DC constraint graphs. A
+            races, ``racing_at`` sets (which drive classification),
+            counters and DC constraint graphs. A
             :class:`~repro.analysis.variants.VariantSpec` is accepted
-            too. HB always runs the reference detector
-            (it is not the bottleneck and its ``racing_at`` drives
-            classification).
+            too.
     """
 
     def __init__(self, vindicate_all: bool = False, policy: str = "latest",
                  check_witnesses: bool = True, transitive_force: bool = True,
-                 use_window: bool = False, prefilter: bool = False,
-                 sanitize: bool = False,
+                 use_window: bool = False, sanitize: bool = False,
                  variant: "str | VariantSpec" = VARIANTS[0]):
         if policy not in POLICIES:
             raise ValueError(
@@ -367,8 +363,6 @@ class Vindicator:
         #: False, dependent DC-races surface and are refuted by
         #: VindicateRace instead of being suppressed by the detector.
         self.transitive_force = transitive_force
-        #: Enable the lockset fast-path filter on all three detectors.
-        self.prefilter = prefilter
         #: Enable the lockset cross-check on all three race reports.
         self.sanitize = sanitize
         spec = coerce(variant)
@@ -390,23 +384,20 @@ class Vindicator:
 
     def _run(self, trace: Trace, pipeline_span: obs.AnySpan) -> VindicatorReport:
         lockset: Optional[LocksetResult] = None
-        candidates = None
-        if self.prefilter or self.sanitize:
+        if self.sanitize:
             lockset = analyze_locksets(trace.events)
-            if self.prefilter:
-                candidates = lockset.race_candidates
-        hb, wcp, dc = make_analysis_detectors(self.variant_spec,
-                                              prefilter=candidates)
+        hb, wcp, dc = make_analysis_detectors(self.variant_spec)
         for detector in (hb, wcp, dc):
             detector.transitive_force = self.transitive_force
         start = time.perf_counter()
         with obs.span("pipeline.analysis") as sp:
             for detector in (hb, wcp, dc):
                 detector.begin_trace(trace)
-            for event in trace:
-                hb.handle(event)
-                wcp.handle(event)
-                dc.handle(event)
+            hb_handle, wcp_handle, dc_handle = hb.handle, wcp.handle, dc.handle
+            for event in trace.events:
+                hb_handle(event)
+                wcp_handle(event)
+                dc_handle(event)
             hb_report = hb.finish()
             wcp_report = wcp.finish()
             dc_report = dc.finish()
@@ -419,8 +410,9 @@ class Vindicator:
         pipeline_span.annotate("events", len(trace))
         return report
 
-    def finalize(self, trace: Trace, hb: HBDetector, wcp: "WCPDetector",
-                 dc: "DCDetector", hb_report: RaceReport,
+    def finalize(self, trace: Trace, hb: Detector, wcp: Detector,
+                 dc: "Union[DCDetector, EpochDCDetector]",
+                 hb_report: RaceReport,
                  wcp_report: RaceReport, dc_report: RaceReport,
                  analysis_seconds: float = 0.0,
                  lockset: Optional[LocksetResult] = None) -> VindicatorReport:

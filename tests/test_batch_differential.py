@@ -1,18 +1,20 @@
 """Differential tests: whole-trace ``analyze()`` vs per-event streaming.
 
-The epoch detectors (:class:`~repro.analysis.smarttrack.EpochWCPDetector`
-and :class:`~repro.analysis.smarttrack.EpochDCDetector`) are the
-production WCP/DC path. ``analyze()`` runs a whole trace through
+The epoch detectors (:class:`~repro.analysis.smarttrack.EpochHBDetector`,
+:class:`~repro.analysis.smarttrack.EpochWCPDetector` and
+:class:`~repro.analysis.smarttrack.EpochDCDetector`) are the
+production HB/WCP/DC path. ``analyze()`` runs a whole trace through
 them; a streaming caller drives the same detector by hand through
 ``begin_trace``/``handle``/``finish``. Both ways must be
 *bit-identical* to each other and to
+:class:`~repro.analysis.hb.HBDetector` /
 :class:`~repro.analysis.wcp.WCPDetector` /
 :class:`~repro.analysis.dc.DCDetector`: same races in the same order,
 same ``racing_at`` sets, same counters, the same constraint-graph edge
 set once program order is expanded (vindication reads the graph in
 ascending eid order wherever order matters), and the same end-of-trace
 clocks, under every ``force_order`` / ``transitive_force``
-combination and with or without the lockset prefilter.
+combination.
 
 The corpus and the test names come from the batched interpreter, a
 whole-trace tier that has since been removed. Its adversarial cases
@@ -31,14 +33,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.dc import DCDetector
-from repro.analysis.smarttrack import EpochDCDetector, EpochWCPDetector
+from repro.analysis.hb import HBDetector
+from repro.analysis.smarttrack import (EpochDCDetector, EpochHBDetector,
+                                       EpochWCPDetector)
 from repro.analysis.wcp import WCPDetector
 from repro.core.events import EventKind
 from repro.core.exceptions import MalformedTraceError
 from repro.core.trace import TraceBuilder
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
-from repro.static.lockset import analyze_locksets
 from repro.traces.gen import GeneratorConfig, random_trace
 from repro.traces.litmus import ALL as LITMUS
 from repro.traces.litmus import figure1, figure3
@@ -133,18 +136,6 @@ class TestRandomTraces:
                           partial(EpochDCDetector, build_graph=False),
                           trace)
 
-    @SETTINGS
-    @given(seed=seeds, config=configs)
-    def test_prefilter_parity(self, seed, config):
-        trace = random_trace(seed, config)
-        candidates = analyze_locksets(trace.events).race_candidates
-        assert_equivalent(partial(WCPDetector, prefilter=candidates),
-                          partial(EpochWCPDetector, prefilter=candidates),
-                          trace)
-        assert_equivalent(partial(DCDetector, prefilter=candidates),
-                          partial(EpochDCDetector, prefilter=candidates),
-                          trace, graphs=True)
-
 
 class TestLitmusAndWorkloads:
     @pytest.mark.parametrize("name", sorted(LITMUS))
@@ -152,6 +143,7 @@ class TestLitmusAndWorkloads:
                              ids=["force+trans", "force", "off"])
     def test_litmus(self, name, flags):
         trace = LITMUS[name]()
+        assert_equivalent(HBDetector, EpochHBDetector, trace, flags)
         assert_equivalent(WCPDetector, EpochWCPDetector, trace, flags)
         assert_equivalent(DCDetector, EpochDCDetector, trace, flags,
                           graphs=True)
@@ -159,6 +151,7 @@ class TestLitmusAndWorkloads:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_workloads(self, name):
         trace = execute(WORKLOADS[name](scale=0.3), seed=3)
+        assert_equivalent(HBDetector, EpochHBDetector, trace)
         assert_equivalent(WCPDetector, EpochWCPDetector, trace)
         fast = assert_equivalent(DCDetector, EpochDCDetector, trace,
                                  graphs=True)
@@ -169,17 +162,6 @@ class TestLitmusAndWorkloads:
         assert stats["epoch_exclusive_hits"] > 0
         assert (stats["snapshots_copied"] + stats["snapshots_reused"]
                 == accesses(trace))
-
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_workloads_prefiltered(self, name):
-        trace = execute(WORKLOADS[name](scale=0.3), seed=3)
-        candidates = analyze_locksets(trace.events).race_candidates
-        assert_equivalent(partial(WCPDetector, prefilter=candidates),
-                          partial(EpochWCPDetector, prefilter=candidates),
-                          trace)
-        assert_equivalent(partial(DCDetector, prefilter=candidates),
-                          partial(EpochDCDetector, prefilter=candidates),
-                          trace, graphs=True)
 
 
 class TestAdversarial:
@@ -310,9 +292,9 @@ class TestVindicatorBatch:
 
     def test_documents_identical_on_workload(self):
         trace = execute(WORKLOADS["xalan"](scale=0.4), seed=2)
-        ref = blank_timings(Vindicator(prefilter=True, variant="reference")
+        ref = blank_timings(Vindicator(sanitize=True, variant="reference")
                             .run(trace).to_document())
-        fast = blank_timings(Vindicator(prefilter=True)
+        fast = blank_timings(Vindicator(sanitize=True)
                              .run(trace).to_document())
         assert ref == fast
 

@@ -200,44 +200,28 @@ class TestScanCommand:
 
 
 class TestStaticFlags:
-    def test_prefilter_reports_counters(self, capsys):
-        assert main(["litmus", "figure2", "--prefilter"]) == 0
-        out = capsys.readouterr().out
-        assert "lockset pre-analysis:" in out
-        assert "pre-filter: skipped" in out
-        # Verdicts are unchanged by the filter.
-        assert "DC: 1 static races" in out
-        assert "predictable race" in out
-
-    def test_prefilter_matches_unfiltered_output(self, capsys):
-        assert main(["litmus", "figure1"]) == 0
-        plain = capsys.readouterr().out
-        assert main(["litmus", "figure1", "--prefilter"]) == 0
-        filtered = capsys.readouterr().out
-        keep = [line for line in plain.splitlines()
-                if ("races" in line or "race" in line)
-                and "ms)" not in line]  # vindication lines embed wall time
-        for line in keep:
-            assert line in filtered
-
     def test_sanitize_passes_on_litmus(self, capsys):
         assert main(["litmus", "figure2", "--sanitize"]) == 0
         assert "lockset pre-analysis:" in capsys.readouterr().out
 
-    def test_sanitize_with_prefilter_on_workload(self, capsys):
+    def test_sanitize_on_workload(self, capsys):
         assert main(["workload", "luindex", "--scale", "0.2",
-                     "--prefilter", "--sanitize"]) == 0
-        out = capsys.readouterr().out
-        assert "pre-filter: skipped" in out
+                     "--sanitize"]) == 0
+        assert "lockset pre-analysis:" in capsys.readouterr().out
 
     def test_analyze_accepts_both_flags(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         dump_trace(figure2(), path)
-        assert main(["analyze", str(path), "--prefilter", "--sanitize",
+        assert main(["analyze", str(path), "--sanitize",
                      "--vindicate-all"]) == 0
         out = capsys.readouterr().out
         assert "lockset pre-analysis:" in out
         assert "vindication:" in out
+
+    def test_prefilter_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["litmus", "figure2", "--prefilter"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _variant_documents(trace, **kwargs):
@@ -249,10 +233,10 @@ def _variant_documents(trace, **kwargs):
     return blank_timings(fast), blank_timings(reference)
 
 
-#: --vindicate-all off and on, and --prefilter.
+#: --vindicate-all off and on, and --sanitize (adds the lockset block).
 PIPELINE_FLAGS = [{}, {"vindicate_all": True},
-                  {"vindicate_all": True, "prefilter": True}]
-PIPELINE_IDS = ["dc-only", "vindicate-all", "prefilter"]
+                  {"vindicate_all": True, "sanitize": True}]
+PIPELINE_IDS = ["dc-only", "vindicate-all", "sanitize"]
 
 
 class TestDefaultPathMatchesReference:
@@ -323,15 +307,15 @@ def _verdict_lines(out: str) -> list:
 
 class TestVariantFlagMatrix:
     @pytest.mark.parametrize("variant", VARIANT_FLAGS, ids=VARIANT_IDS)
-    @pytest.mark.parametrize("static", [[], ["--prefilter"]],
-                             ids=["plain", "prefilter"])
+    @pytest.mark.parametrize("static", [[], ["--sanitize"]],
+                             ids=["plain", "sanitize"])
     def test_workload_matrix_serial(self, variant, static, capsys):
         assert main(["workload", "luindex", "--scale", "0.2",
                      "--vindicate-all", *variant, *static]) == 0
         out = capsys.readouterr().out
         assert "DC:" in out
         if static:
-            assert "pre-filter: skipped" in out
+            assert "lockset pre-analysis:" in out
 
     @pytest.mark.parametrize("variant", VARIANT_FLAGS, ids=VARIANT_IDS)
     def test_workload_matrix_parallel(self, variant, capsys):

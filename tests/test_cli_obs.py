@@ -133,4 +133,4 @@ class TestJsonFlag:
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         validate_analyze_document(doc)
-        assert doc["metrics"]["counters"]["analysis.hb.events"] == 12
+        assert doc["metrics"]["counters"]["analysis.hb_epoch.events"] == 12

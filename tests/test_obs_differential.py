@@ -82,9 +82,9 @@ def test_workloads_identical_with_metrics_on(name):
     _differ(off_trace)
 
 
-def test_prefilter_and_sanitize_identical_with_metrics_on():
+def test_sanitize_identical_with_metrics_on():
     trace = execute(WORKLOADS["xalan"](scale=0.5), seed=3)
-    _differ(trace, prefilter=True, sanitize=True)
+    _differ(trace, sanitize=True)
 
 
 @settings(max_examples=25, deadline=None,

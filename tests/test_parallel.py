@@ -146,12 +146,12 @@ class TestWorkloadDifferential:
         trace = execute(WORKLOADS[name](scale=0.25), seed=7)
         assert_shard_identical(shard, trace, vindicate_all=True)
 
-    def test_with_prefilter_and_sanitize(self, shard):
-        # Sessions run no static pre-pass; the pre-filtered, sanitized
-        # in-process run must still reach the same races and verdicts.
+    def test_with_sanitize(self, shard):
+        # Sessions run no static pre-pass; the sanitized in-process run
+        # must still reach the same races and verdicts.
         trace = execute(WORKLOADS["xalan"](scale=0.4), seed=3)
         served = normalize(shard_doc(shard, trace))
-        local = normalize(Vindicator(prefilter=True, sanitize=True)
+        local = normalize(Vindicator(sanitize=True)
                           .run(trace).to_document())
         assert local["lockset"] is not None
         for label in ("hb", "wcp", "dc"):

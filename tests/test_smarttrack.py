@@ -87,9 +87,9 @@ class TestVindicatorVariant:
         assert ref == fast
 
     def test_documents_identical_on_workload(self, workload_trace):
-        ref = normalize(Vindicator(prefilter=True, variant="reference")
+        ref = normalize(Vindicator(sanitize=True, variant="reference")
                         .run(workload_trace).to_document())
-        fast = normalize(Vindicator(prefilter=True, variant="fast")
+        fast = normalize(Vindicator(sanitize=True, variant="fast")
                          .run(workload_trace).to_document())
         assert ref == fast
 
