@@ -16,10 +16,11 @@ predictive analyses, adapted to this repo's exact reference semantics:
 * **Dense clock kernel** — one :class:`~repro.core.vectorclock_dense.TidTable`
   per trace interns thread ids to indices; every clock is a plain
   ``list`` of ints of fixed length ``T``, joined by the fused kernels in
-  :mod:`repro.core.vectorclock_dense`. A single preprocessing pass
-  (:class:`_TraceIndex`) interns variables, locks, and volatiles and
-  precomputes each access's held-lock index tuple, so the per-event loop
-  never hashes a thread id or rebuilds a lock stack.
+  :mod:`repro.core.vectorclock_dense`. The trace's indexing pass
+  (:class:`~repro.core.trace.Trace`'s columns) interns thread ids,
+  variables, locks, and volatiles and precomputes each access's
+  held-lock index tuple, so the per-event loop never hashes a thread id
+  or rebuilds a lock stack.
 
 * **Exclusive/shared variable staging** — a variable accessed by one
   thread only keeps O(1) last-read/last-write fields (the reference
@@ -81,14 +82,17 @@ documents compare equal modulo timing/metrics.
 
 from __future__ import annotations
 
-import weakref
 from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.analysis.base import Detector
 from repro.analysis.races import DynamicRace, RaceReport
-from repro.core.events import Event, EventKind, Target, Tid
+from repro.core.events import (CODE_ACQUIRE as _ACQ, CODE_FORK as _FORK,
+                               CODE_JOIN as _JOIN, CODE_RELEASE as _REL,
+                               CODE_VOLATILE_READ as _VRD,
+                               CODE_VOLATILE_WRITE as _VWR,
+                               CODE_WRITE as _WRITE, Event, Tid)
 from repro.core.exceptions import MalformedTraceError
 from repro.core.trace import Trace
 from repro.core import kernels as _k
@@ -100,114 +104,6 @@ from repro.graph.program_order import ProgramOrderGraph
 __all__ = ["EpochDCDetector", "EpochHBDetector", "EpochWCPDetector"]
 
 _by_eid = attrgetter("eid")
-
-# Compact per-event kind codes (ordered so range checks dispatch fast).
-_READ, _WRITE, _ACQ, _REL, _FORK, _JOIN, _VWR, _VRD, _OTHER = range(9)
-
-# Keyed by id() of the (immortal, module-level) enum member: enum's
-# __hash__ is a Python-level call, id() hashing is C-speed, and this map
-# is hit once per event during preprocessing.
-_KIND_CODE: Dict[int, int] = {
-    id(EventKind.READ): _READ,
-    id(EventKind.WRITE): _WRITE,
-    id(EventKind.ACQUIRE): _ACQ,
-    id(EventKind.RELEASE): _REL,
-    id(EventKind.FORK): _FORK,
-    id(EventKind.JOIN): _JOIN,
-    id(EventKind.VOLATILE_WRITE): _VWR,
-    id(EventKind.VOLATILE_READ): _VRD,
-    id(EventKind.BEGIN): _OTHER,
-    id(EventKind.END): _OTHER,
-}
-
-
-class _TraceIndex:
-    """One-pass columnar preprocessing of a trace for the fast detectors.
-
-    Columns (parallel to ``trace.events``):
-
-    * ``codes`` — event kind as a small int (bytearray);
-    * ``tix`` — executing thread's tid index;
-    * ``tgt`` — role-specific target index: variable index for accesses,
-      lock index for acquire/release, child tid index for fork/join,
-      volatile index for volatile accesses, -1 otherwise;
-    * ``held`` — for accesses under locks, the tuple of held lock
-      indices (outermost first, matching ``trace.held_locks``); None
-      when no locks are held.
-    """
-
-    __slots__ = ("table", "codes", "tix", "tgt", "held",
-                 "var_names", "lock_names", "vol_names")
-
-    def __init__(self, trace: Trace):
-        events = trace.events
-        n = len(events)
-        table = TidTable(trace.threads)
-        tid_index = table.index
-        intern_tid = table.intern
-        var_ix: Dict[Target, int] = {}
-        lock_ix: Dict[Target, int] = {}
-        vol_ix: Dict[Target, int] = {}
-        codes = bytearray(n)
-        tix = [0] * n
-        tgt = [-1] * n
-        held: List[Optional[Tuple[int, ...]]] = [None] * n
-        acq_lock: Dict[int, int] = {}  # acquire eid -> lock index
-        enclosing = trace.enclosing_acquires
-        kind_code = _KIND_CODE
-        for e in events:
-            eid = e.eid
-            tix[eid] = tid_index[e.tid]
-            code = kind_code[id(e.kind)]
-            codes[eid] = code
-            if code <= _WRITE:
-                vi = var_ix.get(e.target)
-                if vi is None:
-                    vi = var_ix[e.target] = len(var_ix)
-                tgt[eid] = vi
-                acqs = enclosing[eid]
-                if acqs:
-                    held[eid] = tuple(acq_lock[a] for a in acqs)
-            elif code <= _REL:
-                li = lock_ix.get(e.target)
-                if li is None:
-                    li = lock_ix[e.target] = len(lock_ix)
-                tgt[eid] = li
-                if code == _ACQ:
-                    acq_lock[eid] = li
-            elif code <= _JOIN:
-                # Fork targets may name threads that never run an event;
-                # intern them so clock storage covers their index.
-                tgt[eid] = intern_tid(e.target)
-            elif code <= _VRD:
-                xi = vol_ix.get(e.target)
-                if xi is None:
-                    xi = vol_ix[e.target] = len(vol_ix)
-                tgt[eid] = xi
-        self.table = table
-        self.codes = codes
-        self.tix = tix
-        self.tgt = tgt
-        self.held = held
-        self.var_names: List[Target] = list(var_ix)
-        self.lock_names: List[Target] = list(lock_ix)
-        self.vol_names: List[Target] = list(vol_ix)
-
-
-#: One preprocessing pass per trace: HB, WCP and DC (and repeated runs over
-#: the same trace, e.g. the lockstep Vindicator pipeline) share the
-#: read-only index. Weak keys keep the cache from pinning traces.
-_INDEX_CACHE: "weakref.WeakKeyDictionary[Trace, _TraceIndex]" = (
-    weakref.WeakKeyDictionary())
-
-
-def _index_for(trace: Trace) -> _TraceIndex:
-    index = _INDEX_CACHE.get(trace)
-    if index is None:
-        index = _TraceIndex(trace)
-        _INDEX_CACHE[trace] = index
-    return index
-
 
 class _VarState:
     """Staged per-variable access metadata.
@@ -257,7 +153,7 @@ class _EpochDetectorBase(Detector):
 
     def __init__(self) -> None:
         super().__init__()
-        self._ix: Optional[_TraceIndex] = None
+        self._table = TidTable()
         self._codes = bytearray()
         self._tix: List[int] = []
         self._tgt: List[int] = []
@@ -284,15 +180,14 @@ class _EpochDetectorBase(Detector):
 
     def begin_trace(self, trace: Trace) -> None:
         super().begin_trace(trace)
-        ix = _index_for(trace)
-        self._ix = ix
-        self._codes = ix.codes
-        self._tix = ix.tix
-        self._tgt = ix.tgt
-        self._held = ix.held
+        self._table = TidTable(trace.tid_names)
+        self._codes = trace.codes
+        self._tix = trace.tix
+        self._tgt = trace.tgt
+        self._held = trace.held
         self._lt = trace.local_time
-        self._T = len(ix.table)
-        self._nv = len(ix.var_names)
+        self._T = len(trace.tid_names)
+        self._nv = len(trace.var_names)
         self._vars = [None] * self._nv
         self._snaps = [None] * self._T
         self._snap_ok = [False] * self._T
@@ -334,7 +229,7 @@ class _EpochDetectorBase(Detector):
             reg.add(f"analysis.{label}.{name}", value)
 
     # ------------------------------------------------------------------
-    # Dispatch (kind codes from the shared index; begin/end only advance)
+    # Dispatch (kind codes from the trace's column; begin/end only advance)
     # ------------------------------------------------------------------
     def handle(self, event: Event) -> None:
         code = self._codes[event.eid]
@@ -505,8 +400,7 @@ class _EpochDetectorBase(Detector):
         values = self._clock_values_of(tid)
         if values is None:
             return None
-        assert self._ix is not None
-        return DenseVectorClock(self._ix.table, values=values)
+        return DenseVectorClock(self._table, values=values)
 
     def ordered_to_current(self, prior: Event, tid: Tid) -> bool:
         if prior.tid == tid:
@@ -544,17 +438,15 @@ class EpochHBDetector(_EpochDetectorBase):
 
     def begin_trace(self, trace: Trace) -> None:
         super().begin_trace(trace)
-        assert self._ix is not None
         self._c = [None] * self._T
-        self._lock_c = [None] * len(self._ix.lock_names)
-        n_vols = len(self._ix.vol_names)
+        self._lock_c = [None] * len(trace.lock_names)
+        n_vols = len(trace.vol_names)
         self._vol_writes = [None] * n_vols
         self._vol_reads = [None] * n_vols
         self._pending_fork = {}
 
     def _clock_values_of(self, tid: Tid) -> Optional[List[int]]:
-        assert self._ix is not None
-        idx = self._ix.table.index.get(tid)
+        idx = self._table.index.get(tid)
         return None if idx is None else self._c[idx]
 
     # ------------------------------------------------------------------
@@ -722,23 +614,21 @@ class EpochWCPDetector(_EpochDetectorBase):
 
     def begin_trace(self, trace: Trace) -> None:
         super().begin_trace(trace)
-        assert self._ix is not None
         self._h = [None] * self._T
         self._p = [None] * self._T
-        n_locks = len(self._ix.lock_names)
+        n_locks = len(trace.lock_names)
         self._lock_h = [None] * n_locks
         self._lock_p = [None] * n_locks
         self._queues = [None] * n_locks
         self._cs_writes = {}
         self._cs_reads = {}
-        n_vols = len(self._ix.vol_names)
+        n_vols = len(trace.vol_names)
         self._vol_writes = [None] * n_vols
         self._vol_reads = [None] * n_vols
         self._pending_fork = {}
 
     def _clock_values_of(self, tid: Tid) -> Optional[List[int]]:
-        assert self._ix is not None
-        idx = self._ix.table.index.get(tid)
+        idx = self._table.index.get(tid)
         return None if idx is None else self._p[idx]
 
     # ------------------------------------------------------------------
@@ -886,8 +776,14 @@ class EpochWCPDetector(_EpochDetectorBase):
         h, p = self._advance(ti, t)
         li = self._tgt[eid]
         queues = self._queues[li]
-        if queues is None:
-            raise KeyError(e.target)
+        if queues is None or queues.open_ti != ti:
+            # As in the reference detector: a streamed release without a
+            # matching acquire is a malformed trace, not a KeyError.
+            raise MalformedTraceError(
+                f"{e}: releases lock {e.target!r} with no matching acquire "
+                f"by thread {e.tid!r}",
+                event_index=e.eid,
+            )
         if queues.apply_rule_b(ti, p) is not None:
             self._snap_ok[ti] = False
         h_snapshot = h.copy()
@@ -1009,7 +905,6 @@ class EpochDCDetector(_EpochDetectorBase):
 
     def begin_trace(self, trace: Trace) -> None:
         super().begin_trace(trace)
-        assert self._ix is not None
         # Program order is the trace's own, so the graph stores only
         # the edges this detector adds. With graph building off it
         # stays an empty plain graph.
@@ -1017,11 +912,11 @@ class EpochDCDetector(_EpochDetectorBase):
                       else ConstraintGraph())
         self._n_graph_edges = 0
         self._values = [None] * self._T
-        n_locks = len(self._ix.lock_names)
+        n_locks = len(trace.lock_names)
         self._queues = [None] * n_locks
         self._cs_writes = {}
         self._cs_reads = {}
-        n_vols = len(self._ix.vol_names)
+        n_vols = len(trace.vol_names)
         self._vol_writes = [None] * n_vols
         self._vol_reads = [None] * n_vols
         self._pending_fork = {}
@@ -1037,8 +932,7 @@ class EpochDCDetector(_EpochDetectorBase):
         return super().finish()
 
     def _clock_values_of(self, tid: Tid) -> Optional[List[int]]:
-        assert self._ix is not None
-        idx = self._ix.table.index.get(tid)
+        idx = self._table.index.get(tid)
         return None if idx is None else self._values[idx]
 
     # ------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.core.events import Event, Target, Tid
+from repro.core.exceptions import MalformedTraceError
 from repro.core.trace import Trace
 from repro.core.vectorclock import VectorClock
 from repro.analysis.base import Detector
@@ -146,7 +147,17 @@ class WCPDetector(Detector):
     def on_release(self, e: Event) -> None:
         h, p = self._advance(e)
         assert self.trace is not None
-        queues = self._queues[e.target]
+        queues = self._queues.get(e.target)
+        if queues is None or queues.open_record is None \
+                or queues.open_record.tid != e.tid:
+            # Streaming traces bypass Trace's construction-time
+            # validation, so a release without a matching acquire must
+            # surface as a malformed-trace error, not a KeyError.
+            raise MalformedTraceError(
+                f"{e}: releases lock {e.target!r} with no matching acquire "
+                f"by thread {e.tid!r}",
+                event_index=e.eid,
+            )
         queues.apply_rule_b(e.tid, p)  # joins H-at-release snapshots into P
         h_snapshot = h.copy()
         local_time = self.trace.local_time[e.eid]

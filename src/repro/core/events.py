@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Hashable, Optional
+from typing import Dict, Hashable, Optional
 
 #: Type alias for thread identifiers.
 Tid = Hashable
@@ -119,6 +119,49 @@ class Event:
     @property
     def is_release(self) -> bool:
         return self.kind is EventKind.RELEASE
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _new_event(eid: int, tid: Tid, kind: EventKind, target: Optional[Target],
+               loc: Optional[str]) -> Event:
+    """``Event(eid, tid, kind, target, loc)`` without the call through the
+    generated frozen ``__init__``: the same five attribute stores, so the
+    result is an ordinary, equal, hash-equal and picklable :class:`Event`.
+    For the bulk constructors (the trace parser, renumbering, unpacking)."""
+    e = _new(Event)
+    _set(e, "eid", eid)
+    _set(e, "tid", tid)
+    _set(e, "kind", kind)
+    _set(e, "target", target)
+    _set(e, "loc", loc)
+    return e
+
+
+# Compact kind codes, the ``Trace.codes`` column. Ordered so range checks
+# dispatch fast: accesses are ``<= CODE_WRITE``, lock operations
+# ``<= CODE_RELEASE``, thread operations ``<= CODE_JOIN``, volatiles
+# ``<= CODE_VOLATILE_READ``; begin and end share ``CODE_OTHER``.
+(CODE_READ, CODE_WRITE, CODE_ACQUIRE, CODE_RELEASE, CODE_FORK, CODE_JOIN,
+ CODE_VOLATILE_WRITE, CODE_VOLATILE_READ, CODE_OTHER) = range(9)
+
+#: Kind code by ``id()`` of the (immortal, module-level) enum member:
+#: enum's ``__hash__`` is a Python-level call, ``id()`` hashing is
+#: C-speed, and this map is hit once per event while indexing a trace.
+CODE_BY_KIND_ID: Dict[int, int] = {
+    id(EventKind.READ): CODE_READ,
+    id(EventKind.WRITE): CODE_WRITE,
+    id(EventKind.ACQUIRE): CODE_ACQUIRE,
+    id(EventKind.RELEASE): CODE_RELEASE,
+    id(EventKind.FORK): CODE_FORK,
+    id(EventKind.JOIN): CODE_JOIN,
+    id(EventKind.VOLATILE_WRITE): CODE_VOLATILE_WRITE,
+    id(EventKind.VOLATILE_READ): CODE_VOLATILE_READ,
+    id(EventKind.BEGIN): CODE_OTHER,
+    id(EventKind.END): CODE_OTHER,
+}
 
 
 def conflicts(e1: Event, e2: Event) -> bool:

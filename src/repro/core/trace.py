@@ -23,14 +23,39 @@ litmus tests and examples::
 
 from __future__ import annotations
 
+from itertools import count
+from operator import attrgetter, ne
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.events import Event, EventKind, Target, Tid, conflicts
+from repro.core.events import (CODE_ACQUIRE, CODE_BY_KIND_ID, CODE_JOIN,
+                               CODE_RELEASE, CODE_VOLATILE_READ, CODE_WRITE,
+                               Event, EventKind, Target, Tid, _new_event,
+                               conflicts)
 from repro.core.exceptions import MalformedTraceError
+
+_eid_of = attrgetter("eid")
 
 
 class Trace:
     """A validated, indexed execution trace.
+
+    Construction makes one indexing pass over the events (see "Trace
+    columns" in ``docs/ALGORITHMS.md``). Besides the per-thread tables
+    and the acquire/release matching it builds the columns the epoch
+    detectors and the witness checker read, parallel to ``events``:
+
+    * ``codes`` — the kind code (``repro.core.events.CODE_*``);
+    * ``tix`` — the executing thread's index into ``tid_names``;
+    * ``tgt`` — the target's index into the table of its role: a
+      variable for accesses, a lock for acquire/release, a thread for
+      fork/join, a volatile for volatile accesses; -1 otherwise;
+    * ``held`` — for accesses under locks, the held lock indices,
+      outermost first (``held_locks`` as indices); None otherwise.
+
+    The interning tables list targets in first-appearance order.
+    ``tid_names`` starts with ``threads`` (executing threads, by first
+    event) and ends with the fork/join targets that execute nothing, by
+    first fork/join.
 
     Args:
         events: The events in observed order. Every event's ``eid`` must
@@ -47,29 +72,32 @@ class Trace:
         #: copied into :class:`~repro.vindicate.vindicator.VindicatorReport`
         #: so any measured run is reproducible from its own output.
         self.provenance: Dict[str, object] = {}
-        for i, e in enumerate(self.events):
-            if e.eid != i:
-                raise MalformedTraceError(
-                    f"event at position {i} has eid {e.eid}; use Trace.from_events "
-                    "to renumber",
-                    event_index=i,
-                )
-        self._thread_events: Dict[Tid, List[int]] = {}
+        events = self.events
+        if any(map(ne, map(_eid_of, events), count())):
+            for i, e in enumerate(events):
+                if e.eid != i:
+                    raise MalformedTraceError(
+                        f"event at position {i} has eid {e.eid}; use "
+                        "Trace.from_events to renumber",
+                        event_index=i,
+                    )
+        n = len(events)
         #: thread-local 1-based time of each event (parallel to ``events``).
-        self.local_time: List[int] = [0] * len(self.events)
-        for e in self.events:
-            lst = self._thread_events.setdefault(e.tid, [])
-            lst.append(e.eid)
-            self.local_time[e.eid] = len(lst)
-
-        self._match_rel: Dict[int, int] = {}  # acquire eid -> release eid
-        self._match_acq: Dict[int, int] = {}  # release eid -> acquire eid
+        self.local_time: List[int] = [0] * n
         #: per event: tuple of acquire eids of enclosing critical sections,
         #: outermost first (the executing thread's lock stack at the event).
-        self.enclosing_acquires: List[Tuple[int, ...]] = [()] * len(self.events)
-        self._index_locks(validate)
+        self.enclosing_acquires: List[Tuple[int, ...]] = [()] * n
+        self.codes = bytearray(n)
+        self.tix: List[int] = [0] * n
+        self.tgt: List[int] = [-1] * n
+        self.held: List[Optional[Tuple[int, ...]]] = [None] * n
+        self.tid_names: List[Tid] = []
+        self.tid_index: Dict[Tid, int] = {}
+        self._match_rel: Dict[int, int] = {}  # acquire eid -> release eid
+        self._match_acq: Dict[int, int] = {}  # release eid -> acquire eid
+        thread_ops, marks = self._index(validate)
         if validate:
-            self._validate_threads()
+            self._validate_threads(thread_ops, marks)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -77,77 +105,166 @@ class Trace:
     @classmethod
     def from_events(cls, events: Iterable[Event], validate: bool = True) -> "Trace":
         """Build a trace from events, renumbering eids to positions."""
-        renumbered = [
-            Event(i, e.tid, e.kind, e.target, e.loc) for i, e in enumerate(events)
-        ]
+        renumbered = [_new_event(i, e.tid, e.kind, e.target, e.loc)
+                      for i, e in enumerate(events)]
         return cls(renumbered, validate=validate)
 
     # ------------------------------------------------------------------
     # Indexing / validation
     # ------------------------------------------------------------------
-    def _index_locks(self, validate: bool) -> None:
-        lock_holder: Dict[Target, Tuple[Tid, int]] = {}  # lock -> (tid, acq eid)
-        stacks: Dict[Tid, List[int]] = {}  # tid -> open acquire eids
-        for e in self.events:
-            stack = stacks.setdefault(e.tid, [])
-            if e.kind is EventKind.ACQUIRE:
-                if validate and e.target in lock_holder:
-                    holder, _ = lock_holder[e.target]
+    def _index(self, validate: bool) -> Tuple[List[int], List[int]]:
+        """The one pass over the events: thread tables, lock matching
+        and lock checks, and the columns. Returns the fork/join and the
+        begin/end eids, whose checks wait for the whole pass."""
+        events = self.events
+        local, enclosing = self.local_time, self.enclosing_acquires
+        codes, tix, tgt, held = self.codes, self.tix, self.tgt, self.held
+        match_rel, match_acq = self._match_rel, self._match_acq
+        tid_names, tid_index = self.tid_names, self.tid_index
+        code_of = CODE_BY_KIND_ID
+        var_ix: Dict[Target, int] = {}
+        lock_ix: Dict[Target, int] = {}
+        vol_ix: Dict[Target, int] = {}
+        # Per thread index: its eids, its open acquires and their lock
+        # indices, and the tuples of both (shared by the events between
+        # two lock operations).
+        thread_eids: List[List[int]] = []
+        stacks: List[List[int]] = []
+        lock_stacks: List[List[int]] = []
+        enclosing_now: List[Tuple[int, ...]] = []
+        held_now: List[Optional[Tuple[int, ...]]] = []
+        holders: Dict[int, Tuple[int, int]] = {}  # lock -> (thread, acquire)
+        thread_ops: List[int] = []
+        marks: List[int] = []
+        for e in events:
+            eid = e.eid
+            ti = tid_index.get(e.tid)
+            if ti is None:
+                ti = tid_index[e.tid] = len(tid_names)
+                tid_names.append(e.tid)
+                thread_eids.append([])
+                stacks.append([])
+                lock_stacks.append([])
+                enclosing_now.append(())
+                held_now.append(None)
+            own = thread_eids[ti]
+            own.append(eid)
+            local[eid] = len(own)
+            tix[eid] = ti
+            code = codes[eid] = code_of[id(e.kind)]
+            if code <= CODE_WRITE:
+                vi = var_ix.get(e.target)
+                if vi is None:
+                    vi = var_ix[e.target] = len(var_ix)
+                tgt[eid] = vi
+                enclosing[eid] = enclosing_now[ti]
+                held[eid] = held_now[ti]
+            elif code <= CODE_RELEASE:
+                li = lock_ix.get(e.target)
+                if li is None:
+                    li = lock_ix[e.target] = len(lock_ix)
+                tgt[eid] = li
+                stack, lock_stack = stacks[ti], lock_stacks[ti]
+                if code == CODE_ACQUIRE:
+                    if validate and li in holders:
+                        holder = tid_names[holders[li][0]]
+                        raise MalformedTraceError(
+                            f"{e}: lock {e.target!r} already held by thread "
+                            f"{holder!r} (locks are non-reentrant)",
+                            event_index=eid,
+                        )
+                    holders[li] = (ti, eid)
+                    stack.append(eid)
+                    lock_stack.append(li)
+                    enclosing[eid] = enclosing_now[ti] = tuple(stack)
+                    held_now[ti] = tuple(lock_stack)
+                    continue
+                holder = holders.get(li)
+                if holder is None or holder[0] != ti:
                     raise MalformedTraceError(
-                        f"{e}: lock {e.target!r} already held by thread {holder!r} "
-                        "(locks are non-reentrant)",
-                        event_index=e.eid,
-                    )
-                lock_holder[e.target] = (e.tid, e.eid)
-                stack.append(e.eid)
-                self.enclosing_acquires[e.eid] = tuple(stack)
-            elif e.kind is EventKind.RELEASE:
-                holder = lock_holder.get(e.target)
-                if holder is None or holder[0] != e.tid:
-                    raise MalformedTraceError(
-                        f"{e}: releases lock {e.target!r} not held by thread {e.tid!r}",
-                        event_index=e.eid,
+                        f"{e}: releases lock {e.target!r} not held by thread "
+                        f"{e.tid!r}",
+                        event_index=eid,
                     )
                 acq_eid = holder[1]
                 if validate and (not stack or stack[-1] != acq_eid):
                     raise MalformedTraceError(
                         f"{e}: releases lock {e.target!r} out of nesting order",
-                        event_index=e.eid,
+                        event_index=eid,
                     )
-                self.enclosing_acquires[e.eid] = tuple(stack)
+                enclosing[eid] = enclosing_now[ti]
                 stack.pop()
-                del lock_holder[e.target]
-                self._match_rel[acq_eid] = e.eid
-                self._match_acq[e.eid] = acq_eid
+                lock_stack.pop()
+                enclosing_now[ti] = tuple(stack)
+                held_now[ti] = tuple(lock_stack) or None
+                del holders[li]
+                match_rel[acq_eid] = eid
+                match_acq[eid] = acq_eid
             else:
-                self.enclosing_acquires[e.eid] = tuple(stack)
+                enclosing[eid] = enclosing_now[ti]
+                if code <= CODE_JOIN:
+                    thread_ops.append(eid)
+                elif code <= CODE_VOLATILE_READ:
+                    xi = vol_ix.get(e.target)
+                    if xi is None:
+                        xi = vol_ix[e.target] = len(vol_ix)
+                    tgt[eid] = xi
+                else:
+                    marks.append(eid)
+        self._thread_events: Dict[Tid, List[int]] = dict(
+            zip(tid_names, thread_eids))
+        # Fork/join targets resolve once every executing thread has its
+        # index, so threads that never run an event come last.
+        for eid in thread_ops:
+            target = events[eid].target
+            ti = tid_index.get(target)
+            if ti is None:
+                ti = tid_index[target] = len(tid_names)
+                tid_names.append(target)
+            tgt[eid] = ti
+        self.var_names: List[Target] = list(var_ix)
+        self.lock_names: List[Target] = list(lock_ix)
+        self.vol_names: List[Target] = list(vol_ix)
+        return thread_ops, marks
 
-    def _validate_threads(self) -> None:
+    def _validate_threads(self, thread_ops: List[int],
+                          marks: List[int]) -> None:
+        """The thread-structure checks, over the fork/join and begin/end
+        events and the per-thread eid lists. The first error in trace
+        order among double forks/joins, self-forks and accesses without
+        a target wins, then forks, joins, and begin/end placement."""
+        events = self.events
         forked: Dict[Tid, int] = {}
         joined: Dict[Tid, int] = {}
-        for e in self.events:
+        first: Optional[MalformedTraceError] = None
+        for eid in thread_ops:
+            e = events[eid]
             if e.kind is EventKind.FORK:
                 if e.target == e.tid:
-                    raise MalformedTraceError(
-                        f"{e}: thread forks itself", event_index=e.eid
-                    )
+                    first = MalformedTraceError(
+                        f"{e}: thread forks itself", event_index=eid)
+                    break
                 if e.target in forked:
-                    raise MalformedTraceError(
-                        f"{e}: thread {e.target!r} forked twice", event_index=e.eid
-                    )
-                forked[e.target] = e.eid
-            elif e.kind is EventKind.JOIN:
+                    first = MalformedTraceError(
+                        f"{e}: thread {e.target!r} forked twice",
+                        event_index=eid)
+                    break
+                forked[e.target] = eid
+            else:
                 if e.target in joined:
-                    raise MalformedTraceError(
-                        f"{e}: thread {e.target!r} joined twice", event_index=e.eid
-                    )
-                joined[e.target] = e.eid
-            elif e.kind in (EventKind.READ, EventKind.WRITE, EventKind.VOLATILE_READ,
-                            EventKind.VOLATILE_WRITE):
-                if e.target is None:
-                    raise MalformedTraceError(
-                        f"{e}: access without a target", event_index=e.eid
-                    )
+                    first = MalformedTraceError(
+                        f"{e}: thread {e.target!r} joined twice",
+                        event_index=eid)
+                    break
+                joined[e.target] = eid
+        if None in self.var_names or None in self.vol_names:
+            e = next(e for e in events if e.target is None and (
+                e.kind.is_access or e.kind.is_volatile))
+            if first is None or e.eid < first.event_index:
+                first = MalformedTraceError(
+                    f"{e}: access without a target", event_index=e.eid)
+        if first is not None:
+            raise first
         for tid, fork_eid in forked.items():
             eids = self._thread_events.get(tid, [])
             if eids and eids[0] < fork_eid:
@@ -164,19 +281,24 @@ class Trace:
                     f"#{join_eid}",
                     event_index=eids[-1],
                 )
-        for tid, eids in self._thread_events.items():
-            for pos, eid in enumerate(eids):
-                kind = self.events[eid].kind
-                if kind is EventKind.BEGIN and pos != 0:
-                    raise MalformedTraceError(
-                        f"{self.events[eid]}: begin is not thread's first event",
-                        event_index=eid,
-                    )
-                if kind is EventKind.END and pos != len(eids) - 1:
-                    raise MalformedTraceError(
-                        f"{self.events[eid]}: end is not thread's last event",
-                        event_index=eid,
-                    )
+        # Per thread, in first-appearance order, its first misplaced
+        # begin or end.
+        misplaced: Dict[int, Tuple[int, str]] = {}
+        local, tix = self.local_time, self.tix
+        counts = [len(eids) for eids in self._thread_events.values()]
+        for eid in marks:
+            ti = tix[eid]
+            if ti in misplaced:
+                continue
+            if events[eid].kind is EventKind.BEGIN:
+                if local[eid] != 1:
+                    misplaced[ti] = (eid, "begin is not thread's first event")
+            elif local[eid] != counts[ti]:
+                misplaced[ti] = (eid, "end is not thread's last event")
+        if misplaced:
+            eid, problem = misplaced[min(misplaced)]
+            raise MalformedTraceError(f"{events[eid]}: {problem}",
+                                      event_index=eid)
 
     # ------------------------------------------------------------------
     # Paper notation
@@ -242,11 +364,12 @@ class Trace:
 
     def variables(self) -> Set[Target]:
         """The set of shared variables accessed in the trace."""
-        return {e.target for e in self.events if e.is_access}
+        return set(self.var_names)
 
     def locks(self) -> Set[Target]:
-        """The set of locks acquired in the trace."""
-        return {e.target for e in self.events if e.kind is EventKind.ACQUIRE}
+        """The set of locks acquired in the trace (every released lock
+        was acquired first)."""
+        return set(self.lock_names)
 
     def conflicting_pairs(self) -> Iterator[Tuple[Event, Event]]:
         """Iterate over all conflicting access pairs ``(e1, e2)`` with

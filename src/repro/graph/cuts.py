@@ -50,7 +50,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.core.events import Event, EventKind, Target, Tid
+from repro.core.events import CODE_ACQUIRE, CODE_RELEASE, Event, Target, Tid
 from repro.core.trace import Trace
 from repro.graph.constraint_graph import ConstraintGraph
 
@@ -83,8 +83,6 @@ class CutIndex:
         self._desc_cuts: List[List[Cut]] = []
         self._zero: Cut = ()
         self._none: Cut = ()
-        #: Thread id -> the thread's index into the cut tuples.
-        self._index_of: Dict[Tid, int] = {}
         #: Per thread index: the thread's event ids in program order.
         self._eids: List[Sequence[int]] = []
         #: ``(thread index, tid, lock, sorted local times)`` of the
@@ -137,7 +135,6 @@ class CutIndex:
             self.misses += 1
             self._overlay = dict.fromkeys(sorted(graph.backward_edges()))
             threads = trace.threads
-            self._index_of = {tid: i for i, tid in enumerate(threads)}
             self._eids = [trace.eids_of(tid) for tid in threads]
             width = len(threads)
             self._zero = (0,) * width
@@ -241,21 +238,23 @@ class CutIndex:
                                   self.trace.local_time[eid])
 
     def _index_locks(self) -> None:
-        """Per (thread, lock): sorted local times of acquires and releases."""
-        index_of, local = self._index_of, self.trace.local_time
-        acquires: Dict[Tuple[Tid, Target], List[int]] = {}
-        releases: Dict[Tuple[Tid, Target], List[int]] = {}
-        acquire, release = EventKind.ACQUIRE, EventKind.RELEASE
-        for e in self.trace.events:
-            kind = e.kind
-            if kind is acquire:
-                acquires.setdefault((e.tid, e.target), []).append(local[e.eid])
-            elif kind is release:
-                releases.setdefault((e.tid, e.target), []).append(local[e.eid])
-        self._acquires = [(index_of[tid], tid, lock, times)
-                          for (tid, lock), times in acquires.items()]
-        self._releases = [(index_of[tid], tid, lock, times)
-                          for (tid, lock), times in releases.items()]
+        """Per (thread, lock): sorted local times of acquires and
+        releases, from the trace's columns."""
+        trace = self.trace
+        codes, tix, tgt = trace.codes, trace.tix, trace.tgt
+        local = trace.local_time
+        acquires: Dict[Tuple[int, int], List[int]] = {}
+        releases: Dict[Tuple[int, int], List[int]] = {}
+        for eid, code in enumerate(codes):
+            if code == CODE_ACQUIRE:
+                acquires.setdefault((tix[eid], tgt[eid]), []).append(local[eid])
+            elif code == CODE_RELEASE:
+                releases.setdefault((tix[eid], tgt[eid]), []).append(local[eid])
+        tids, locks = trace.tid_names, trace.lock_names
+        self._acquires = [(t, tids[t], locks[lock], times)
+                          for (t, lock), times in acquires.items()]
+        self._releases = [(t, tids[t], locks[lock], times)
+                          for (t, lock), times in releases.items()]
         self._lock_acquires = {}
         for t, _, lock, times in self._acquires:
             self._lock_acquires.setdefault(lock, []).append((t, times))
@@ -338,7 +337,7 @@ class CutIndex:
 
     def thread_of(self, eid: int) -> int:
         """The index of event ``eid``'s thread in the cut tuples."""
-        return self._index_of[self.trace.events[eid].tid]
+        return self.trace.tix[eid]
 
     def cut_events(self, cut: Cut) -> Set[int]:
         """The event ids an ancestor cut holds."""

@@ -20,15 +20,20 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import List, Optional, TextIO, Tuple, Union
+from typing import Dict, List, Optional, TextIO, Tuple, Union
 
-from repro.core.events import Event, EventKind, Tid
+from repro import obs
+from repro.core.events import Event, EventKind, Tid, _new_event
 from repro.core.exceptions import MalformedTraceError, TraceFormatError
 from repro.core.trace import Trace
 
 _KIND_BY_NAME = {kind.value: kind for kind in EventKind}
 _NO_TARGET = (EventKind.BEGIN, EventKind.END)
 _THREAD_TARGET = (EventKind.FORK, EventKind.JOIN)
+#: Operation name -> (kind, whether the target is a thread), for the
+#: operations that take a target: the file parser's fast path.
+_TARGETED_OPS = {kind.value: (kind, kind in _THREAD_TARGET)
+                 for kind in EventKind if kind not in _NO_TARGET}
 
 
 def _parse_tid(token: str) -> Tid:
@@ -150,25 +155,57 @@ def parse_event_line(line: str, *, eid: int, line_number: int = -1) -> Optional[
         target = (_parse_tid(parts[2]) if kind in _THREAD_TARGET
                   else parts[2])
         loc = parts[3] if len(parts) > 3 else None
-    return Event(eid, tid, kind, target, loc)
+    return _new_event(eid, tid, kind, target, loc)
 
 
 def _parse(handle: TextIO) -> Tuple[List[Event], List[int]]:
+    """The file parser: :func:`parse_event_line`'s events, line by line.
+
+    Lines of the common shape (``<tid> <op> <target> [loc]`` with a
+    targeted op) are parsed here, with each distinct tid token parsed
+    once and each distinct target and location string kept once; every
+    other line, comments and malformed ones included, goes through
+    :func:`parse_event_line` itself.
+    """
     events: List[Event] = []
     line_numbers: List[int] = []
+    tids: Dict[str, Tid] = {}
+    strings: Dict[str, str] = {}
+    ops = _TARGETED_OPS
     for number, raw in enumerate(handle, start=1):
-        event = parse_event_line(raw, eid=len(events), line_number=number)
-        if event is None:
-            continue
+        parts = raw.split(None, 3)
+        op = ops.get(parts[1]) if len(parts) > 2 else None
+        if op is None or parts[0][0] == "#":
+            event = parse_event_line(raw, eid=len(events), line_number=number)
+            if event is None:
+                continue
+        else:
+            tid = tids.get(parts[0])
+            if tid is None:
+                tid = tids[parts[0]] = _parse_tid(parts[0])
+            kind, thread_target = op
+            if thread_target:
+                target = tids.get(parts[2])
+                if target is None:
+                    target = tids[parts[2]] = _parse_tid(parts[2])
+            else:
+                target = strings.setdefault(parts[2], parts[2])
+            loc = None
+            if len(parts) == 4:
+                loc = parts[3].rstrip()
+                loc = strings.setdefault(loc, loc)
+            event = _new_event(len(events), tid, kind, target, loc)
         events.append(event)
         line_numbers.append(number)
     return events, line_numbers
 
 
 def _read(handle: TextIO, validate: bool) -> Trace:
-    events, line_numbers = _parse(handle)
+    with obs.span("traces.parse"):
+        events, line_numbers = _parse(handle)
     try:
-        return Trace(events, validate=validate)
+        with obs.span("traces.index"):
+            return Trace(events, validate=validate)
     except MalformedTraceError as exc:
         # Map the failing event back to its source line so the error is
         # actionable for whoever logged the trace (the structural check

@@ -50,7 +50,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar
 
 _T = TypeVar("_T", bound=Hashable)
 
-from repro.core.events import Event, EventKind, Target, Tid
+from repro.core.events import Event, EventKind, Target, Tid, _new_event
 from repro.core.exceptions import MalformedTraceError
 from repro.core.trace import Trace
 
@@ -120,7 +120,7 @@ class PackedTrace:
         for eid, (code, tid_i) in enumerate(zip(self.kinds, self.tid_idx)):
             t_i = target_idx[eid]
             l_i = loc_idx[eid]
-            events.append(Event(
+            events.append(_new_event(
                 eid,
                 tids[tid_i],
                 KIND_ORDER[code],

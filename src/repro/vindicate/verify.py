@@ -58,7 +58,9 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.core.events import Event, EventKind, Target, Tid, conflicts
+from repro.core.events import (CODE_ACQUIRE, CODE_FORK, CODE_JOIN, CODE_READ,
+                               CODE_WRITE, Event, EventKind, Target, Tid,
+                               conflicts)
 from repro.core.exceptions import MalformedReorderingError
 from repro.core.trace import Trace
 from repro.core.witness import CutWitness, ListedWitness, Witness
@@ -68,7 +70,6 @@ _WRITE = EventKind.WRITE
 _VOLATILE_READ = EventKind.VOLATILE_READ
 _VOLATILE_WRITE = EventKind.VOLATILE_WRITE
 _JOIN = EventKind.JOIN
-_ACQUIRE = EventKind.ACQUIRE
 
 
 #: Per other thread index: the local times of a thread at which a
@@ -79,9 +80,9 @@ Requirements = Dict[int, Tuple[List[int], List[int]]]
 class TraceIndex:
     """Immutable per-trace structure the checker reads instead of the trace.
 
-    Built in one pass over ``trace.events``; every field is O(n) ints.
-    The per-thread eid lists and ``local_time`` it also relies on are
-    already on :class:`Trace`.
+    Built in one pass over the trace's ``codes``/``tix``/``tgt`` columns;
+    every field is O(n) ints. The per-thread eid lists and
+    ``local_time`` it also relies on are already on :class:`Trace`.
 
     Attributes:
         size: Number of events indexed (a changed length forces a rebuild).
@@ -105,10 +106,10 @@ class TraceIndex:
                  "thread_index", "requires", "joins", "lock_acquires")
 
     def __init__(self, trace: Trace) -> None:
-        events = trace.events
+        codes, tix, tgt = trace.codes, trace.tix, trace.tgt
         local = trace.local_time
         threads = trace.threads
-        self.size = len(events)
+        self.size = len(codes)
         self.fork_of: Dict[Tid, int] = {}
         self.prev_write: List[int] = [-1] * self.size
         self.reads_before: Dict[int, List[int]] = {}
@@ -116,51 +117,52 @@ class TraceIndex:
             tid: i for i, tid in enumerate(threads)}
         self.requires: List[Requirements] = [{} for _ in threads]
         self.joins: List[Requirements] = [{} for _ in threads]
-        thread_index, requires = self.thread_index, self.requires
-        acquires: Dict[Tuple[int, Target], List[int]] = {}
-        last_write: Dict[Target, int] = {}
-        pending_reads: Dict[Target, List[int]] = {}
-        for e in events:
-            eid, kind = e.eid, e.kind
-            if kind is _READ or kind is _WRITE:
-                write = last_write.get(e.target, -1)
-                self.prev_write[eid] = write
-                if write >= 0 and events[write].tid != e.tid:
-                    _require(requires[thread_index[e.tid]], local[eid],
-                             thread_index[events[write].tid], local[write])
-                if kind is _READ:
-                    reads = pending_reads.get(e.target)
+        prev_write, requires = self.prev_write, self.requires
+        width = len(threads)
+        acquires: Dict[Tuple[int, int], List[int]] = {}
+        last_write = [-1] * len(trace.var_names)
+        pending_reads: Dict[int, List[int]] = {}
+        for eid, code in enumerate(codes):
+            if code <= CODE_WRITE:
+                var, ti = tgt[eid], tix[eid]
+                write = last_write[var]
+                prev_write[eid] = write
+                if write >= 0 and tix[write] != ti:
+                    _require(requires[ti], local[eid], tix[write],
+                             local[write])
+                if code == CODE_READ:
+                    reads = pending_reads.get(var)
                     if reads is None:
-                        reads = pending_reads[e.target] = []
+                        reads = pending_reads[var] = []
                     reads.append(eid)
                     continue
-                reads = pending_reads.pop(e.target, None)
+                reads = pending_reads.pop(var, None)
                 if reads is not None:
                     self.reads_before[eid] = reads
                     for read in reads:
-                        if events[read].tid != e.tid:
-                            _require(requires[thread_index[e.tid]],
-                                     local[eid],
-                                     thread_index[events[read].tid],
+                        if tix[read] != ti:
+                            _require(requires[ti], local[eid], tix[read],
                                      local[read])
-                last_write[e.target] = eid
-            elif kind is _ACQUIRE:
-                key = (thread_index[e.tid], e.target)
+                last_write[var] = eid
+            elif code == CODE_ACQUIRE:
+                key = (tix[eid], tgt[eid])
                 held = acquires.get(key)
                 if held is None:
                     held = acquires[key] = []
                 held.append(eid)
-            elif kind is EventKind.FORK:
-                self.fork_of[e.target] = eid
-            elif kind is _JOIN:
-                child = trace.eids_of(e.target)
-                if child and e.target != e.tid:
-                    need = len(child) + (child[-1] > eid)
-                    _require(self.joins[thread_index[e.tid]], local[eid],
-                             thread_index[e.target], need)
+            elif code == CODE_FORK:
+                self.fork_of[trace.tid_names[tgt[eid]]] = eid
+            elif code == CODE_JOIN:
+                child, ti = tgt[eid], tix[eid]
+                if child < width and child != ti:
+                    eids = trace.eids_of(threads[child])
+                    need = len(eids) + (eids[-1] > eid)
+                    _require(self.joins[ti], local[eid], child, need)
+        lock_names = trace.lock_names
         self.lock_acquires: Dict[Target, List[Tuple[int, List[int]]]] = {}
         for (t, lock), eids in acquires.items():
-            self.lock_acquires.setdefault(lock, []).append((t, eids))
+            self.lock_acquires.setdefault(lock_names[lock], []).append(
+                (t, eids))
 
 
 def _require(points: Requirements, at: int, thread: int, need: int) -> None:

@@ -260,7 +260,7 @@ class VindicatorReport:
             "trace": {
                 "events": len(self.trace),
                 "threads": list(self.trace.threads),
-                "variables": len(self.trace.variables()),
+                "variables": len(self.trace.var_names),
                 "provenance": dict(self.provenance),
             },
             "analyses": {

@@ -252,12 +252,12 @@ class TestAdversarial:
     def test_streaming_release_without_acquire_parity_wcp(self):
         trace = TraceBuilder().acq(1, "m").rel(1, "m").build()
         errors = []
-        for det in (WCPDetector(), EpochWCPDetector()):
+        for det in (WCPDetector(), EpochWCPDetector(), DCDetector()):
             det.begin_trace(trace)
-            with pytest.raises(KeyError) as exc:
+            with pytest.raises(MalformedTraceError) as exc:
                 det.handle(trace.events[1])
-            errors.append(exc.value.args)
-        assert errors[0] == errors[1]
+            errors.append((str(exc.value), exc.value.event_index))
+        assert errors[0] == errors[1] == errors[2]
 
     @SETTINGS
     @given(seed=seeds,

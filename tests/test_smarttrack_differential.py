@@ -266,17 +266,29 @@ class TestAdversarial:
         assert outcomes[0] == outcomes[1]
 
     def test_streaming_release_without_acquire_parity_wcp(self):
-        # The reference WCP detector leaks a KeyError here (pre-existing
-        # behaviour); the epoch variant must match it exactly rather
-        # than invent a different failure mode.
+        # Both WCP detectors reject the release as the DC detectors do.
         trace = TraceBuilder().acq(1, "m").rel(1, "m").build()
         errors = []
-        for det in (WCPDetector(), EpochWCPDetector()):
+        for det in (WCPDetector(), EpochWCPDetector(), DCDetector()):
             det.begin_trace(trace)
-            with pytest.raises(KeyError) as exc:
+            with pytest.raises(MalformedTraceError) as exc:
                 det.handle(trace.events[1])
-            errors.append(exc.value.args)
-        assert errors[0] == errors[1]
+            errors.append((str(exc.value), exc.value.event_index))
+        assert errors[0] == errors[1] == errors[2]
+
+    def test_streaming_release_by_wrong_thread_parity_wcp(self):
+        trace = (TraceBuilder()
+                 .acq(1, "m").rel(1, "m")
+                 .acq(2, "m").rel(2, "m")
+                 .build())
+        errors = []
+        for det in (WCPDetector(), EpochWCPDetector(), DCDetector()):
+            det.begin_trace(trace)
+            det.handle(trace.events[0])
+            with pytest.raises(MalformedTraceError) as exc:
+                det.handle(trace.events[3])
+            errors.append((str(exc.value), exc.value.event_index))
+        assert errors[0] == errors[1] == errors[2]
 
     @SETTINGS
     @given(seed=seeds,

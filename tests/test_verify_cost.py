@@ -1,11 +1,12 @@
 """Cost and independence guards for the witness checker.
 
 * **O(|witness|).** The first check of a trace builds its index in one
-  pass over the events; every later check of that trace — accepted or
-  rejected — must make zero passes over it. Passes are counted by
-  wrapping ``Trace.__iter__``, ``Trace.events_of`` and the other
-  whole-trace helpers, and by swapping ``trace.events`` for a list that
-  counts iterations and slices.
+  pass over the trace's kind column; every later check of that trace —
+  accepted or rejected — must make zero passes over it. Passes are
+  counted by wrapping ``Trace.__iter__``, ``Trace.events_of`` and the
+  other whole-trace helpers, by swapping ``trace.events`` for a list
+  that counts iterations and slices, and ``trace.codes`` for a column
+  that counts iterations.
   A cut witness is checked from the cut alone: zero passes too.
 * **Independence.** The checker is a certificate check that shares no
   code with the constructor: neither ``repro.vindicate.verify`` nor the
@@ -60,11 +61,25 @@ class _CountingEvents(list):
         return super().__getitem__(key)
 
 
+class _CountingColumn(bytearray):
+    """``trace.codes`` stand-in that counts full iterations."""
+
+    def __init__(self, column, counter):
+        super().__init__(column)
+        self.counter = counter
+
+    def __iter__(self):
+        self.counter.passes += 1
+        return super().__iter__()
+
+
 class _PassCounter:
     def __init__(self, monkeypatch, trace):
         self.passes = 0
         monkeypatch.setattr(trace, "events",
                             _CountingEvents(trace.events, self))
+        monkeypatch.setattr(trace, "codes",
+                            _CountingColumn(trace.codes, self))
         for name in TRACE_SCANS:
             monkeypatch.setattr(Trace, name, self._counted(getattr(Trace, name)))
 
