@@ -4,7 +4,7 @@ Four measurements, same events (avrora at ``SCALE``), all with GC on:
 
 * ``batch analyze`` — the single-shot pipeline (``Vindicator().run``,
   the epoch detectors), the ceiling the service is judged against;
-  sessions still run the reference detectors;
+  sessions run the same detectors, fed per event;
 * ``inline session`` — :class:`~repro.serve.session.SessionAnalyzer`
   fed line chunks directly: streaming parse + detectors + windowed GC,
   no sockets.  The gap to batch is the price of incremental analysis;

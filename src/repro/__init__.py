@@ -30,6 +30,7 @@ Public API layers:
 * :mod:`repro.stats` — event-distance statistics and table helpers.
 """
 
+import importlib
 from typing import TYPE_CHECKING
 
 from repro.core.events import Event, EventKind, conflicts
@@ -42,11 +43,8 @@ from repro.core.exceptions import (
     TraceFormatError,
     VindicationError,
 )
+from repro.analysis import LAZY as _LAZY
 from repro.analysis.base import Detector
-from repro.analysis.hb import HBDetector
-from repro.analysis.wcp import WCPDetector
-from repro.analysis.dc import DCDetector
-from repro.analysis.fasttrack import FastTrackDetector
 from repro.analysis.races import DynamicRace, RaceClass, RaceReport, static_races
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.vindicate.vindicator import (
@@ -60,18 +58,23 @@ from repro.vindicate.verify import check_correct_reordering, check_witness
 from repro.vindicate.oracle import OracleBudgetExceededError, PredictabilityOracle
 
 if TYPE_CHECKING:
+    from repro.analysis.dc import DCDetector
+    from repro.analysis.fasttrack import FastTrackDetector
+    from repro.analysis.hb import HBDetector
     from repro.analysis.reference import ReferenceAnalysis
+    from repro.analysis.wcp import WCPDetector
 
 __version__ = "1.0.0"
 
 
 def __getattr__(name: str) -> object:
-    # PEP 562: ReferenceAnalysis needs numpy, which costs a start-up
-    # that the CLI never uses; import it on first access instead.
-    if name == "ReferenceAnalysis":
-        from repro.analysis.reference import ReferenceAnalysis
-        return ReferenceAnalysis
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # PEP 562: the reference detectors and engines load on first access
+    # (see repro.analysis.LAZY); ReferenceAnalysis needs numpy.
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
 
 
 __all__ = [

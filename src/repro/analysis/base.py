@@ -351,7 +351,8 @@ class Detector(abc.ABC):
         # function of the access sequence: the force-ordering loop above
         # consumes `racing` in table order and joins clocks as it goes, so
         # an order that depended on *first* access (dict in-place update)
-        # would diverge once streaming GC removed and re-admitted a thread.
+        # would diverge from the epoch detectors' once their streaming GC
+        # removed and re-admitted a thread.
         table = history.last_write if e.is_write else history.last_read
         _k.record_latest(table, tid, (e, snapshot2))
         return race
@@ -361,63 +362,3 @@ class Detector(abc.ABC):
         assert self.report is not None
         counters = self.report.counters
         counters[counter] = counters.get(counter, 0) + amount
-
-    # ------------------------------------------------------------------
-    # Streaming metadata GC (driven by repro.serve between events)
-    # ------------------------------------------------------------------
-    def gc_cover_clocks(self, tid: Tid) -> List[VectorClock]:
-        """The clocks whose component-wise min is live thread ``tid``'s
-        cover under this relation (see :class:`GCFloors`); empty when the
-        detector holds no clock for ``tid`` yet. Implemented by the
-        reference detectors (HB/WCP/DC) that the serve sessions run."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support streaming GC")
-
-    def gc_collect(self, floors: GCFloors) -> int:
-        """Retire metadata no live thread can ever observe again; returns
-        the number of entries dropped. Subclasses extend this with their
-        relation-specific tables."""
-        return self.gc_retire_history(floors)
-
-    def gc_drop_thread(self, tid: Tid) -> None:
-        """Forget per-thread state of a *joined* thread (its clock can
-        never be read again: no further events, and a second join is
-        structurally invalid). Subclasses extend."""
-        self._snap_cache.pop(tid, None)
-
-    def gc_retire_history(self, floors: GCFloors) -> int:
-        """Drop access-history entries below the retirement floor.
-
-        An entry races with a future access of live thread ``v`` only if
-        ``local_time > clock_v(u)``; at or below the floor that is false
-        for every live ``v``, so the scan in :meth:`check_access` could
-        never include it in ``racing``. Shrinking :attr:`AccessHistory.tids`
-        alongside keeps the single-accessor scan-skip gate consistent
-        (a variable whose foreign entries all retired behaves like a
-        fresh single-threaded one — same verdicts either way).
-        """
-        assert self.trace is not None
-        local_time = self.trace.local_time
-        retired = 0
-        dead_vars: List[Target] = []
-        for target, history in self._history.items():
-            for table in (history.last_write, history.last_read):
-                drop = [u for u, (prior, _snap) in table.items()
-                        if local_time[prior.eid] <= floors.floor(u)]
-                for u in drop:
-                    del table[u]
-                retired += len(drop)
-            if history.last_write or history.last_read:
-                live_tids = set(history.last_write)
-                live_tids.update(history.last_read)
-                history.tids &= live_tids
-            else:
-                dead_vars.append(target)
-        for target in dead_vars:
-            del self._history[target]
-        return retired
-
-    def gc_live_entries(self) -> int:
-        """Access-history entries currently held (bounded-memory tests)."""
-        return sum(len(h.last_write) + len(h.last_read)
-                   for h in self._history.values())

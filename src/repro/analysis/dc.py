@@ -25,8 +25,7 @@ from repro.core.trace import Trace
 from repro.core.vectorclock import VectorClock
 from repro.analysis.base import Detector
 from repro.analysis.races import RaceReport
-from repro.analysis.sync_structures import (LockQueues, SourceClocks,
-                                            _retire_source_tables)
+from repro.analysis.sync_structures import LockQueues, SourceClocks
 from repro.graph.constraint_graph import ConstraintGraph
 
 
@@ -262,36 +261,3 @@ class DCDetector(Detector):
     def clock_of(self, tid: Tid) -> Optional[VectorClock]:
         """The thread's current DC clock (None before its first event)."""
         return self._clocks.get(tid)
-
-    # ------------------------------------------------------------------
-    # Streaming metadata GC (repro.serve)
-    # ------------------------------------------------------------------
-    def gc_cover_clocks(self, tid: Tid):
-        clock = self._clocks.get(tid)
-        if clock is not None:
-            return [clock]
-        pending = self._pending_fork.get(tid)
-        return [] if pending is None else [pending[1]]
-
-    def gc_collect(self, floors) -> int:
-        retired = super().gc_collect(floors)
-        for tables in (self._cs_writes, self._cs_reads,
-                       self._vol_writes, self._vol_reads):
-            retired += _retire_source_tables(tables, floors)
-        for lock in list(self._queues):
-            queues = self._queues[lock]
-            # DC's single clock always dominates the thread's own past,
-            # so own records join nothing; passing the thread clock makes
-            # the own-record dominance check trivially true.
-            retired += queues.gc_retire(floors, self._clocks.get)
-            if not queues.records and not queues.cursors \
-                    and queues.open_record is None:
-                del self._queues[lock]
-        return retired
-
-    def gc_drop_thread(self, tid: Tid) -> None:
-        super().gc_drop_thread(tid)
-        self._clocks.pop(tid, None)
-        self._pending_fork.pop(tid, None)
-        self._pending_vars.pop(tid, None)
-        self._last_event.pop(tid, None)

@@ -134,18 +134,3 @@ class HBDetector(Detector):
     def clock_of(self, tid: Tid) -> Optional[VectorClock]:
         """The thread's current HB clock (None if the thread has no events yet)."""
         return self._clocks.get(tid)
-
-    # ------------------------------------------------------------------
-    # Streaming metadata GC (repro.serve)
-    # ------------------------------------------------------------------
-    def gc_cover_clocks(self, tid: Tid):
-        clock = self._clocks.get(tid)
-        if clock is not None:
-            return [clock]
-        pending = self._pending_fork.get(tid)
-        return [] if pending is None else [pending]
-
-    def gc_drop_thread(self, tid: Tid) -> None:
-        super().gc_drop_thread(tid)
-        self._clocks.pop(tid, None)
-        self._pending_fork.pop(tid, None)

@@ -15,7 +15,9 @@ predictive analyses, adapted to this repo's exact reference semantics:
 
 * **Dense clock kernel** — one :class:`~repro.core.vectorclock_dense.TidTable`
   per trace interns thread ids to indices; every clock is a plain
-  ``list`` of ints of fixed length ``T``, joined by the fused kernels in
+  ``list`` of ints of one length (the thread count ``T`` of a loaded
+  trace; a growing trace doubles it as threads appear), joined by the
+  fused kernels in
   :mod:`repro.core.vectorclock_dense`. The trace's indexing pass
   (:class:`~repro.core.trace.Trace`'s columns) interns thread ids,
   variables, locks, and volatiles and precomputes each access's
@@ -83,10 +85,10 @@ documents compare equal modulo timing/metrics.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro import obs
-from repro.analysis.base import Detector
+from repro.analysis.base import Detector, GCFloors
 from repro.analysis.races import DynamicRace, RaceReport
 from repro.core.events import (CODE_ACQUIRE as _ACQ, CODE_FORK as _FORK,
                                CODE_JOIN as _JOIN, CODE_RELEASE as _REL,
@@ -104,6 +106,11 @@ from repro.graph.program_order import ProgramOrderGraph
 __all__ = ["EpochDCDetector", "EpochHBDetector", "EpochWCPDetector"]
 
 _by_eid = attrgetter("eid")
+_T = TypeVar("_T")
+
+#: Smallest clock capacity and key stride a growing trace allocates.
+_MIN_CAPACITY = 8
+
 
 class _VarState:
     """Staged per-variable access metadata.
@@ -159,7 +166,12 @@ class _EpochDetectorBase(Detector):
         self._tgt: List[int] = []
         self._held: List[Optional[Tuple[int, ...]]] = []
         self._lt: List[int] = []
-        self._T = 0
+        #: Length of every dense thread clock: the thread count of a
+        #: batch trace, doubled as a growing trace outgrows it.
+        self._cap = 0
+        #: Key stride of the (lock, variable) rule (a) tables
+        #: (``li * _nv + vi``): the variable count of a batch trace,
+        #: doubled as a growing trace outgrows it.
         self._nv = 0
         self._vars: List[Optional[_VarState]] = []
         self._snaps: List[Optional[List[int]]] = []
@@ -180,18 +192,18 @@ class _EpochDetectorBase(Detector):
 
     def begin_trace(self, trace: Trace) -> None:
         super().begin_trace(trace)
-        self._table = TidTable(trace.tid_names)
+        self._table = TidTable.over(trace.tid_names, trace.tid_index)
         self._codes = trace.codes
         self._tix = trace.tix
         self._tgt = trace.tgt
         self._held = trace.held
         self._lt = trace.local_time
-        self._T = len(trace.tid_names)
+        self._cap = len(trace.tid_names)
         self._nv = len(trace.var_names)
         self._vars = [None] * self._nv
-        self._snaps = [None] * self._T
-        self._snap_ok = [False] * self._T
-        self._pending_vars = [{} for _ in range(self._T)]
+        self._snaps = [None] * self._cap
+        self._snap_ok = [False] * self._cap
+        self._pending_vars = [{} for _ in range(self._cap)]
         self._n_excl_fast = 0
         self._n_w_gate = 0
         self._n_r_gate = 0
@@ -227,6 +239,144 @@ class _EpochDetectorBase(Detector):
         label = self.metric_label()
         for name, value in self.fast_stats().items():
             reg.add(f"analysis.{label}.{name}", value)
+
+    # ------------------------------------------------------------------
+    # A growing trace (serve's StreamingTrace)
+    # ------------------------------------------------------------------
+    def sync_tables(self) -> None:
+        """Size the per-table state to the bound trace's tables.
+
+        A batch ``Trace`` is complete at :meth:`begin_trace`, so the
+        batch path never calls this. A growing trace
+        (:class:`~repro.serve.streaming.StreamingTrace`) interns
+        threads, variables, locks and volatiles as they first appear;
+        its session calls this after each event that grew a table and
+        before the detectors handle it. Thread clocks grow by capacity
+        doubling: every clock that is joined into or indexed by a
+        thread index is kept at capacity, while snapshots taken at a
+        smaller capacity stay valid join sources (their missing
+        components are zero).
+        """
+        trace = self.trace
+        assert trace is not None, "begin_trace was never called"
+        n = len(trace.tid_names)
+        have = len(self._snaps)
+        if n > have:
+            if n > self._cap:
+                cap = max(n, 2 * self._cap, _MIN_CAPACITY)
+                for clock in self._full_clocks():
+                    clock.extend([0] * (cap - len(clock)))
+                self._cap = cap
+            grow = n - have
+            self._snaps.extend([None] * grow)
+            self._snap_ok.extend([False] * grow)
+            self._pending_vars.extend({} for _ in range(grow))
+            self._grow_threads(grow)
+        nv = len(trace.var_names)
+        if nv > len(self._vars):
+            self._vars.extend([None] * (nv - len(self._vars)))
+            if nv > self._nv:
+                stride = max(nv, 2 * self._nv, _MIN_CAPACITY)
+                self._restride(self._nv, stride)
+                self._nv = stride
+        self._grow_sync(len(trace.lock_names), len(trace.vol_names))
+
+    def _full_clocks(self) -> List[List[int]]:
+        """The clocks kept at capacity (see :meth:`sync_tables`)."""
+        raise NotImplementedError
+
+    def _grow_threads(self, grow: int) -> None:
+        """Extend the subclass's per-thread arrays by ``grow`` slots."""
+        raise NotImplementedError
+
+    def _restride(self, old: int, new: int) -> None:
+        """Re-key the (lock, variable) tables from stride ``old`` to
+        ``new`` (detectors without such tables have nothing to do)."""
+
+    def _grow_sync(self, n_locks: int, n_vols: int) -> None:
+        """Extend the per-lock and per-volatile arrays to the given
+        table sizes."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Streaming metadata GC (repro.serve.gc; criterion: GCFloors)
+    # ------------------------------------------------------------------
+    def _view(self, values: List[int]) -> DenseVectorClock:
+        return DenseVectorClock(self._table, values=values)
+
+    def gc_cover_clocks(self, tid: Tid) -> List[DenseVectorClock]:
+        """The clocks whose component-wise min is live thread ``tid``'s
+        cover under this relation (see :class:`GCFloors`); empty when
+        the detector holds no clock for ``tid`` yet."""
+        raise NotImplementedError
+
+    def gc_collect(self, floors: GCFloors) -> int:
+        """Retire access metadata and synchronisation records no live
+        thread can observe again; returns the entries dropped.
+
+        An exclusive variable whose owner's last accesses are at or
+        below the owner's floor, or a shared one whose maps empty, is
+        forgotten outright: its next access starts it afresh as
+        exclusive, which sees no racing prior, exactly as the scan over
+        the retired (covered) entries would have.
+        """
+        tids = self._table.tids
+        floor = [floors.floor(tid) for tid in tids]
+        dead = {ti for ti, tid in enumerate(tids) if floors.is_dead(tid)}
+        retired = 0
+        states = self._vars
+        for vi, st in enumerate(states):
+            if st is None:
+                continue
+            owner = st.owner
+            if owner >= 0:
+                if st.xw_time <= floor[owner] and st.xr_time <= floor[owner]:
+                    retired += (st.xw_time > 0) + (st.xr_time > 0)
+                    states[vi] = None
+                continue
+            writes, reads = st.writes, st.reads
+            assert writes is not None and reads is not None
+            for table in (writes, reads):
+                drop = [u for u, rec in table.items() if rec[0] <= floor[u]]
+                for u in drop:
+                    del table[u]
+                retired += len(drop)
+            if not writes and not reads:
+                states[vi] = None
+        return retired + self._gc_collect_sync(floor, dead)
+
+    def _gc_collect_sync(self, floor: List[float], dead: Set[int]) -> int:
+        """Retire the subclass's synchronisation records (rule (a)/(b)
+        and volatile tables) below ``floor`` (indexed by thread)."""
+        return 0
+
+    def gc_drop_thread(self, tid: Tid) -> None:
+        """Forget a joined thread's clocks, snapshot and pending
+        critical-section variables."""
+        ti = self._table.index.get(tid)
+        if ti is None:
+            return
+        self._snaps[ti] = None
+        self._snap_ok[ti] = False
+        self._pending_vars[ti] = {}
+        self._drop_thread(ti)
+
+    def _drop_thread(self, ti: int) -> None:
+        raise NotImplementedError
+
+    def gc_live_entries(self) -> int:
+        """Access-metadata entries currently held (bounded-memory
+        tests)."""
+        live = 0
+        for st in self._vars:
+            if st is None:
+                continue
+            if st.owner >= 0:
+                live += (st.xw_time > 0) + (st.xr_time > 0)
+            else:
+                assert st.writes is not None and st.reads is not None
+                live += len(st.writes) + len(st.reads)
+        return live
 
     # ------------------------------------------------------------------
     # Dispatch (kind codes from the trace's column; begin/end only advance)
@@ -438,7 +588,7 @@ class EpochHBDetector(_EpochDetectorBase):
 
     def begin_trace(self, trace: Trace) -> None:
         super().begin_trace(trace)
-        self._c = [None] * self._T
+        self._c = [None] * self._cap
         self._lock_c = [None] * len(trace.lock_names)
         n_vols = len(trace.vol_names)
         self._vol_writes = [None] * n_vols
@@ -450,6 +600,35 @@ class EpochHBDetector(_EpochDetectorBase):
         return None if idx is None else self._c[idx]
 
     # ------------------------------------------------------------------
+    # A growing trace and streaming GC
+    # ------------------------------------------------------------------
+    def _full_clocks(self) -> List[List[int]]:
+        # The volatile read accumulators are join destinations.
+        return [c for c in (*self._c, *self._vol_reads) if c is not None]
+
+    def _grow_threads(self, grow: int) -> None:
+        self._c.extend([None] * grow)
+
+    def _grow_sync(self, n_locks: int, n_vols: int) -> None:
+        _extend(self._lock_c, n_locks, None)
+        _extend(self._vol_writes, n_vols, None)
+        _extend(self._vol_reads, n_vols, None)
+
+    def gc_cover_clocks(self, tid: Tid) -> List[DenseVectorClock]:
+        ti = self._table.index.get(tid)
+        if ti is None:
+            return []
+        c = self._c[ti]
+        if c is not None:
+            return [self._view(c)]
+        pending = self._pending_fork.get(ti)
+        return [] if pending is None else [self._view(pending)]
+
+    def _drop_thread(self, ti: int) -> None:
+        self._c[ti] = None
+        self._pending_fork.pop(ti, None)
+
+    # ------------------------------------------------------------------
     # Clock plumbing
     # ------------------------------------------------------------------
     def _advance(self, ti: int, t: int) -> List[int]:
@@ -457,7 +636,7 @@ class EpochHBDetector(_EpochDetectorBase):
         pending fork edge."""
         c = self._c[ti]
         if c is None:
-            c = self._c[ti] = [0] * self._T
+            c = self._c[ti] = [0] * self._cap
         c[ti] = t
         if self._pending_fork:
             parent = self._pending_fork.pop(ti, None)
@@ -481,7 +660,7 @@ class EpochHBDetector(_EpochDetectorBase):
         # Inlined _advance: one method call per access is measurable.
         c = self._c[ti]
         if c is None:
-            c = self._c[ti] = [0] * self._T
+            c = self._c[ti] = [0] * self._cap
         c[ti] = t
         if self._pending_fork:
             parent = self._pending_fork.pop(ti, None)
@@ -586,7 +765,83 @@ class EpochHBDetector(_EpochDetectorBase):
             _k.join_into_list(reads, c)
 
 
-class EpochWCPDetector(_EpochDetectorBase):
+def _extend(values: List[_T], n: int, fill: _T) -> None:
+    """Pad ``values`` with ``fill`` to length ``n`` (a growing table)."""
+    if n > len(values):
+        values.extend([fill] * (n - len(values)))
+
+
+def _restrided(table: Dict[int, DenseSourceClocks], old: int,
+               new: int) -> Dict[int, DenseSourceClocks]:
+    """``table`` re-keyed from ``li * old + vi`` to ``li * new + vi``,
+    in the same order."""
+    if not old:
+        return table
+    return {key // old * new + key % old: value
+            for key, value in table.items()}
+
+
+class _RuleTablesBase(_EpochDetectorBase):
+    """The rule (a)/(b) and volatile tables WCP and DC share, with
+    their growth on a growing trace and their streaming GC."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._queues: List[Optional[DenseLockQueues]] = []
+        self._cs_writes: Dict[int, DenseSourceClocks] = {}
+        self._cs_reads: Dict[int, DenseSourceClocks] = {}
+        self._vol_writes: List[Optional[DenseSourceClocks]] = []
+        self._vol_reads: List[Optional[DenseSourceClocks]] = []
+
+    def begin_trace(self, trace: Trace) -> None:
+        super().begin_trace(trace)
+        self._queues = [None] * len(trace.lock_names)
+        self._cs_writes = {}
+        self._cs_reads = {}
+        n_vols = len(trace.vol_names)
+        self._vol_writes = [None] * n_vols
+        self._vol_reads = [None] * n_vols
+
+    def _own_clock(self, ti: int) -> Optional[List[int]]:
+        """The clock a thread applies rule (b) with (its own records
+        retire only once this dominates them)."""
+        raise NotImplementedError
+
+    def _restride(self, old: int, new: int) -> None:
+        self._cs_writes = _restrided(self._cs_writes, old, new)
+        self._cs_reads = _restrided(self._cs_reads, old, new)
+
+    def _grow_sync(self, n_locks: int, n_vols: int) -> None:
+        _extend(self._queues, n_locks, None)
+        _extend(self._vol_writes, n_vols, None)
+        _extend(self._vol_reads, n_vols, None)
+
+    def _gc_collect_sync(self, floor: List[float], dead: Set[int]) -> int:
+        # Tables and queues that empty are forgotten: lookups are by
+        # index or key, so no iteration order the analyses read moves.
+        retired = 0
+        for keyed in (self._cs_writes, self._cs_reads):
+            for key in list(keyed):
+                source = keyed[key]
+                retired += source.gc_retire(floor)
+                if not source.entries:
+                    del keyed[key]
+        for tables in (self._vol_writes, self._vol_reads):
+            for xi, table in enumerate(tables):
+                if table is not None:
+                    retired += table.gc_retire(floor)
+                    if not table.entries:
+                        tables[xi] = None
+        for li, queues in enumerate(self._queues):
+            if queues is not None:
+                retired += queues.gc_retire(floor, dead, self._own_clock)
+                if (not queues.records and not queues.cursors
+                        and queues.open_rec is None):
+                    self._queues[li] = None
+        return retired
+
+
+class EpochWCPDetector(_RuleTablesBase):
     """Epoch-optimised WCP detector (verdict-identical to
     :class:`~repro.analysis.wcp.WCPDetector`).
 
@@ -605,31 +860,58 @@ class EpochWCPDetector(_EpochDetectorBase):
         self._p: List[Optional[List[int]]] = []
         self._lock_h: List[Optional[List[int]]] = []
         self._lock_p: List[Optional[List[int]]] = []
-        self._queues: List[Optional[DenseLockQueues]] = []
-        self._cs_writes: Dict[int, DenseSourceClocks] = {}
-        self._cs_reads: Dict[int, DenseSourceClocks] = {}
-        self._vol_writes: List[Optional[DenseSourceClocks]] = []
-        self._vol_reads: List[Optional[DenseSourceClocks]] = []
         self._pending_fork: Dict[int, List[int]] = {}
 
     def begin_trace(self, trace: Trace) -> None:
         super().begin_trace(trace)
-        self._h = [None] * self._T
-        self._p = [None] * self._T
+        self._h = [None] * self._cap
+        self._p = [None] * self._cap
         n_locks = len(trace.lock_names)
         self._lock_h = [None] * n_locks
         self._lock_p = [None] * n_locks
-        self._queues = [None] * n_locks
-        self._cs_writes = {}
-        self._cs_reads = {}
-        n_vols = len(trace.vol_names)
-        self._vol_writes = [None] * n_vols
-        self._vol_reads = [None] * n_vols
         self._pending_fork = {}
 
     def _clock_values_of(self, tid: Tid) -> Optional[List[int]]:
         idx = self._table.index.get(tid)
         return None if idx is None else self._p[idx]
+
+    # ------------------------------------------------------------------
+    # A growing trace and streaming GC
+    # ------------------------------------------------------------------
+    def _full_clocks(self) -> List[List[int]]:
+        return [c for c in (*self._h, *self._p) if c is not None]
+
+    def _grow_threads(self, grow: int) -> None:
+        self._h.extend([None] * grow)
+        self._p.extend([None] * grow)
+
+    def _grow_sync(self, n_locks: int, n_vols: int) -> None:
+        super()._grow_sync(n_locks, n_vols)
+        _extend(self._lock_h, n_locks, None)
+        _extend(self._lock_p, n_locks, None)
+
+    def _own_clock(self, ti: int) -> Optional[List[int]]:
+        # P lacks own program order, so own records are real rule (b)
+        # joins until P dominates them.
+        return self._p[ti]
+
+    def gc_cover_clocks(self, tid: Tid) -> List[DenseVectorClock]:
+        # Both clocks must cover an entry before it can retire: rule
+        # (a)/(b) and volatile sources join into P *and* H, and a forked
+        # child's initial P is the parent's H snapshot.
+        ti = self._table.index.get(tid)
+        if ti is None:
+            return []
+        h, p = self._h[ti], self._p[ti]
+        if h is not None and p is not None:
+            return [self._view(h), self._view(p)]
+        pending = self._pending_fork.get(ti)
+        return [] if pending is None else [self._view(pending)]
+
+    def _drop_thread(self, ti: int) -> None:
+        self._h[ti] = None
+        self._p[ti] = None
+        self._pending_fork.pop(ti, None)
 
     # ------------------------------------------------------------------
     # Clock plumbing
@@ -639,8 +921,8 @@ class EpochWCPDetector(_EpochDetectorBase):
         consume any pending fork edge."""
         h = self._h[ti]
         if h is None:
-            h = self._h[ti] = [0] * self._T
-            self._p[ti] = [0] * self._T
+            h = self._h[ti] = [0] * self._cap
+            self._p[ti] = [0] * self._cap
         h[ti] = t
         p = self._p[ti]
         assert p is not None
@@ -667,8 +949,8 @@ class EpochWCPDetector(_EpochDetectorBase):
         # Inlined _advance: one method call per access is measurable.
         h = self._h[ti]
         if h is None:
-            h = self._h[ti] = [0] * self._T
-            self._p[ti] = [0] * self._T
+            h = self._h[ti] = [0] * self._cap
+            self._p[ti] = [0] * self._cap
         h[ti] = t
         p = self._p[ti]
         assert p is not None
@@ -869,7 +1151,7 @@ class EpochWCPDetector(_EpochDetectorBase):
         reads.record(ti, eid, t, h.copy())
 
 
-class EpochDCDetector(_EpochDetectorBase):
+class EpochDCDetector(_RuleTablesBase):
     """Epoch-optimised DC detector (verdict-identical to
     :class:`~repro.analysis.dc.DCDetector`, with the same graph edge
     set).
@@ -894,11 +1176,6 @@ class EpochDCDetector(_EpochDetectorBase):
         self.build_graph = build_graph
         self.graph: ConstraintGraph = ConstraintGraph()
         self._values: List[Optional[List[int]]] = []
-        self._queues: List[Optional[DenseLockQueues]] = []
-        self._cs_writes: Dict[int, DenseSourceClocks] = {}
-        self._cs_reads: Dict[int, DenseSourceClocks] = {}
-        self._vol_writes: List[Optional[DenseSourceClocks]] = []
-        self._vol_reads: List[Optional[DenseSourceClocks]] = []
         self._pending_fork: Dict[int, Tuple[int, List[int]]] = {}
         self._last_event: List[int] = []
         self._n_graph_edges = 0
@@ -911,16 +1188,9 @@ class EpochDCDetector(_EpochDetectorBase):
         self.graph = (ProgramOrderGraph(trace) if self.build_graph
                       else ConstraintGraph())
         self._n_graph_edges = 0
-        self._values = [None] * self._T
-        n_locks = len(trace.lock_names)
-        self._queues = [None] * n_locks
-        self._cs_writes = {}
-        self._cs_reads = {}
-        n_vols = len(trace.vol_names)
-        self._vol_writes = [None] * n_vols
-        self._vol_reads = [None] * n_vols
+        self._values = [None] * self._cap
         self._pending_fork = {}
-        self._last_event = [-1] * self._T
+        self._last_event = [-1] * self._cap
 
     def finish(self) -> RaceReport:
         assert self.report is not None, "begin_trace was never called"
@@ -936,12 +1206,42 @@ class EpochDCDetector(_EpochDetectorBase):
         return None if idx is None else self._values[idx]
 
     # ------------------------------------------------------------------
+    # A growing trace and streaming GC
+    # ------------------------------------------------------------------
+    def _full_clocks(self) -> List[List[int]]:
+        return [c for c in self._values if c is not None]
+
+    def _grow_threads(self, grow: int) -> None:
+        self._values.extend([None] * grow)
+        self._last_event.extend([-1] * grow)
+
+    def _own_clock(self, ti: int) -> Optional[List[int]]:
+        # A DC clock dominates its own thread's past, so own records
+        # join nothing: the dominance check always passes.
+        return self._values[ti]
+
+    def gc_cover_clocks(self, tid: Tid) -> List[DenseVectorClock]:
+        ti = self._table.index.get(tid)
+        if ti is None:
+            return []
+        values = self._values[ti]
+        if values is not None:
+            return [self._view(values)]
+        pending = self._pending_fork.get(ti)
+        return [] if pending is None else [self._view(pending[1])]
+
+    def _drop_thread(self, ti: int) -> None:
+        self._values[ti] = None
+        self._pending_fork.pop(ti, None)
+        self._last_event[ti] = -1
+
+    # ------------------------------------------------------------------
     # Clock / graph plumbing
     # ------------------------------------------------------------------
     def _advance(self, eid: int, ti: int, t: int) -> List[int]:
         values = self._values[ti]
         if values is None:
-            values = self._values[ti] = [0] * self._T
+            values = self._values[ti] = [0] * self._cap
         values[ti] = t
         if self._pending_fork:
             pending = self._pending_fork.pop(ti, None)
@@ -980,7 +1280,7 @@ class EpochDCDetector(_EpochDetectorBase):
         # Inlined _advance: one method call per access is measurable.
         values = self._values[ti]
         if values is None:
-            values = self._values[ti] = [0] * self._T
+            values = self._values[ti] = [0] * self._cap
         values[ti] = t
         if self._pending_fork:
             pending = self._pending_fork.pop(ti, None)

@@ -23,16 +23,12 @@ rules (a) and (b)) and differ only in which relation they compose with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import (Callable, Collection, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core import kernels as _k
 from repro.core.events import Tid
 from repro.core.vectorclock import VectorClock
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.analysis.base import GCFloors
-
-_K = TypeVar("_K")
 
 
 class SourceClocks:
@@ -54,9 +50,10 @@ class SourceClocks:
         — a pure function of the record sequence. This matters because
         ``join_into`` mutates the target clock mid-scan (an early join
         can cover a later entry and suppress its edge): if a replaced key
-        kept its old dict position, removing an entry (streaming GC) and
-        re-recording it later would land it in a different position than
-        an uninterrupted run, and the DC edge list would diverge.
+        kept its old dict position, removing an entry (the epoch
+        detectors' streaming GC) and re-recording it later would land it
+        in a different position than an uninterrupted run, and the DC
+        edge list would diverge.
         """
         _k.record_latest(self._entries, tid, (eid, local_time, clock))
 
@@ -76,21 +73,6 @@ class SourceClocks:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def gc_retire(self, floors: "GCFloors") -> int:
-        """Drop entries at or below the retirement floor (streaming GC).
-
-        A retired entry could never contribute again: every live thread
-        ``v ≠ u`` has ``clock_v(u) >= local_time``, so
-        :meth:`join_into`'s covered-source skip would fire for it (no
-        join, no ``new_sources`` eid) — removal is observationally
-        identical, including for the DC edge list.
-        """
-        drop = [tid for tid, (_eid, local_time, _clock) in self._entries.items()
-                if local_time <= floors.floor(tid)]
-        for tid in drop:
-            del self._entries[tid]
-        return len(drop)
 
 
 @dataclass
@@ -151,62 +133,6 @@ class LockQueues:
         my_cursors = self.cursors.setdefault(observer, {})
         return _k.rule_b_fixpoint_sparse(self.records, my_cursors, clock)
 
-    def gc_retire(self, floors: "GCFloors",
-                  own_clock: Callable[[Tid], Optional[VectorClock]]) -> int:
-        """Drop closed critical-section records no future release can
-        join (streaming GC), preserving :meth:`apply_rule_b` behaviour
-        bit-for-bit.
-
-        A record of thread ``u`` is droppable when
-
-        * every live observer ``v ≠ u`` covers its release time (the
-          floor) — their rule-(b) scans would pass it join-free, merely
-          advancing the cursor; and
-        * ``u`` itself can never join it either: ``u`` is dead, or
-          ``u``'s apply-side clock (WCP: ``P_u``, which lacks own
-          program order and *does* consume own records) already
-          dominates the recorded release snapshot, making the join
-          condition ``clock.get(u) < rel_local_time`` false forever
-          (the snapshot carries its own component).
-
-        Only a *prefix* of a thread's FIFO queue may drop (the break
-        conditions are per-record but cursor consumption is in order);
-        observer cursors shift down with the prefix. Record lists and
-        cursors of dead threads are removed outright — a dead thread
-        neither acquires (so its dict slot can go without perturbing
-        ``records`` iteration order, which the DC edge order depends
-        on) nor releases (so its cursor is never read again).
-        """
-        retired = 0
-        for tid in list(self.records):
-            recs = self.records[tid]
-            floor = floors.floor(tid)
-            own = None if floors.is_dead(tid) else own_clock(tid)
-            drop = 0
-            for rec in recs:
-                if not rec.closed or rec is self.open_record:
-                    break
-                if rec.rel_local_time > floor:
-                    break
-                if own is not None:
-                    assert rec.rel_clock is not None
-                    if not own.dominates(rec.rel_clock):
-                        break
-                drop += 1
-            if drop:
-                del recs[:drop]
-                retired += drop
-                for cursors in self.cursors.values():
-                    i = cursors.get(tid)
-                    if i is not None:
-                        cursors[tid] = i - drop if i > drop else 0
-            if not recs and floors.is_dead(tid):
-                del self.records[tid]
-        for observer in list(self.cursors):
-            if floors.is_dead(observer):
-                del self.cursors[observer]
-        return retired
-
 
 class DenseSourceClocks:
     """Dense analog of :class:`SourceClocks` used by the epoch
@@ -230,6 +156,22 @@ class DenseSourceClocks:
         already covered (vector-clock edge minimisation). Returns the
         newly ordered source eids, or None when nothing joined."""
         return _k.source_join_into(self.entries, values, skip_ti)
+
+    def gc_retire(self, floor: Sequence[float]) -> int:
+        """Drop entries at or below ``floor[ti]`` (streaming GC; see
+        :class:`~repro.analysis.base.GCFloors`); returns how many.
+
+        A retired entry could never contribute again: every live thread
+        other than its source already covers its local time, so
+        :meth:`join_into`'s covered-source skip would fire for it (no
+        join, no new source eid). Removal is observationally identical,
+        the DC edge list included.
+        """
+        entries = self.entries
+        drop = [ti for ti, rec in entries.items() if rec[1] <= floor[ti]]
+        for ti in drop:
+            del entries[ti]
+        return len(drop)
 
 
 class DenseLockQueues:
@@ -280,18 +222,56 @@ class DenseLockQueues:
             cursors = self.cursors[observer] = {}
         return _k.rule_b_fixpoint(self.records, cursors, values)
 
+    def gc_retire(self, floor: Sequence[float], dead: Collection[int],
+                  own_clock: Callable[[int], Optional[List[int]]]) -> int:
+        """Drop closed critical-section records no future release can
+        join (streaming GC), preserving :meth:`apply_rule_b` behaviour
+        bit-for-bit; returns how many.
 
-def _retire_source_tables(tables: Dict[_K, SourceClocks],
-                          floors: "GCFloors") -> int:
-    """Retire covered entries from a dict of :class:`SourceClocks`,
-    dropping keys whose table empties (lookups are by key, so removal
-    cannot perturb any iteration order the analyses depend on)."""
-    retired = 0
-    empty: List[_K] = []
-    for key, table in tables.items():
-        retired += table.gc_retire(floors)
-        if not table:
-            empty.append(key)
-    for key in empty:
-        del tables[key]
-    return retired
+        A record of thread ``ti`` is droppable when
+
+        * it was released at or below ``floor[ti]``: every live observer
+          other than ``ti`` covers its release time, so their rule (b)
+          scans would pass it join-free, merely advancing the cursor;
+          and
+        * ``ti`` itself can never join it either: ``ti`` is in ``dead``,
+          or its apply-side clock ``own_clock(ti)`` (WCP: ``P``, which
+          lacks own program order and *does* consume own records)
+          already dominates the recorded release snapshot.
+
+        Only a *prefix* of a thread's FIFO queue may drop (cursor
+        consumption is in order); observer cursors shift down with the
+        prefix. The emptied queues of dead threads and the cursors of
+        dead observers are removed outright: a dead thread neither
+        acquires (so its dict slot can go without perturbing
+        ``records`` iteration order, which the DC edge order depends
+        on) nor releases (so its cursor is never read again).
+        """
+        retired = 0
+        records = self.records
+        for ti in list(records):
+            recs = records[ti]
+            bound = floor[ti]
+            own = None if ti in dead else own_clock(ti)
+            drop = 0
+            for rec in recs:
+                snap = rec[3]
+                if snap is None or rec is self.open_rec:
+                    break
+                if rec[2] > bound:
+                    break
+                if own is not None and not _k.dominates_list(own, snap):
+                    break
+                drop += 1
+            if drop:
+                del recs[:drop]
+                retired += drop
+                for cursors in self.cursors.values():
+                    i = cursors.get(ti)
+                    if i is not None:
+                        cursors[ti] = i - drop if i > drop else 0
+            if not recs and ti in dead:
+                del records[ti]
+        for observer in [o for o in self.cursors if o in dead]:
+            del self.cursors[observer]
+        return retired

@@ -34,8 +34,7 @@ from repro.core.exceptions import MalformedTraceError
 from repro.core.trace import Trace
 from repro.core.vectorclock import VectorClock
 from repro.analysis.base import Detector
-from repro.analysis.sync_structures import (LockQueues, SourceClocks,
-                                            _retire_source_tables)
+from repro.analysis.sync_structures import LockQueues, SourceClocks
 
 
 class WCPDetector(Detector):
@@ -278,40 +277,3 @@ class WCPDetector(Detector):
     def clock_of(self, tid: Tid) -> Optional[VectorClock]:
         """The thread's current WCP clock (None before its first event)."""
         return self._p.get(tid)
-
-    # ------------------------------------------------------------------
-    # Streaming metadata GC (repro.serve)
-    # ------------------------------------------------------------------
-    def gc_cover_clocks(self, tid: Tid):
-        # Both clocks must cover an entry before it can retire: rule
-        # (a)/(b) and volatile sources join into P *and* H, and a forked
-        # child's initial P is the parent's H snapshot.
-        h = self._h.get(tid)
-        if h is not None:
-            return [h, self._p[tid]]
-        pending = self._pending_fork.get(tid)
-        return [] if pending is None else list(pending)
-
-    def gc_collect(self, floors) -> int:
-        retired = super().gc_collect(floors)
-        for tables in (self._cs_writes, self._cs_reads,
-                       self._vol_writes, self._vol_reads):
-            retired += _retire_source_tables(tables, floors)
-        for lock in list(self._queues):
-            queues = self._queues[lock]
-            # A live thread's own queue records are real rule-(b) joins
-            # for WCP (P lacks own program order), so they retire only
-            # once the thread's P clock already dominates the recorded
-            # release snapshot — the own_clock argument below.
-            retired += queues.gc_retire(floors, self._p.get)
-            if not queues.records and not queues.cursors \
-                    and queues.open_record is None:
-                del self._queues[lock]
-        return retired
-
-    def gc_drop_thread(self, tid: Tid) -> None:
-        super().gc_drop_thread(tid)
-        self._h.pop(tid, None)
-        self._p.pop(tid, None)
-        self._pending_fork.pop(tid, None)
-        self._pending_vars.pop(tid, None)

@@ -52,10 +52,14 @@ class Trace:
     * ``held`` — for accesses under locks, the held lock indices,
       outermost first (``held_locks`` as indices); None otherwise.
 
-    The interning tables list targets in first-appearance order.
+    ``thread_eids`` lists each thread index's eids in program order
+    (empty for a fork/join target that executes nothing). The
+    interning tables list targets in first-appearance order.
     ``tid_names`` starts with ``threads`` (executing threads, by first
     event) and ends with the fork/join targets that execute nothing, by
-    first fork/join.
+    first fork/join. Serve's
+    :class:`~repro.serve.streaming.StreamingTrace` grows the same
+    columns and tables one event at a time.
 
     Args:
         events: The events in observed order. Every event's ``eid`` must
@@ -93,6 +97,7 @@ class Trace:
         self.held: List[Optional[Tuple[int, ...]]] = [None] * n
         self.tid_names: List[Tid] = []
         self.tid_index: Dict[Tid, int] = {}
+        self.thread_eids: List[List[int]] = []
         self._match_rel: Dict[int, int] = {}  # acquire eid -> release eid
         self._match_acq: Dict[int, int] = {}  # release eid -> acquire eid
         thread_ops, marks = self._index(validate)
@@ -128,7 +133,7 @@ class Trace:
         # Per thread index: its eids, its open acquires and their lock
         # indices, and the tuples of both (shared by the events between
         # two lock operations).
-        thread_eids: List[List[int]] = []
+        thread_eids = self.thread_eids
         stacks: List[List[int]] = []
         lock_stacks: List[List[int]] = []
         enclosing_now: List[Tuple[int, ...]] = []
@@ -221,6 +226,7 @@ class Trace:
             if ti is None:
                 ti = tid_index[target] = len(tid_names)
                 tid_names.append(target)
+                thread_eids.append([])
             tgt[eid] = ti
         self.var_names: List[Target] = list(var_ix)
         self.lock_names: List[Target] = list(lock_ix)
@@ -285,7 +291,7 @@ class Trace:
         # begin or end.
         misplaced: Dict[int, Tuple[int, str]] = {}
         local, tix = self.local_time, self.tix
-        counts = [len(eids) for eids in self._thread_events.values()]
+        counts = [len(eids) for eids in self.thread_eids]
         for eid in marks:
             ti = tix[eid]
             if ti in misplaced:

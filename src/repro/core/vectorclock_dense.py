@@ -7,7 +7,7 @@ per component. This module provides the dense alternative used by the
 SmartTrack-style detectors (:mod:`repro.analysis.smarttrack`):
 
 * :class:`TidTable` — compact interning of thread ids to indices
-  ``0..T-1``, fixed per trace;
+  ``0..T-1`` (shared with the trace's own interning by :meth:`TidTable.over`);
 * free functions :func:`join_into_list` / :func:`dominates_list` — fused
   component kernels over plain ``list``-of-int clock storage (measured
   faster than ``array('q')`` for indexing/joins on CPython; ``array`` is
@@ -56,6 +56,16 @@ class TidTable:
         self.index: Dict[Tid, int] = {}
         for tid in tids:
             self.intern(tid)
+
+    @classmethod
+    def over(cls, tids: List[Tid], index: Dict[Tid, int]) -> "TidTable":
+        """A table over an existing interning (a trace's ``tid_names``
+        and ``tid_index``), shared rather than copied, so it sees the
+        threads a growing trace interns later."""
+        table = cls()
+        table.tids = tids
+        table.index = index
+        return table
 
     def intern(self, tid: Tid) -> int:
         """Return ``tid``'s index, assigning the next one if unseen."""

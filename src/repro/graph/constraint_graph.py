@@ -75,13 +75,13 @@ class ConstraintGraph:
     def __init__(self, num_events: int = 0):
         self._succ: List[Set[int]] = [set() for _ in range(num_events)]
         self._pred: List[Set[int]] = [set() for _ in range(num_events)]
-        self._start_bookkeeping(num_events)
+        self.num_events = num_events
+        self._start_bookkeeping()
 
-    def _start_bookkeeping(self, num_events: int) -> None:
+    def _start_bookkeeping(self) -> None:
         self._edge_count = 0
         #: The edges with ``dst < src``; see :meth:`backward_span`.
         self._backward: Set[Edge] = set()
-        self.num_events = num_events
         #: Bumped on every successful ``add_edge``/``remove_edge``; lets
         #: reachability caches detect staleness without subscriptions.
         self.generation = 0

@@ -7,7 +7,12 @@ other edges: DC rule (a)/(b) edges, fork/join and volatile edges,
 forced orders, and the consecutive-event and lock-semantics edges a
 race adds. They are kept as per-node adjacency lists in dicts keyed by
 eid, so only events with such an edge cost memory. Each event's PO
-neighbours are read from the trace on demand.
+neighbours are read on demand from the trace's ``tix`` and
+``local_time`` columns and its per-thread eid lists (``thread_eids``).
+Those grow in place on serve's
+:class:`~repro.serve.streaming.StreamingTrace`, so the graph works
+while the stream grows; :meth:`ProgramOrderGraph.rebind` then moves it
+onto the materialised ``Trace`` of the same events.
 
 The graph answers every :class:`~repro.graph.constraint_graph.ConstraintGraph`
 query as if PO were stored:
@@ -41,35 +46,43 @@ class ProgramOrderGraph(ConstraintGraph):
     implicit_program_order = True
 
     def __init__(self, trace: Trace):
-        self.trace = trace
-        self._events = trace.events
-        self._local = trace.local_time
-        #: Per thread id: its eids in program order (the trace's own
-        #: lists, not copies).
-        self._thread_eids = {tid: trace.eids_of(tid) for tid in trace.threads}
+        self.rebind(trace)
         #: Stored (non-PO) adjacency, in insertion order per node.
         self._succ: Dict[int, List[int]] = {}
         self._pred: Dict[int, List[int]] = {}
-        #: One PO edge per event but each thread's first.
-        self._po_edges = len(trace) - len(self._thread_eids)
-        self._start_bookkeeping(len(trace))
+        self._start_bookkeeping()
+
+    def rebind(self, trace: Trace) -> None:
+        """Read program order from ``trace`` (the trace's own columns,
+        not copies). A serve session calls this at finish with the
+        materialised form of the growing trace the graph was built
+        over: the same events, so the same program order."""
+        self.trace = trace
+        self._tix = trace.tix
+        self._local = trace.local_time
+        #: Per thread index: its eids in program order.
+        self._thread_eids = trace.thread_eids
+
+    @property
+    def num_events(self) -> int:
+        return len(self._local)
 
     # ------------------------------------------------------------------
     # Program order
     # ------------------------------------------------------------------
     def po_next(self, node: int) -> int:
         """The event after ``node`` in its thread, or -1."""
-        eids = self._thread_eids[self._events[node].tid]
+        eids = self._thread_eids[self._tix[node]]
         t = self._local[node]
         return eids[t] if t < len(eids) else -1
 
     def po_prev(self, node: int) -> int:
         """The event before ``node`` in its thread, or -1."""
         t = self._local[node]
-        return self._thread_eids[self._events[node].tid][t - 2] if t > 1 else -1
+        return self._thread_eids[self._tix[node]][t - 2] if t > 1 else -1
 
     def _in_range(self, node: int) -> bool:
-        return 0 <= node < self.num_events
+        return 0 <= node < len(self._local)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -165,7 +178,9 @@ class ProgramOrderGraph(ConstraintGraph):
 
     @property
     def edge_count(self) -> int:
-        return self._po_edges + self._edge_count
+        # One PO edge per event but each executing thread's first.
+        threads = sum(1 for eids in self._thread_eids if eids)
+        return len(self._local) - threads + self._edge_count
 
     def copy(self) -> "ProgramOrderGraph":
         clone = ProgramOrderGraph(self.trace)

@@ -35,6 +35,7 @@ real artifacts against these schemas on every run.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 Schema = Mapping[str, object]
@@ -124,6 +125,16 @@ def validate(value: object, schema: Schema, path: str = "$",
     if isinstance(value, list):
         items = schema.get("items")
         if isinstance(items, dict):
+            type_name = items.get("type")
+            if (len(items) == 1 and isinstance(type_name, str)
+                    and type_name in _TYPES):
+                # A plain item type: check every item in one pass, and
+                # build the path and recurse only for the first misfit.
+                if not all(map(_type_ok, value, repeat(type_name))):
+                    i = next(i for i, item in enumerate(value)
+                             if not _type_ok(item, type_name))
+                    validate(value[i], items, f"{path}[{i}]", defs)
+                return
             for i, item in enumerate(value):
                 validate(item, items, f"{path}[{i}]", defs)
 

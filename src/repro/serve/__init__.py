@@ -7,8 +7,9 @@ Turns the batch Vindicator pipeline into a long-running daemon:
   and graceful SIGTERM/SIGINT drain with a final checkpoint;
 * :mod:`repro.serve.session` — one client session: a
   :class:`~repro.serve.streaming.StreamingTrace` fed incrementally
-  through the reference HB/WCP/DC detectors, with windowed metadata GC
-  (:mod:`repro.serve.gc`) bounding live state;
+  through the epoch HB/WCP/DC detectors ``vindicator analyze`` runs,
+  with windowed metadata GC (:mod:`repro.serve.gc`) bounding live
+  state;
 * :mod:`repro.serve.shard` — sessions sharded across worker processes
   (the PR-4 fork pool), one shard owning each session end to end;
 * :mod:`repro.serve.checkpoint` — checkpoint/resume on the packed

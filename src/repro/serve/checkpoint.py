@@ -55,7 +55,7 @@ def checkpoint_bytes(analyzer: SessionAnalyzer) -> bytes:
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
-    payload = to_bytes(analyzer.trace.builder.to_packed())
+    payload = to_bytes(analyzer.trace.to_packed())
     return b"".join((CHECKPOINT_MAGIC, _LEN.pack(len(header_bytes)),
                      header_bytes, payload))
 

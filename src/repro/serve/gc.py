@@ -25,14 +25,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
-from repro.analysis.base import Detector, GCFloors
+from repro.analysis.base import GCFloors
 from repro.core.events import Tid
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.smarttrack import _EpochDetectorBase
     from repro.serve.streaming import StreamingTrace
 
 
-def _cover(detector: Detector, tid: Tid) -> Dict[Tid, int]:
+def _cover(detector: _EpochDetectorBase, tid: Tid) -> Dict[Tid, int]:
     """Component-wise min over the detector's cover clocks for ``tid``.
 
     Components absent from any cover clock min to zero and are simply
@@ -54,7 +55,8 @@ def _cover(detector: Detector, tid: Tid) -> Dict[Tid, int]:
     return cover
 
 
-def collect(trace: "StreamingTrace", detectors: "tuple[Detector, ...]") -> int:
+def collect(trace: StreamingTrace,
+            detectors: tuple[_EpochDetectorBase, ...]) -> int:
     """Run one GC pass over every detector; returns entries retired.
 
     A live thread with no clock yet (e.g. forked before its parent's

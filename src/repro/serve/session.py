@@ -1,9 +1,11 @@
 """One streaming analysis session.
 
 A session is the unit of sharding: one client stream, one
-:class:`~repro.serve.streaming.StreamingTrace`, one set of reference
-HB/WCP/DC detectors fed event by event as chunks arrive, with windowed
-metadata GC (:mod:`repro.serve.gc`) bounding live state. Finishing a
+:class:`~repro.serve.streaming.StreamingTrace`, and the epoch HB/WCP/DC
+detectors ``vindicator analyze`` runs
+(:mod:`repro.analysis.smarttrack`), bound to the trace's columns and
+fed event by event as chunks arrive, with windowed metadata GC
+(:mod:`repro.serve.gc`) bounding live state. Finishing a
 session hands the materialised trace to the shared batch tail
 (:meth:`repro.vindicate.vindicator.Vindicator.finalize`), so the final
 report is bit-identical to single-shot ``vindicator analyze`` of the
@@ -18,17 +20,17 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, cast
 
-from repro.analysis.dc import DCDetector
-from repro.analysis.hb import HBDetector
 from repro.analysis.races import RaceReport, classify
-from repro.analysis.wcp import WCPDetector
+from repro.analysis.smarttrack import (EpochDCDetector, EpochHBDetector,
+                                       EpochWCPDetector)
 from repro.core import kernels
-from repro.core.events import Event
+from repro.core.events import Event, Tid
 from repro.core.trace import Trace
+from repro.graph.program_order import ProgramOrderGraph
 from repro.serve import gc as serve_gc
 from repro.serve.protocol import ProtocolError
 from repro.serve.streaming import StreamingTrace
-from repro.traces.io import parse_event_line
+from repro.traces.io import parse_lines
 from repro.traces.packed import TraceHasher
 from repro.vindicate.construct import POLICIES
 from repro.vindicate.vindicator import (Vindicator, _analysis_doc,
@@ -120,15 +122,19 @@ class SessionAnalyzer:
             require_fork_closed=config.fork_closed(),
             provenance={"kind": "serve", "session": config.name})
         self.hasher = TraceHasher()
-        self.hb = HBDetector()
-        self.wcp = WCPDetector()
-        self.dc = DCDetector(build_graph=config.build_graph)
+        self.hb = EpochHBDetector()
+        self.wcp = EpochWCPDetector()
+        self.dc = EpochDCDetector(build_graph=config.build_graph)
         self._detectors = (self.hb, self.wcp, self.dc)
         for detector in self._detectors:
             detector.transitive_force = config.transitive_force
-            # StreamingTrace duck-types the Trace surface the online
-            # loop touches (local_time / held_locks / len / threads).
+            # The detectors read the StreamingTrace's columns, which
+            # grow in place as events are accepted.
             detector.begin_trace(cast(Trace, self.trace))
+        #: Per-session intern tables of the frame parser: tid tokens,
+        #: and target and location strings.
+        self._tid_tokens: Dict[str, Tid] = {}
+        self._strings: Dict[str, str] = {}
         self.gc_runs = 0
         self.gc_retired = 0
         self.analysis_seconds = 0.0
@@ -159,39 +165,45 @@ class SessionAnalyzer:
         load would have.)
         """
         self._check_open()
-        base = len(self.trace)
-        events: List[Event] = []
-        for number, line in enumerate(lines, start=1):
-            event = parse_event_line(line, eid=base + len(events),
-                                     line_number=number)
-            if event is not None:
-                events.append(event)
+        events, _ = parse_lines(lines, len(self.trace), self._tid_tokens,
+                                self._strings)
         return self.feed_events(events)
 
     def feed_events(self, events: Iterable[Event]) -> int:
-        """Accept already-parsed events (checkpoint replay path)."""
+        """Accept already-parsed events (checkpoint replay path).
+
+        Each event is validated and appended to the trace (which raises
+        MalformedTraceError and grows the columns), hashed, and handed
+        to the three detectors, with the detectors' tables sized first
+        when the event grew an interning table.
+        """
         self._check_open()
         accepted = 0
         start = time.perf_counter()
+        append, update = self.trace.append, self.hasher.update
+        hb, wcp, dc = self.hb.handle, self.wcp.handle, self.dc.handle
+        window = self.config.gc_window
+        count = len(self.trace)
         for event in events:
-            self._feed_one(event)
+            if append(event):
+                for detector in self._detectors:
+                    detector.sync_tables()
+            update(event)
+            hb(event)
+            wcp(event)
+            dc(event)
             accepted += 1
+            count += 1
+            # The GC tick is a pure function of the accepted-event
+            # count, so it fires at the same stream positions however
+            # the client chunked its frames — and identically under
+            # checkpoint replay.
+            if window and count % window == 0:
+                self.gc_retired += serve_gc.collect(self.trace,
+                                                    self._detectors)
+                self.gc_runs += 1
         self.analysis_seconds += time.perf_counter() - start
         return accepted
-
-    def _feed_one(self, event: Event) -> None:
-        self.trace.append(event)       # validates; raises MalformedTraceError
-        self.hasher.update(event)
-        self.hb.handle(event)
-        self.wcp.handle(event)
-        self.dc.handle(event)
-        # The GC tick is a pure function of the accepted-event count, so
-        # it fires at the same stream positions however the client
-        # chunked its frames — and identically under checkpoint replay.
-        window = self.config.gc_window
-        if window and len(self.trace) % window == 0:
-            self.gc_retired += serve_gc.collect(self.trace, self._detectors)
-            self.gc_runs += 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -261,6 +273,9 @@ class SessionAnalyzer:
                 "build_graph=false and cannot be finished (online "
                 "'races' queries remain available)")
         trace = self.trace.to_trace()
+        graph = self.dc.graph
+        assert isinstance(graph, ProgramOrderGraph)
+        graph.rebind(trace)
         hb_report = self.hb.finish()
         wcp_report = self.wcp.finish()
         dc_report = self.dc.finish()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
 
 from repro import obs
 from repro.core.events import Event, EventKind, Tid, _new_event
@@ -159,24 +159,36 @@ def parse_event_line(line: str, *, eid: int, line_number: int = -1) -> Optional[
 
 
 def _parse(handle: TextIO) -> Tuple[List[Event], List[int]]:
-    """The file parser: :func:`parse_event_line`'s events, line by line.
+    """The file parser: :func:`parse_lines` over the file's lines."""
+    return parse_lines(handle, 0, {}, {})
+
+
+def parse_lines(lines: Iterable[str], first_eid: int,
+                tids: Dict[str, Tid], strings: Dict[str, str],
+                ) -> Tuple[List[Event], List[int]]:
+    """:func:`parse_event_line`'s events for ``lines``, numbered from
+    ``first_eid``; returns ``(events, line_numbers)`` with 1-based line
+    numbers within ``lines``. The first bad line raises its
+    :class:`TraceFormatError`, exactly as :func:`parse_event_line`
+    would.
 
     Lines of the common shape (``<tid> <op> <target> [loc]`` with a
-    targeted op) are parsed here, with each distinct tid token parsed
-    once and each distinct target and location string kept once; every
-    other line, comments and malformed ones included, goes through
-    :func:`parse_event_line` itself.
+    targeted op) are parsed here: each distinct tid token is parsed
+    once into ``tids``, and each distinct target and location string is
+    kept once in ``strings``. The caller owns both tables, so a serve
+    session reuses them across its frames. Every other line, comments
+    and malformed ones included, goes through :func:`parse_event_line`
+    itself.
     """
     events: List[Event] = []
     line_numbers: List[int] = []
-    tids: Dict[str, Tid] = {}
-    strings: Dict[str, str] = {}
     ops = _TARGETED_OPS
-    for number, raw in enumerate(handle, start=1):
+    eid = first_eid
+    for number, raw in enumerate(lines, start=1):
         parts = raw.split(None, 3)
         op = ops.get(parts[1]) if len(parts) > 2 else None
         if op is None or parts[0][0] == "#":
-            event = parse_event_line(raw, eid=len(events), line_number=number)
+            event = parse_event_line(raw, eid=eid, line_number=number)
             if event is None:
                 continue
         else:
@@ -194,9 +206,10 @@ def _parse(handle: TextIO) -> Tuple[List[Event], List[int]]:
             if len(parts) == 4:
                 loc = parts[3].rstrip()
                 loc = strings.setdefault(loc, loc)
-            event = _new_event(len(events), tid, kind, target, loc)
+            event = _new_event(eid, tid, kind, target, loc)
         events.append(event)
         line_numbers.append(number)
+        eid += 1
     return events, line_numbers
 
 

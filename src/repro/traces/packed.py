@@ -24,9 +24,8 @@ re-validation because the source trace was validated when first built.
 This module is the persistence layer for the streaming service
 (:mod:`repro.serve`):
 
-* :class:`PackedBuilder` appends events one at a time, so a live
-  session keeps only the columns (~17 bytes/event) instead of Event
-  objects;
+* a live session's :class:`~repro.serve.streaming.StreamingTrace`
+  derives this form from its own columns for a checkpoint;
 * :meth:`PackedTrace.to_bytes` / :func:`packed_from_bytes` are a
   *canonical* byte encoding (fixed little-endian columns + sorted-key
   JSON header) used by checkpoints — encode→decode→encode is
@@ -59,7 +58,9 @@ from repro.core.trace import Trace
 #: code, so the enum definition order is a stable contract.
 KIND_ORDER: Tuple[EventKind, ...] = tuple(EventKind)
 
-_KIND_CODE: Dict[EventKind, int] = {kind: i for i, kind in enumerate(KIND_ORDER)}
+#: Kind byte by ``id()`` of the enum member (C-speed hashing, as in
+#: ``repro.core.events.CODE_BY_KIND_ID``).
+_KIND_CODE: Dict[int, int] = {id(kind): i for i, kind in enumerate(KIND_ORDER)}
 
 
 @dataclass
@@ -145,7 +146,7 @@ def pack(trace: Trace) -> PackedTrace:
     target_table: Dict[Target, int] = {}
     loc_table: Dict[str, int] = {}
     for e in trace.events:
-        kinds.append(_KIND_CODE[e.kind])
+        kinds.append(_KIND_CODE[id(e.kind)])
         tid_i = tid_table.get(e.tid)
         if tid_i is None:
             tid_i = tid_table[e.tid] = len(tids)
@@ -182,6 +183,11 @@ def _intern(value: Optional[_T], table: Dict[_T, int], pool: List[_T]) -> int:
 # Determinism hash
 # --------------------------------------------------------------------------
 
+#: Kind name by ``id()`` of the enum member (``EventKind.name`` is a
+#: Python-level descriptor).
+_KIND_NAME: Dict[int, str] = {id(kind): kind.name for kind in EventKind}
+
+
 def event_fingerprint(e: Event) -> bytes:
     """Canonical byte fingerprint of one event.
 
@@ -190,9 +196,8 @@ def event_fingerprint(e: Event) -> bytes:
     equality ignores it, because the checkpoint must attest to the full
     stream the client sent.
     """
-    return "\x1f".join((
-        str(e.eid), repr(e.tid), e.kind.name, repr(e.target), repr(e.loc),
-    )).encode("utf-8") + b"\x1e"
+    return (f"{e.eid}\x1f{e.tid!r}\x1f{_KIND_NAME[id(e.kind)]}\x1f"
+            f"{e.target!r}\x1f{e.loc!r}\x1e").encode("utf-8")
 
 
 class TraceHasher:
@@ -232,88 +237,6 @@ def trace_hash(events: Iterable[Event]) -> str:
     for e in events:
         hasher.update(e)
     return hasher.hexdigest()
-
-
-# --------------------------------------------------------------------------
-# Appendable builder (streaming ingestion)
-# --------------------------------------------------------------------------
-
-class PackedBuilder:
-    """Appendable :class:`PackedTrace` under construction.
-
-    A live serve session appends each accepted event here instead of
-    keeping ``Event`` objects: the retained state is the five columns
-    (~17 bytes/event) plus the small interning tables. Feeding the same
-    events that :func:`pack` would see produces bit-identical columns,
-    because both use first-appearance interning and per-thread 1-based
-    local times.
-    """
-
-    __slots__ = ("kinds", "tid_idx", "target_idx", "loc_idx", "local_time",
-                 "tids", "targets", "locs", "provenance",
-                 "_tid_table", "_target_table", "_loc_table", "_tid_counts")
-
-    def __init__(self, provenance: Optional[Dict[str, object]] = None) -> None:
-        self.kinds: "array[int]" = array("B")
-        self.tid_idx: "array[int]" = array("I")
-        self.target_idx: "array[int]" = array("i")
-        self.loc_idx: "array[int]" = array("i")
-        self.local_time: "array[int]" = array("I")
-        self.tids: List[Tid] = []
-        self.targets: List[Target] = []
-        self.locs: List[str] = []
-        self.provenance: Dict[str, object] = dict(provenance or {})
-        self._tid_table: Dict[Tid, int] = {}
-        self._target_table: Dict[Target, int] = {}
-        self._loc_table: Dict[str, int] = {}
-        self._tid_counts: Dict[Tid, int] = {}
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-    def nbytes(self) -> int:
-        return sum(
-            len(column) * column.itemsize
-            for column in (self.kinds, self.tid_idx, self.target_idx,
-                           self.loc_idx, self.local_time)
-        )
-
-    def append(self, e: Event) -> int:
-        """Append one event; returns its thread-local 1-based time."""
-        if e.eid != len(self.kinds):
-            raise MalformedTraceError(
-                "event id %r does not match stream position %d" % (e.eid, len(self.kinds)),
-                event_index=len(self.kinds))
-        self.kinds.append(_KIND_CODE[e.kind])
-        tid_i = self._tid_table.get(e.tid)
-        if tid_i is None:
-            tid_i = self._tid_table[e.tid] = len(self.tids)
-            self.tids.append(e.tid)
-        self.tid_idx.append(tid_i)
-        self.target_idx.append(_intern(e.target, self._target_table, self.targets))
-        self.loc_idx.append(_intern(e.loc, self._loc_table, self.locs))
-        local = self._tid_counts.get(e.tid, 0) + 1
-        self._tid_counts[e.tid] = local
-        self.local_time.append(local)
-        return local
-
-    def to_packed(self) -> PackedTrace:
-        """Snapshot the current columns as an immutable :class:`PackedTrace`.
-
-        Copies, so a checkpoint taken mid-stream is unaffected by later
-        appends.
-        """
-        return PackedTrace(
-            kinds=array("B", self.kinds),
-            tid_idx=array("I", self.tid_idx),
-            target_idx=array("i", self.target_idx),
-            loc_idx=array("i", self.loc_idx),
-            local_time=array("I", self.local_time),
-            tids=list(self.tids),
-            targets=list(self.targets),
-            locs=list(self.locs),
-            provenance=dict(self.provenance),
-        )
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.obs.schema import (
     validate_jsonl_record,
     validate_lint_document,
     validate_scan_document,
+    validate_serve_request,
     validate_snapshot,
 )
 
@@ -84,6 +85,52 @@ class TestValidator:
         with pytest.raises(SchemaError) as err:
             validate({"a": {"b": "x"}}, schema)
         assert err.value.path == "$.a.b"
+
+
+class TestEventsRequest:
+    """An ``events`` request's lines are checked in one pass; the error
+    names the first misfit exactly as validating item by item does."""
+
+    LINES = [f"T1 wr x{i}" for i in range(150)]
+
+    @staticmethod
+    def error(lines):
+        with pytest.raises(SchemaError) as err:
+            validate_serve_request(
+                {"op": "events", "session": "s", "lines": lines})
+        return err.value.path, str(err.value)
+
+    @pytest.mark.parametrize("position", [0, 75, 149])
+    @pytest.mark.parametrize("bad", [7, None, 2.5, True, ["T1 wr x"]])
+    def test_non_string_line(self, position, bad):
+        lines = list(self.LINES)
+        if position < 149:
+            lines[149] = 3  # a later misfit is not the one named
+        lines[position] = bad
+        path = f"$.lines[{position}]"
+        with pytest.raises(SchemaError) as one:
+            validate(bad, {"type": "string"}, path)
+        assert self.error(lines) == (path, str(one.value))
+        assert self.error(lines)[1] == (
+            f"{path}: expected string, got {type(bad).__name__} "
+            f"({bad!r:.80})")
+
+    def test_non_list_lines(self):
+        assert self.error("T1 wr x") == (
+            "$.lines", "$.lines: expected array, got str ('T1 wr x')")
+
+    def test_well_formed(self):
+        assert validate_serve_request(
+            {"op": "events", "session": "s", "lines": self.LINES}) == "events"
+        assert validate_serve_request(
+            {"op": "events", "session": "s", "lines": []}) == "events"
+
+    def test_integer_items_still_reject_bools(self):
+        schema = {"type": "array", "items": {"type": "integer"}}
+        validate([1, 2, 3], schema)
+        with pytest.raises(SchemaError) as err:
+            validate([1, True, 3], schema)
+        assert err.value.path == "$[1]"
 
 
 class TestStreamGrammar:

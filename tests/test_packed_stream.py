@@ -16,18 +16,22 @@ These are the two foundations of serve's checkpoint/resume guarantee:
 """
 
 import json
+from operator import attrgetter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.events import Event, EventKind
 from repro.core.exceptions import MalformedTraceError, TraceFormatError
+from repro.core.trace import Trace
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
 from repro.traces.gen import GeneratorConfig, random_trace
 from repro.traces.io import format_event, parse_event_line
 from repro.traces.litmus import ALL as LITMUS
-from repro.traces.packed import (PACKED_MAGIC, PackedBuilder, TraceHasher,
+from repro.serve.streaming import StreamingTrace
+from repro.traces.packed import (PACKED_MAGIC, TraceHasher, event_fingerprint,
                                  from_bytes, pack, to_bytes, trace_hash)
 
 
@@ -69,8 +73,8 @@ class TestCanonicalCodec:
         assert to_bytes(from_bytes(data)) == data
 
     def test_empty_trace_round_trips(self):
-        builder = PackedBuilder(provenance={"kind": "empty"})
-        data = to_bytes(builder.to_packed())
+        stream = StreamingTrace(provenance={"kind": "empty"})
+        data = to_bytes(stream.to_packed())
         decoded = from_bytes(data)
         assert len(decoded) == 0
         assert decoded.provenance == {"kind": "empty"}
@@ -90,11 +94,54 @@ class TestCanonicalCodec:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), events=st.integers(1, 60))
     def test_builder_matches_batch_pack(self, seed, events):
+        # A streaming trace derives the packed form from its columns,
+        # incrementally: a mid-stream snapshot is the prefix's pack and
+        # stays so after later appends.
         trace = gen_trace(seed, events=events)
-        builder = PackedBuilder(provenance=trace.provenance)
+        stream = StreamingTrace(provenance=trace.provenance)
+        half = len(trace) // 2
+        for event in trace.events[:half]:
+            stream.append(event)
+        snapshot = stream.to_packed()
+        for event in trace.events[half:]:
+            stream.append(event)
+        assert to_bytes(stream.to_packed()) == to_bytes(pack(trace))
+        prefix = pack(Trace(trace.events[:half]))
+        prefix.provenance = dict(trace.provenance)
+        assert to_bytes(snapshot) == to_bytes(prefix)
+
+    def test_stream_packs_like_batch(self):
+        # Begin/end carrying a target; a thread forked before it runs
+        # and another thread's first event; a lock and a variable
+        # sharing a name with a thread.
+        events = [
+            Event(0, "T1", EventKind.BEGIN, target="x", loc="a.c:1"),
+            Event(1, "T1", EventKind.FORK, target="T3"),
+            Event(2, "T2", EventKind.WRITE, target="T3", loc="a.c:2"),
+            Event(3, "T3", EventKind.ACQUIRE, target="T1"),
+            Event(4, "T3", EventKind.RELEASE, target="T1", loc="a.c:2"),
+            Event(5, "T1", EventKind.JOIN, target="T3"),
+            Event(6, "T2", EventKind.END, target=7),
+        ]
+        stream = StreamingTrace()
+        for event in events:
+            stream.append(event)
+        assert to_bytes(stream.to_packed()) == to_bytes(pack(Trace(events)))
+        fields = attrgetter("eid", "tid", "kind", "target", "loc")
+        assert list(map(fields, stream.to_trace().events)) == \
+            list(map(fields, events))
+
+    def test_workload_stream_packs_like_batch(self):
+        trace = workload_trace()
+        stream = StreamingTrace(provenance=trace.provenance)
         for event in trace:
-            builder.append(event)
-        assert to_bytes(builder.to_packed()) == to_bytes(pack(trace))
+            stream.append(event)
+        packed = stream.to_packed()
+        assert packed.locs
+        assert to_bytes(packed) == to_bytes(pack(trace))
+        fields = attrgetter("eid", "tid", "kind", "target", "loc")
+        assert list(map(fields, stream.to_trace().events)) == \
+            list(map(fields, trace.events))
 
     def test_unpacked_events_match(self):
         trace = workload_trace()
@@ -150,6 +197,24 @@ class TestDeterminismHash:
         trace = workload_trace()
         restored = from_bytes(to_bytes(pack(trace))).unpack()
         assert trace_hash(restored) == trace_hash(trace)
+
+    def test_fingerprint_bytes_are_pinned(self):
+        """Checkpoint headers carry this digest, so a checkpoint written
+        by an earlier build must resume: the byte format is fixed."""
+        events = [Event(0, 1, EventKind.BEGIN, None),
+                  Event(1, "main", EventKind.WRITE, "x", "A.java:3"),
+                  Event(2, 1, EventKind.FORK, "wé", None),
+                  Event(3, 7, EventKind.VOLATILE_READ, 5, "l o c")]
+        assert [event_fingerprint(e) for e in events] == [
+            b"0\x1f1\x1fBEGIN\x1fNone\x1fNone\x1e",
+            b"1\x1f'main'\x1fWRITE\x1f'x'\x1f'A.java:3'\x1e",
+            b"2\x1f1\x1fFORK\x1f'w\xc3\xa9'\x1fNone\x1e",
+            b"3\x1f7\x1fVOLATILE_READ\x1f5\x1f'l o c'\x1e"]
+        assert trace_hash(events) == ("bf53113ff3fb64509d6bb88fd8ea96d6"
+                                      "fb69ed9eabf8c480e23aaa32e7e90e5c")
+        assert trace_hash(LITMUS["figure2"]().events) == (
+            "0ff766ada2b1e31bf7bb0bca40f0e4d1"
+            "49a761861afb0521c7730c2dc8b381d8")
 
 
 class TestUntrustedInput:
@@ -213,10 +278,10 @@ class TestUntrustedInput:
 
     def test_builder_rejects_eid_gap(self):
         trace = gen_trace(7, events=10)
-        builder = PackedBuilder()
-        builder.append(trace.events[0])
+        stream = StreamingTrace()
+        stream.append(trace.events[0])
         with pytest.raises(MalformedTraceError) as excinfo:
-            builder.append(trace.events[2])  # skipped eid 1
+            stream.append(trace.events[2])  # skipped eid 1
         assert excinfo.value.event_index == 1
 
 

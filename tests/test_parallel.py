@@ -213,7 +213,8 @@ class TestObsDifferential:
             counters = obs.metrics().snapshot()["counters"]
         finally:
             obs.disable()
-        assert counters["analysis.dc.events"] == len(trace)
+        # Sessions run the epoch detectors, published under "*_epoch".
+        assert counters["analysis.dc_epoch.events"] == len(trace)
         assert counters["vindicate.races_checked"] == \
             len(served["vindications"])
 

@@ -74,9 +74,7 @@ def session_fingerprint(analyzer):
         for rel, det in (("hb", analyzer.hb), ("wcp", analyzer.wcp),
                          ("dc", analyzer.dc))
     }
-    graph = analyzer.dc.graph
-    edges = sorted((src, dst) for src in range(graph.num_events)
-                   for dst in graph._succ[src])
+    edges = sorted(analyzer.dc.graph.edges())
     return doc, racing, edges
 
 
@@ -173,7 +171,7 @@ def drive(events, gc_window, probe_every=500):
         require_fork_closed=bool(gc_window)))
     peak = 0
     for i, event in enumerate(events):
-        analyzer._feed_one(event)
+        analyzer.feed_events((event,))
         if i % probe_every == 0:
             live = sum(d.gc_live_entries() for d in analyzer._detectors)
             peak = max(peak, live)
