@@ -25,24 +25,36 @@ from __future__ import annotations
 
 from itertools import count
 from operator import attrgetter, ne
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
-from repro.core.events import (CODE_ACQUIRE, CODE_BY_KIND_ID, CODE_JOIN,
-                               CODE_RELEASE, CODE_VOLATILE_READ, CODE_WRITE,
-                               Event, EventKind, Target, Tid, _new_event,
-                               conflicts)
+from repro.core.events import (CODE_ACQUIRE, CODE_BY_KIND_ID, CODE_FORK,
+                               CODE_JOIN, CODE_OTHER, CODE_RELEASE,
+                               CODE_VOLATILE_READ, CODE_WRITE, Event,
+                               EventKind, Target, Tid, _new_event, conflicts)
 from repro.core.exceptions import MalformedTraceError
 
 _eid_of = attrgetter("eid")
 
 
+def _positions(codes: bytearray, code: int) -> List[int]:
+    """The eids whose kind code is ``code``, in order."""
+    found: List[int] = []
+    at = codes.find(code)
+    while at >= 0:
+        found.append(at)
+        at = codes.find(code, at + 1)
+    return found
+
+
 class Trace:
     """A validated, indexed execution trace.
 
-    Construction makes one indexing pass over the events (see "Trace
-    columns" in ``docs/ALGORITHMS.md``). Besides the per-thread tables
-    and the acquire/release matching it builds the columns the epoch
-    detectors and the witness checker read, parallel to ``events``:
+    Construction runs one indexing step per event (:meth:`_indexer`;
+    see "Trace columns" in ``docs/ALGORITHMS.md``). Besides the
+    per-thread tables and the acquire/release matching it builds the
+    columns the epoch detectors and the witness checker read, parallel
+    to ``events``:
 
     * ``codes`` — the kind code (``repro.core.events.CODE_*``);
     * ``tix`` — the executing thread's index into ``tid_names``;
@@ -54,12 +66,11 @@ class Trace:
 
     ``thread_eids`` lists each thread index's eids in program order
     (empty for a fork/join target that executes nothing). The
-    interning tables list targets in first-appearance order.
-    ``tid_names`` starts with ``threads`` (executing threads, by first
-    event) and ends with the fork/join targets that execute nothing, by
-    first fork/join. Serve's
-    :class:`~repro.serve.streaming.StreamingTrace` grows the same
-    columns and tables one event at a time.
+    interning tables list targets in first-appearance order; a thread
+    first appears as an event's executor or as a fork/join target,
+    whichever comes first. Serve's
+    :class:`~repro.serve.streaming.StreamingTrace` is a ``Trace`` grown
+    by the same step one event at a time.
 
     Args:
         events: The events in observed order. Every event's ``eid`` must
@@ -85,24 +96,28 @@ class Trace:
                         "Trace.from_events to renumber",
                         event_index=i,
                     )
-        n = len(events)
         #: thread-local 1-based time of each event (parallel to ``events``).
-        self.local_time: List[int] = [0] * n
+        self.local_time: List[int] = []
         #: per event: tuple of acquire eids of enclosing critical sections,
         #: outermost first (the executing thread's lock stack at the event).
-        self.enclosing_acquires: List[Tuple[int, ...]] = [()] * n
-        self.codes = bytearray(n)
-        self.tix: List[int] = [0] * n
-        self.tgt: List[int] = [-1] * n
-        self.held: List[Optional[Tuple[int, ...]]] = [None] * n
+        self.enclosing_acquires: List[Tuple[int, ...]] = []
+        self.codes = bytearray()
+        self.tix: List[int] = []
+        self.tgt: List[int] = []
+        self.held: List[Optional[Tuple[int, ...]]] = []
         self.tid_names: List[Tid] = []
         self.tid_index: Dict[Tid, int] = {}
+        self.var_names: List[Target] = []
+        self.lock_names: List[Target] = []
+        self.vol_names: List[Target] = []
         self.thread_eids: List[List[int]] = []
+        #: The executing threads' eid lists, by first event.
+        self._thread_events: Dict[Tid, List[int]] = {}
         self._match_rel: Dict[int, int] = {}  # acquire eid -> release eid
         self._match_acq: Dict[int, int] = {}  # release eid -> acquire eid
-        thread_ops, marks = self._index(validate)
+        self._indexer(validate)(events)
         if validate:
-            self._validate_threads(thread_ops, marks)
+            self._validate_threads()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -117,129 +132,158 @@ class Trace:
     # ------------------------------------------------------------------
     # Indexing / validation
     # ------------------------------------------------------------------
-    def _index(self, validate: bool) -> Tuple[List[int], List[int]]:
-        """The one pass over the events: thread tables, lock matching
-        and lock checks, and the columns. Returns the fork/join and the
-        begin/end eids, whose checks wait for the whole pass."""
-        events = self.events
+    def _indexer(self, validate: bool) -> Callable[[Iterable[Event]], bool]:
+        """The per-event indexing step over this trace's columns and
+        tables, as a function that applies it to events in order.
+
+        The step checks the event's lock operation (an unheld release
+        always; a double acquire and a release out of nesting order when
+        ``validate``), then interns the event's thread and target and
+        commits its columns, thread tables and lock matching. Every
+        check runs before the first change, so an event it rejects
+        leaves the trace as it was. The event's ``eid`` must be its
+        position, ``len(codes)`` (both callers check it); ``events`` is
+        left to the caller. The function returns whether an interning
+        table grew.
+
+        The constructor passes it all its events, serve's stream one
+        accepted event at a time: looping inside the function spares the
+        batch pass a call per event."""
         local, enclosing = self.local_time, self.enclosing_acquires
         codes, tix, tgt, held = self.codes, self.tix, self.tgt, self.held
         match_rel, match_acq = self._match_rel, self._match_acq
         tid_names, tid_index = self.tid_names, self.tid_index
+        thread_eids, thread_events = self.thread_eids, self._thread_events
+        var_names, lock_names = self.var_names, self.lock_names
+        vol_names = self.vol_names
         code_of = CODE_BY_KIND_ID
         var_ix: Dict[Target, int] = {}
         lock_ix: Dict[Target, int] = {}
         vol_ix: Dict[Target, int] = {}
-        # Per thread index: its eids, its open acquires and their lock
-        # indices, and the tuples of both (shared by the events between
-        # two lock operations).
-        thread_eids = self.thread_eids
+        # Per thread index: its open acquires and their lock indices,
+        # and the tuples of both (shared by the events between two lock
+        # operations).
         stacks: List[List[int]] = []
         lock_stacks: List[List[int]] = []
         enclosing_now: List[Tuple[int, ...]] = []
         held_now: List[Optional[Tuple[int, ...]]] = []
         holders: Dict[int, Tuple[int, int]] = {}  # lock -> (thread, acquire)
-        thread_ops: List[int] = []
-        marks: List[int] = []
-        for e in events:
-            eid = e.eid
-            ti = tid_index.get(e.tid)
-            if ti is None:
-                ti = tid_index[e.tid] = len(tid_names)
-                tid_names.append(e.tid)
-                thread_eids.append([])
-                stacks.append([])
-                lock_stacks.append([])
-                enclosing_now.append(())
-                held_now.append(None)
-            own = thread_eids[ti]
-            own.append(eid)
-            local[eid] = len(own)
-            tix[eid] = ti
-            code = codes[eid] = code_of[id(e.kind)]
-            if code <= CODE_WRITE:
-                vi = var_ix.get(e.target)
-                if vi is None:
-                    vi = var_ix[e.target] = len(var_ix)
-                tgt[eid] = vi
-                enclosing[eid] = enclosing_now[ti]
-                held[eid] = held_now[ti]
-            elif code <= CODE_RELEASE:
-                li = lock_ix.get(e.target)
-                if li is None:
-                    li = lock_ix[e.target] = len(lock_ix)
-                tgt[eid] = li
-                stack, lock_stack = stacks[ti], lock_stacks[ti]
-                if code == CODE_ACQUIRE:
-                    if validate and li in holders:
-                        holder = tid_names[holders[li][0]]
+        add_local, add_enclosing = local.append, enclosing.append
+        add_code, add_tix = codes.append, tix.append
+        add_tgt, add_held = tgt.append, held.append
+
+        def new_thread(tid: Tid) -> int:
+            ti = tid_index[tid] = len(tid_names)
+            tid_names.append(tid)
+            thread_eids.append([])
+            stacks.append([])
+            lock_stacks.append([])
+            enclosing_now.append(())
+            held_now.append(None)
+            return ti
+
+        def index(events: Iterable[Event]) -> bool:
+            grew = False
+            for e in events:
+                eid = e.eid
+                code = code_of[id(e.kind)]
+                tid, target = e.tid, e.target
+                ti = tid_index.get(tid)
+                if CODE_WRITE < code <= CODE_RELEASE:
+                    li = lock_ix.get(target)
+                    holder = None if li is None else holders.get(li)
+                    if code == CODE_ACQUIRE:
+                        if validate and holder is not None:
+                            raise MalformedTraceError(
+                                f"{e}: lock {target!r} already held by thread "
+                                f"{tid_names[holder[0]]!r} (locks are "
+                                "non-reentrant)",
+                                event_index=eid,
+                            )
+                    elif holder is None or holder[0] != ti:
                         raise MalformedTraceError(
-                            f"{e}: lock {e.target!r} already held by thread "
-                            f"{holder!r} (locks are non-reentrant)",
+                            f"{e}: releases lock {target!r} not held by thread "
+                            f"{tid!r}",
                             event_index=eid,
                         )
-                    holders[li] = (ti, eid)
-                    stack.append(eid)
-                    lock_stack.append(li)
-                    enclosing[eid] = enclosing_now[ti] = tuple(stack)
-                    held_now[ti] = tuple(lock_stack)
-                    continue
-                holder = holders.get(li)
-                if holder is None or holder[0] != ti:
-                    raise MalformedTraceError(
-                        f"{e}: releases lock {e.target!r} not held by thread "
-                        f"{e.tid!r}",
-                        event_index=eid,
-                    )
-                acq_eid = holder[1]
-                if validate and (not stack or stack[-1] != acq_eid):
-                    raise MalformedTraceError(
-                        f"{e}: releases lock {e.target!r} out of nesting order",
-                        event_index=eid,
-                    )
-                enclosing[eid] = enclosing_now[ti]
-                stack.pop()
-                lock_stack.pop()
-                enclosing_now[ti] = tuple(stack)
-                held_now[ti] = tuple(lock_stack) or None
-                del holders[li]
-                match_rel[acq_eid] = eid
-                match_acq[eid] = acq_eid
-            else:
-                enclosing[eid] = enclosing_now[ti]
-                if code <= CODE_JOIN:
-                    thread_ops.append(eid)
-                elif code <= CODE_VOLATILE_READ:
-                    xi = vol_ix.get(e.target)
+                    elif validate and stacks[holder[0]][-1] != holder[1]:
+                        raise MalformedTraceError(
+                            f"{e}: releases lock {target!r} out of nesting order",
+                            event_index=eid,
+                        )
+                # Every check passed: commit.
+                if ti is None:
+                    ti = new_thread(tid)
+                    grew = True
+                own = thread_eids[ti]
+                if not own:
+                    thread_events[tid] = own
+                own.append(eid)
+                add_local(len(own))
+                add_tix(ti)
+                add_code(code)
+                if code <= CODE_WRITE:
+                    xi = var_ix.get(target)
                     if xi is None:
-                        xi = vol_ix[e.target] = len(vol_ix)
-                    tgt[eid] = xi
+                        xi = var_ix[target] = len(var_names)
+                        var_names.append(target)
+                        grew = True
+                    add_tgt(xi)
+                    add_enclosing(enclosing_now[ti])
+                    add_held(held_now[ti])
+                    continue
+                add_held(None)
+                if code <= CODE_RELEASE:
+                    if li is None:
+                        li = lock_ix[target] = len(lock_names)
+                        lock_names.append(target)
+                        grew = True
+                    add_tgt(li)
+                    stack, lock_stack = stacks[ti], lock_stacks[ti]
+                    if code == CODE_ACQUIRE:
+                        holders[li] = (ti, eid)
+                        stack.append(eid)
+                        lock_stack.append(li)
+                        enclosing_now[ti] = tuple(stack)
+                        held_now[ti] = tuple(lock_stack)
+                        add_enclosing(enclosing_now[ti])
+                        continue
+                    add_enclosing(enclosing_now[ti])
+                    stack.pop()
+                    lock_stack.pop()
+                    enclosing_now[ti] = tuple(stack)
+                    held_now[ti] = tuple(lock_stack) or None
+                    acquire = holders.pop(li)[1]
+                    match_rel[acquire] = eid
+                    match_acq[eid] = acquire
+                    continue
+                add_enclosing(enclosing_now[ti])
+                if code <= CODE_JOIN:
+                    xi = tid_index.get(target)
+                    if xi is None:
+                        xi = new_thread(target)
+                        grew = True
+                elif code <= CODE_VOLATILE_READ:
+                    xi = vol_ix.get(target)
+                    if xi is None:
+                        xi = vol_ix[target] = len(vol_names)
+                        vol_names.append(target)
+                        grew = True
                 else:
-                    marks.append(eid)
-        self._thread_events: Dict[Tid, List[int]] = dict(
-            zip(tid_names, thread_eids))
-        # Fork/join targets resolve once every executing thread has its
-        # index, so threads that never run an event come last.
-        for eid in thread_ops:
-            target = events[eid].target
-            ti = tid_index.get(target)
-            if ti is None:
-                ti = tid_index[target] = len(tid_names)
-                tid_names.append(target)
-                thread_eids.append([])
-            tgt[eid] = ti
-        self.var_names: List[Target] = list(var_ix)
-        self.lock_names: List[Target] = list(lock_ix)
-        self.vol_names: List[Target] = list(vol_ix)
-        return thread_ops, marks
+                    xi = -1
+                add_tgt(xi)
+            return grew
 
-    def _validate_threads(self, thread_ops: List[int],
-                          marks: List[int]) -> None:
+        return index
+
+    def _validate_threads(self) -> None:
         """The thread-structure checks, over the fork/join and begin/end
         events and the per-thread eid lists. The first error in trace
         order among double forks/joins, self-forks and accesses without
         a target wins, then forks, joins, and begin/end placement."""
-        events = self.events
+        events, codes = self.events, self.codes
+        thread_ops = sorted(_positions(codes, CODE_FORK)
+                            + _positions(codes, CODE_JOIN))
         forked: Dict[Tid, int] = {}
         joined: Dict[Tid, int] = {}
         first: Optional[MalformedTraceError] = None
@@ -292,7 +336,7 @@ class Trace:
         misplaced: Dict[int, Tuple[int, str]] = {}
         local, tix = self.local_time, self.tix
         counts = [len(eids) for eids in self.thread_eids]
-        for eid in marks:
+        for eid in _positions(codes, CODE_OTHER):
             ti = tix[eid]
             if ti in misplaced:
                 continue
@@ -352,8 +396,17 @@ class Trace:
 
     @property
     def threads(self) -> List[Tid]:
-        """Thread ids in order of first appearance."""
+        """The executing threads' ids, in order of their first event."""
         return list(self._thread_events)
+
+    def thread_positions(self) -> List[int]:
+        """Per thread index (into ``tid_names``), the thread's position
+        in :attr:`threads`, or -1 for a fork/join target that executes
+        nothing. The two orders differ: ``tid_names`` interns a thread at
+        its first event or at the first fork/join of it, while
+        ``threads`` lists the executing threads by first event."""
+        position = {tid: i for i, tid in enumerate(self._thread_events)}
+        return [position.get(tid, -1) for tid in self.tid_names]
 
     def events_of(self, tid: Tid) -> List[Event]:
         """All events of thread ``tid``, in program order."""

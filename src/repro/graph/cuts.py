@@ -85,6 +85,9 @@ class CutIndex:
         self._none: Cut = ()
         #: Per thread index: the thread's event ids in program order.
         self._eids: List[Sequence[int]] = []
+        #: Per event: its thread's index, its position in
+        #: ``trace.threads``.
+        self._thread: List[int] = []
         #: ``(thread index, tid, lock, sorted local times)`` of the
         #: thread's acquires (releases) of the lock.
         self._acquires: List[Tuple[int, Tid, Target, List[int]]] = []
@@ -136,6 +139,8 @@ class CutIndex:
             self._overlay = dict.fromkeys(sorted(graph.backward_edges()))
             threads = trace.threads
             self._eids = [trace.eids_of(tid) for tid in threads]
+            positions = trace.thread_positions()
+            self._thread = [positions[t] for t in trace.tix]
             width = len(threads)
             self._zero = (0,) * width
             self._none = (len(trace) + 1,) * width
@@ -241,16 +246,18 @@ class CutIndex:
         """Per (thread, lock): sorted local times of acquires and
         releases, from the trace's columns."""
         trace = self.trace
-        codes, tix, tgt = trace.codes, trace.tix, trace.tgt
+        codes, thread, tgt = trace.codes, self._thread, trace.tgt
         local = trace.local_time
         acquires: Dict[Tuple[int, int], List[int]] = {}
         releases: Dict[Tuple[int, int], List[int]] = {}
         for eid, code in enumerate(codes):
             if code == CODE_ACQUIRE:
-                acquires.setdefault((tix[eid], tgt[eid]), []).append(local[eid])
+                acquires.setdefault((thread[eid], tgt[eid]), []).append(
+                    local[eid])
             elif code == CODE_RELEASE:
-                releases.setdefault((tix[eid], tgt[eid]), []).append(local[eid])
-        tids, locks = trace.tid_names, trace.lock_names
+                releases.setdefault((thread[eid], tgt[eid]), []).append(
+                    local[eid])
+        tids, locks = trace.threads, trace.lock_names
         self._acquires = [(t, tids[t], locks[lock], times)
                           for (t, lock), times in acquires.items()]
         self._releases = [(t, tids[t], locks[lock], times)
@@ -337,7 +344,7 @@ class CutIndex:
 
     def thread_of(self, eid: int) -> int:
         """The index of event ``eid``'s thread in the cut tuples."""
-        return self.trace.tix[eid]
+        return self._thread[eid]
 
     def cut_events(self, cut: Cut) -> Set[int]:
         """The event ids an ancestor cut holds."""

@@ -11,8 +11,7 @@ neighbours are read on demand from the trace's ``tix`` and
 ``local_time`` columns and its per-thread eid lists (``thread_eids``).
 Those grow in place on serve's
 :class:`~repro.serve.streaming.StreamingTrace`, so the graph works
-while the stream grows; :meth:`ProgramOrderGraph.rebind` then moves it
-onto the materialised ``Trace`` of the same events.
+while the stream grows.
 
 The graph answers every :class:`~repro.graph.constraint_graph.ConstraintGraph`
 query as if PO were stored:
@@ -46,22 +45,16 @@ class ProgramOrderGraph(ConstraintGraph):
     implicit_program_order = True
 
     def __init__(self, trace: Trace):
-        self.rebind(trace)
-        #: Stored (non-PO) adjacency, in insertion order per node.
-        self._succ: Dict[int, List[int]] = {}
-        self._pred: Dict[int, List[int]] = {}
-        self._start_bookkeeping()
-
-    def rebind(self, trace: Trace) -> None:
-        """Read program order from ``trace`` (the trace's own columns,
-        not copies). A serve session calls this at finish with the
-        materialised form of the growing trace the graph was built
-        over: the same events, so the same program order."""
+        # Program order is read from the trace's own columns, not copies.
         self.trace = trace
         self._tix = trace.tix
         self._local = trace.local_time
         #: Per thread index: its eids in program order.
         self._thread_eids = trace.thread_eids
+        #: Stored (non-PO) adjacency, in insertion order per node.
+        self._succ: Dict[int, List[int]] = {}
+        self._pred: Dict[int, List[int]] = {}
+        self._start_bookkeeping()
 
     @property
     def num_events(self) -> int:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple, Union, cast
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Value = Union[int, float]
 
@@ -247,36 +247,6 @@ class MetricsRegistry:
             "histograms": self.histograms(),
         }
 
-    def merge_snapshot(self, snap: Dict[str, object]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        This joins a registry recorded in another process into this
-        one: counters add, gauges keep the maximum
-        (every gauge in the pipeline is ``track_max``-style), and
-        histograms add bucket counts pairwise. A histogram that already
-        exists locally must have the same bucket bounds as the incoming
-        one; otherwise the merged distribution would be meaningless.
-        """
-        counters = cast(Dict[str, Value], snap.get("counters") or {})
-        for name, value in counters.items():
-            self.counter(name).inc(value)
-        gauges = cast(Dict[str, Value], snap.get("gauges") or {})
-        for name, value in gauges.items():
-            self.gauge(name).track_max(value)
-        histograms = cast(Dict[str, Dict[str, object]],
-                          snap.get("histograms") or {})
-        for name, data in histograms.items():
-            buckets = cast(List[float], data["buckets"])
-            hist = self.histogram(name, buckets)
-            if list(hist.buckets) != [float(b) for b in buckets]:
-                raise ValueError(
-                    f"histogram {name!r}: cannot merge buckets {buckets} "
-                    f"into {list(hist.buckets)}")
-            for i, count in enumerate(cast(List[int], data["counts"])):
-                hist.counts[i] += count
-            hist.sum += cast(float, data["sum"])
-            hist.count += cast(int, data["count"])
-
 
 class NullMetricsRegistry:
     """The disabled registry: hands out shared null instruments.
@@ -313,9 +283,6 @@ class NullMetricsRegistry:
 
     def snapshot(self) -> Dict[str, object]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def merge_snapshot(self, snap: Dict[str, object]) -> None:
-        pass
 
 
 NULL_REGISTRY = NullMetricsRegistry()

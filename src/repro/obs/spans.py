@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from time import perf_counter
 from types import TracebackType
-from typing import Callable, Dict, List, Optional, Type, Union, cast
+from typing import Callable, Dict, List, Optional, Type, Union
 
 from repro.obs.memory import MemorySample, delta, sample
 
@@ -130,25 +130,6 @@ class Span:
                 f"{len(self.children)} children)")
 
 
-def span_from_dict(data: Dict[str, object], tracer: "Tracer") -> Span:
-    """Rebuild a span tree from :meth:`Span.to_dict` output.
-
-    Wall times, annotations, and children round-trip; the memory delta
-    does not (``to_dict`` exports the derived delta, not the raw
-    samples), so grafted worker spans carry no memory columns.
-    """
-    span = Span(cast(str, data["name"]), tracer)
-    span.elapsed_seconds = cast(float, data["elapsed_seconds"])
-    counts = cast(Dict[str, Union[int, float]], data.get("counts") or {})
-    span.counts = dict(counts)
-    tags = cast(Dict[str, str], data.get("tags") or {})
-    span.tags = dict(tags)
-    children = cast(List[Dict[str, object]], data.get("children") or [])
-    for child in children:
-        span.children.append(span_from_dict(child, tracer))
-    return span
-
-
 class NullSpan:
     """Shared no-op span for the disabled tracer."""
 
@@ -224,35 +205,6 @@ class Tracer:
             self.on_close(span, len(self._stack))
 
     # ------------------------------------------------------------------
-    # Grafting (adopting spans recorded in another process)
-    # ------------------------------------------------------------------
-    def graft(self, payloads: List[Dict[str, object]]) -> List[Span]:
-        """Adopt span trees serialized by :meth:`Span.to_dict`.
-
-        The rebuilt spans attach under the innermost currently open span
-        (or as new roots when none is open), and the ``on_close`` hook —
-        the JSONL exporter's event source — is replayed for every
-        grafted span in post-order, children before parents, exactly as
-        if the spans had closed here, so span trees recorded in another
-        process can be placed under this one's open span.
-        """
-        spans = [span_from_dict(payload, self) for payload in payloads]
-        depth = len(self._stack)
-        if self._stack:
-            self._stack[-1].children.extend(spans)
-        else:
-            self.roots.extend(spans)
-        if self.on_close is not None:
-            def replay(span: Span, parent_depth: int) -> None:
-                for child in span.children:
-                    replay(child, parent_depth + 1)
-                assert self.on_close is not None
-                self.on_close(span, parent_depth)
-            for span in spans:
-                replay(span, depth)
-        return spans
-
-    # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
     @property
@@ -310,9 +262,6 @@ class NullTracer:
 
     def span(self, name: str) -> NullSpan:
         return NULL_SPAN
-
-    def graft(self, payloads: List[Dict[str, object]]) -> List["Span"]:
-        return []
 
     @property
     def depth(self) -> int:

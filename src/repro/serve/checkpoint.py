@@ -29,7 +29,7 @@ from typing import Any, Dict, Tuple
 
 from repro.serve.protocol import ProtocolError
 from repro.serve.session import SessionAnalyzer, SessionConfig
-from repro.traces.packed import from_bytes, to_bytes
+from repro.traces.packed import from_bytes, pack, to_bytes
 
 CHECKPOINT_MAGIC = b"VCKP1\n"
 _LEN = struct.Struct("<Q")
@@ -55,7 +55,7 @@ def checkpoint_bytes(analyzer: SessionAnalyzer) -> bytes:
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
-    payload = to_bytes(analyzer.trace.to_packed())
+    payload = to_bytes(pack(analyzer.trace))
     return b"".join((CHECKPOINT_MAGIC, _LEN.pack(len(header_bytes)),
                      header_bytes, payload))
 

@@ -6,7 +6,7 @@ detectors ``vindicator analyze`` runs
 (:mod:`repro.analysis.smarttrack`), bound to the trace's columns and
 fed event by event as chunks arrive, with windowed metadata GC
 (:mod:`repro.serve.gc`) bounding live state. Finishing a
-session hands the materialised trace to the shared batch tail
+session hands the grown trace itself to the shared batch tail
 (:meth:`repro.vindicate.vindicator.Vindicator.finalize`), so the final
 report is bit-identical to single-shot ``vindicator analyze`` of the
 same events — for any chunking, because every per-event effect
@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, cast
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.analysis.races import RaceReport, classify
 from repro.analysis.smarttrack import (EpochDCDetector, EpochHBDetector,
                                        EpochWCPDetector)
 from repro.core import kernels
 from repro.core.events import Event, Tid
-from repro.core.trace import Trace
-from repro.graph.program_order import ProgramOrderGraph
 from repro.serve import gc as serve_gc
 from repro.serve.protocol import ProtocolError
 from repro.serve.streaming import StreamingTrace
@@ -128,9 +126,9 @@ class SessionAnalyzer:
         self._detectors = (self.hb, self.wcp, self.dc)
         for detector in self._detectors:
             detector.transitive_force = config.transitive_force
-            # The detectors read the StreamingTrace's columns, which
-            # grow in place as events are accepted.
-            detector.begin_trace(cast(Trace, self.trace))
+            # The detectors read the trace's columns, which grow in
+            # place as events are accepted.
+            detector.begin_trace(self.trace)
         #: Per-session intern tables of the frame parser: tid tokens,
         #: and target and location strings.
         self._tid_tokens: Dict[str, Tid] = {}
@@ -262,8 +260,8 @@ class SessionAnalyzer:
     # Finish
     # ------------------------------------------------------------------
     def finish(self) -> Dict[str, object]:
-        """Materialise the trace and run the shared batch tail; returns
-        (and caches) the ``vindicator.analyze/1`` document."""
+        """Run the shared batch tail on the grown trace; returns (and
+        caches) the ``vindicator.analyze/1`` document."""
         if self.report_document is not None:
             return self.report_document
         if not self.config.build_graph:
@@ -272,10 +270,6 @@ class SessionAnalyzer:
                 f"session {self.config.name!r} was opened with "
                 "build_graph=false and cannot be finished (online "
                 "'races' queries remain available)")
-        trace = self.trace.to_trace()
-        graph = self.dc.graph
-        assert isinstance(graph, ProgramOrderGraph)
-        graph.rebind(trace)
         hb_report = self.hb.finish()
         wcp_report = self.wcp.finish()
         dc_report = self.dc.finish()
@@ -284,7 +278,7 @@ class SessionAnalyzer:
             policy=self.config.policy,
             transitive_force=self.config.transitive_force)
         report = vindicator.finalize(
-            trace, self.hb, self.wcp, self.dc,
+            self.trace, self.hb, self.wcp, self.dc,
             hb_report, wcp_report, dc_report,
             analysis_seconds=self.analysis_seconds)
         self.report_document = report.to_document()

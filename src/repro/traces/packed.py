@@ -24,8 +24,8 @@ re-validation because the source trace was validated when first built.
 This module is the persistence layer for the streaming service
 (:mod:`repro.serve`):
 
-* a live session's :class:`~repro.serve.streaming.StreamingTrace`
-  derives this form from its own columns for a checkpoint;
+* a checkpoint is :func:`pack` of a live session's
+  :class:`~repro.serve.streaming.StreamingTrace`;
 * :meth:`PackedTrace.to_bytes` / :func:`packed_from_bytes` are a
   *canonical* byte encoding (fixed little-endian columns + sorted-key
   JSON header) used by checkpoints — encode→decode→encode is

@@ -106,9 +106,12 @@ class TraceIndex:
                  "thread_index", "requires", "joins", "lock_acquires")
 
     def __init__(self, trace: Trace) -> None:
-        codes, tix, tgt = trace.codes, trace.tix, trace.tgt
+        codes, tgt = trace.codes, trace.tgt
         local = trace.local_time
         threads = trace.threads
+        # Thread indices as positions in ``threads``, the cut's order.
+        positions = trace.thread_positions()
+        tix = [positions[t] for t in trace.tix]
         self.size = len(codes)
         self.fork_of: Dict[Tid, int] = {}
         self.prev_write: List[int] = [-1] * self.size
@@ -118,7 +121,6 @@ class TraceIndex:
         self.requires: List[Requirements] = [{} for _ in threads]
         self.joins: List[Requirements] = [{} for _ in threads]
         prev_write, requires = self.prev_write, self.requires
-        width = len(threads)
         acquires: Dict[Tuple[int, int], List[int]] = {}
         last_write = [-1] * len(trace.var_names)
         pending_reads: Dict[int, List[int]] = {}
@@ -153,8 +155,8 @@ class TraceIndex:
             elif code == CODE_FORK:
                 self.fork_of[trace.tid_names[tgt[eid]]] = eid
             elif code == CODE_JOIN:
-                child, ti = tgt[eid], tix[eid]
-                if child < width and child != ti:
+                child, ti = positions[tgt[eid]], tix[eid]
+                if child >= 0 and child != ti:
                     eids = trace.eids_of(threads[child])
                     need = len(eids) + (eids[-1] > eid)
                     _require(self.joins[ti], local[eid], child, need)

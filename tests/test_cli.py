@@ -293,11 +293,10 @@ class TestDefaultPathMatchesReference:
         assert root["tags"]["variant"] == "reference"
 
 
-#: The detector-variant flags, under the ids of the flags they replaced:
-#: ``--fast-vc`` is now ``--variant fast``, and the row of the removed
-#: ``--batch`` tier runs with no flag at all, i.e. the default path.
+#: The detector-variant flags: each variant named, and no flag at all,
+#: i.e. the default path.
 VARIANT_FLAGS = [["--variant", "reference"], ["--variant", "fast"], []]
-VARIANT_IDS = ["reference", "fast-vc", "batch"]
+VARIANT_IDS = ["reference", "fast", "default"]
 
 
 def _verdict_lines(out: str) -> list:

@@ -89,18 +89,17 @@ CORPUS = list(corpus())
 IDS = [name for name, _ in CORPUS]
 
 
-#: ``"batch"`` keeps the id of the removed batched interpreter's row. It
-#: now drives the epoch detector event by event (``begin_trace``,
-#: ``handle``, ``finish``), the path a streaming caller takes, rather
-#: than through its whole-trace ``analyze()`` loop.
-@pytest.mark.parametrize("variant", ["reference", "fast", "batch"])
+#: ``"handle"`` drives the epoch detector event by event
+#: (``begin_trace``, ``handle``, ``finish``), the path a streaming caller
+#: takes, rather than through its whole-trace ``analyze()`` loop.
+@pytest.mark.parametrize("variant", ["reference", "fast", "handle"])
 @pytest.mark.parametrize("name,trace", CORPUS, ids=IDS)
 def test_dc_graph_points_forward(variant, name, trace):
     for transitive_force in (True, False):
         detector = make_analysis_detector(
-            "dc", "fast" if variant == "batch" else variant)
+            "dc", "fast" if variant == "handle" else variant)
         detector.transitive_force = transitive_force
-        if variant == "batch":
+        if variant == "handle":
             detector.begin_trace(trace)
             for event in trace:
                 detector.handle(event)

@@ -97,69 +97,6 @@ class TestRegistry:
         assert reg.enabled is True
 
 
-class TestMergeSnapshot:
-    def test_merges_counters_gauges_histograms(self):
-        worker = MetricsRegistry()
-        worker.add("analysis.dc.events", 10)
-        worker.gauge("graph.nodes").set(50)
-        worker.histogram("h", buckets=(1.0, 10.0)).observe(0.5)
-        worker.histogram("h", buckets=(1.0, 10.0)).observe(100.0)
-
-        parent = MetricsRegistry()
-        parent.add("analysis.dc.events", 5)
-        parent.gauge("graph.nodes").set(80)
-        parent.histogram("h", buckets=(1.0, 10.0)).observe(2.0)
-        parent.merge_snapshot(worker.snapshot())
-
-        assert parent.counters()["analysis.dc.events"] == 15
-        assert parent.gauges()["graph.nodes"] == 80  # track_max semantics
-        h = parent.histograms()["h"]
-        assert h["count"] == 3
-        assert h["counts"] == [1, 1, 1]
-        assert h["sum"] == pytest.approx(102.5)
-
-    def test_gauge_merge_takes_larger_worker_value(self):
-        worker = MetricsRegistry()
-        worker.gauge("graph.nodes").set(99)
-        parent = MetricsRegistry()
-        parent.gauge("graph.nodes").set(10)
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.gauges()["graph.nodes"] == 99
-
-    def test_merge_creates_missing_instruments(self):
-        worker = MetricsRegistry()
-        worker.add("only.in.worker", 7)
-        parent = MetricsRegistry()
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.counters() == {"only.in.worker": 7}
-
-    def test_merge_is_associative_across_workers(self):
-        parent_a = MetricsRegistry()
-        parent_b = MetricsRegistry()
-        snaps = []
-        for value in (1, 2, 3):
-            w = MetricsRegistry()
-            w.add("c", value)
-            snaps.append(w.snapshot())
-        for snap in snaps:
-            parent_a.merge_snapshot(snap)
-        for snap in reversed(snaps):
-            parent_b.merge_snapshot(snap)
-        assert parent_a.counters() == parent_b.counters() == {"c": 6}
-
-    def test_empty_snapshot_is_noop(self):
-        parent = MetricsRegistry()
-        parent.add("c", 1)
-        parent.merge_snapshot({"counters": {}, "gauges": {},
-                               "histograms": {}})
-        assert parent.counters() == {"c": 1}
-
-    def test_null_registry_merge_is_noop(self):
-        NULL_REGISTRY.merge_snapshot({"counters": {"c": 1}, "gauges": {},
-                                      "histograms": {}})
-        assert NULL_REGISTRY.counters() == {}
-
-
 class TestNullRegistry:
     def test_hands_out_shared_singletons(self):
         reg = NullMetricsRegistry()

@@ -9,7 +9,6 @@ from repro.obs.spans import (
     NULL_TRACER,
     NullSpan,
     Tracer,
-    span_from_dict,
 )
 
 
@@ -98,74 +97,6 @@ class TestTracer:
         assert "root" in text and "slow" in text
         assert "fast" not in text
         assert "ms" in text and "%" in text
-
-
-class TestGraft:
-    """Worker span trees re-attach into the parent tracer (the parallel
-    engine's observability merge)."""
-
-    def _worker_payload(self):
-        worker = Tracer(sample_memory=False)
-        with worker.span("analysis.dc") as sp:
-            sp.count("events", 5)
-            with worker.span("analysis.dc.inner"):
-                pass
-        return worker.to_dicts()
-
-    def test_span_from_dict_round_trips_shape(self):
-        payload = self._worker_payload()
-        tracer = Tracer(sample_memory=False)
-        span = span_from_dict(payload[0], tracer)
-        assert span.name == "analysis.dc"
-        assert span.counts == {"events": 5}
-        assert [c.name for c in span.children] == ["analysis.dc.inner"]
-        assert span.elapsed_seconds >= 0.0
-
-    def test_graft_under_open_span(self):
-        tracer = Tracer(sample_memory=False)
-        with tracer.span("pipeline.analysis"):
-            tracer.graft(self._worker_payload())
-        root = tracer.roots[0]
-        assert root.name == "pipeline.analysis"
-        assert [c.name for c in root.children] == ["analysis.dc"]
-        assert [c.name for c in root.children[0].children] == \
-            ["analysis.dc.inner"]
-
-    def test_graft_with_no_open_span_adds_roots(self):
-        tracer = Tracer(sample_memory=False)
-        tracer.graft(self._worker_payload())
-        assert [r.name for r in tracer.roots] == ["analysis.dc"]
-
-    def test_graft_preserves_payload_order(self):
-        worker_a = Tracer(sample_memory=False)
-        with worker_a.span("a"):
-            pass
-        worker_b = Tracer(sample_memory=False)
-        with worker_b.span("b"):
-            pass
-        tracer = Tracer(sample_memory=False)
-        with tracer.span("parent"):
-            tracer.graft(worker_a.to_dicts() + worker_b.to_dicts())
-        assert [c.name for c in tracer.roots[0].children] == ["a", "b"]
-
-    def test_graft_replays_on_close_post_order(self):
-        closed = []
-        tracer = Tracer(sample_memory=False,
-                        on_close=lambda sp, d: closed.append((sp.name, d)))
-        with tracer.span("parent"):
-            tracer.graft(self._worker_payload())
-        assert closed == [("analysis.dc.inner", 2), ("analysis.dc", 1),
-                          ("parent", 0)]
-
-    def test_null_tracer_graft_is_noop(self):
-        assert NULL_TRACER.graft([{"name": "x"}]) == []
-
-    def test_grafted_tree_renders(self):
-        tracer = Tracer(sample_memory=False)
-        with tracer.span("parent"):
-            tracer.graft(self._worker_payload())
-        text = tracer.render()
-        assert "analysis.dc" in text
 
 
 class TestNullPath:

@@ -74,7 +74,7 @@ class TestCanonicalCodec:
 
     def test_empty_trace_round_trips(self):
         stream = StreamingTrace(provenance={"kind": "empty"})
-        data = to_bytes(stream.to_packed())
+        data = to_bytes(pack(stream))
         decoded = from_bytes(data)
         assert len(decoded) == 0
         assert decoded.provenance == {"kind": "empty"}
@@ -94,18 +94,18 @@ class TestCanonicalCodec:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), events=st.integers(1, 60))
     def test_builder_matches_batch_pack(self, seed, events):
-        # A streaming trace derives the packed form from its columns,
-        # incrementally: a mid-stream snapshot is the prefix's pack and
-        # stays so after later appends.
+        # A checkpoint packs the streaming trace itself: a mid-stream
+        # snapshot is the prefix's pack and stays so after later
+        # appends.
         trace = gen_trace(seed, events=events)
         stream = StreamingTrace(provenance=trace.provenance)
         half = len(trace) // 2
         for event in trace.events[:half]:
             stream.append(event)
-        snapshot = stream.to_packed()
+        snapshot = pack(stream)
         for event in trace.events[half:]:
             stream.append(event)
-        assert to_bytes(stream.to_packed()) == to_bytes(pack(trace))
+        assert to_bytes(pack(stream)) == to_bytes(pack(trace))
         prefix = pack(Trace(trace.events[:half]))
         prefix.provenance = dict(trace.provenance)
         assert to_bytes(snapshot) == to_bytes(prefix)
@@ -126,21 +126,20 @@ class TestCanonicalCodec:
         stream = StreamingTrace()
         for event in events:
             stream.append(event)
-        assert to_bytes(stream.to_packed()) == to_bytes(pack(Trace(events)))
+        assert to_bytes(pack(stream)) == to_bytes(pack(Trace(events)))
         fields = attrgetter("eid", "tid", "kind", "target", "loc")
-        assert list(map(fields, stream.to_trace().events)) == \
-            list(map(fields, events))
+        assert list(map(fields, stream.events)) == list(map(fields, events))
 
     def test_workload_stream_packs_like_batch(self):
         trace = workload_trace()
         stream = StreamingTrace(provenance=trace.provenance)
         for event in trace:
             stream.append(event)
-        packed = stream.to_packed()
+        packed = pack(stream)
         assert packed.locs
         assert to_bytes(packed) == to_bytes(pack(trace))
         fields = attrgetter("eid", "tid", "kind", "target", "loc")
-        assert list(map(fields, stream.to_trace().events)) == \
+        assert list(map(fields, stream.events)) == \
             list(map(fields, trace.events))
 
     def test_unpacked_events_match(self):

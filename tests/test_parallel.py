@@ -218,7 +218,7 @@ class TestObsDifferential:
         assert counters["vindicate.races_checked"] == \
             len(served["vindications"])
 
-    def test_worker_spans_graft_under_pipeline(self, tmp_path):
+    def test_session_spans_nest_under_pipeline(self, tmp_path):
         trace = execute(WORKLOADS["avrora"](scale=0.3), seed=0)
         try:
             obs.enable()

@@ -3,12 +3,14 @@
 * **Columns** — after every prefix of a stream, the columns and tables
   :class:`~repro.serve.streaming.StreamingTrace` grows decode to the
   same per-event thread, target, held-lock and local-time values as a
-  ``Trace`` built from that prefix (the thread indices themselves may
-  differ: a stream interns a fork target at its fork).
+  ``Trace`` built from that prefix.
 * **Growth** — a stream that forks more threads than the initial clock
   capacity, mid-stream and after other threads have run, grows the
   detectors' clocks and tables and still ends in the single-shot
   document.
+* **Rejection** — an event the stream rejects, for any of its checks,
+  leaves the trace's columns, tables, events and liveness sets as they
+  were, and the session goes on to the single-shot document.
 * **Frames** — the frame parser (:func:`repro.traces.io.parse_lines`)
   yields exactly :func:`~repro.traces.io.parse_event_line`'s events and
   errors, with intern tables kept across frames.
@@ -21,14 +23,15 @@ from hypothesis import strategies as st
 from repro.analysis.smarttrack import (EpochDCDetector, EpochHBDetector,
                                        EpochWCPDetector)
 from repro.core.events import Event, EventKind
-from repro.core.exceptions import TraceFormatError
+from repro.core.exceptions import MalformedTraceError, TraceFormatError
 from repro.core.trace import Trace
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
 from repro.serve.session import SessionAnalyzer, SessionConfig
 from repro.serve.streaming import StreamingTrace
 from repro.traces.gen import GeneratorConfig, random_trace
-from repro.traces.io import format_event, parse_event_line, parse_lines
+from repro.traces.io import (format_event, loads_trace, parse_event_line,
+                             parse_lines)
 from repro.traces.litmus import ALL as LITMUS
 from repro.vindicate.vindicator import Vindicator
 
@@ -106,9 +109,8 @@ def wide_fork_stream(children=20):
     """Two threads run and share variables under locks; then thread 1
     forks ``children`` threads at once, before any of them runs, and
     the children start in reverse fork order, race on shared variables
-    and are joined. A batch Trace indexes executing threads first and
-    the stream indexes each child at its fork, so the two number the
-    threads differently."""
+    and are joined. A batch Trace and the stream both index each child
+    at its fork: in fork order, not in the order the children start."""
     events = []
 
     def emit(tid, kind, target=None):
@@ -157,11 +159,11 @@ class TestGrowth:
         for i in range(0, len(lines), chunk):
             analyzer.feed_lines(lines[i:i + chunk])
         # The test exercises what it claims: the clocks grew, and the
-        # stream numbered the threads unlike the batch trace.
+        # stream numbered the threads as the batch trace does.
         assert len(trace.tid_names) > 8
         for detector in (analyzer.hb, analyzer.wcp, analyzer.dc):
             assert detector._cap >= len(trace.tid_names) > 8
-        assert analyzer.trace.tid_names != trace.tid_names
+        assert analyzer.trace.tid_names == trace.tid_names
         assert analyzer.dc.report.races  # the children race
         document = analyzer.finish()
         assert normalize(document) == normalize(
@@ -174,6 +176,136 @@ class TestGrowth:
         assert type(analyzer.hb) is EpochHBDetector
         assert type(analyzer.wcp) is EpochWCPDetector
         assert type(analyzer.dc) is EpochDCDetector
+
+
+# ----------------------------------------------------------------------
+# Rejected events
+# ----------------------------------------------------------------------
+#: A fork-closed stream with nested locks, a volatile, a fork, a join
+#: and begin/end markers.
+GOOD_LINES = [
+    "T1 begin", "T1 fork T2", "T1 acq m", "T1 wr x", "T2 begin",
+    "T2 acq n", "T2 acq o", "T2 rd y", "T2 rel o", "T2 rel n",
+    "T2 vwr v", "T1 rel m", "T2 acq m", "T2 wr x", "T2 rel m",
+    "T2 end", "T1 vrd v", "T1 join T2", "T1 rd x", "T1 wr y", "T1 end",
+]
+
+#: Name -> (events accepted before the bad one, the bad line, the
+#: start of the error message). Each bad line is rejected by one check.
+BAD_LINES = {
+    "unheld_release": (5, "T2 rel m", "rel(m)@T2#5: releases lock 'm' "
+                       "not held by thread 2"),
+    "double_acquire": (5, "T2 acq m", "acq(m)@T2#5: lock 'm' already held "
+                       "by thread 1"),
+    "nesting_order": (7, "T2 rel n", "rel(n)@T2#7: releases lock 'n' out "
+                      "of nesting order"),
+    "self_fork": (3, "T1 fork T1", "fork(1)@T1#3: thread forks itself"),
+    "double_fork": (4, "T1 fork T2", "fork(2)@T1#4: thread 2 forked twice"),
+    "double_join": (18, "T1 join T2", "join(2)@T1#18: thread 2 joined "
+                    "twice"),
+    "after_join": (18, "T2 wr x", "wr(x)@T2#18: thread 2 executes after "
+                   "its join"),
+    "after_end": (16, "T2 rd x", "rd(x)@T2#16: thread 2 executes after "
+                  "its end"),
+    "late_begin": (6, "T2 begin", "begin()@T2#6: begin is not thread's "
+                   "first event"),
+    "unforked_thread": (4, "T3 wr x", "wr(x)@T3#4: thread 3 appears "
+                        "without a fork"),
+}
+
+#: Name -> the bad event at stream position 5 (after ``GOOD_LINES[:5]``),
+#: for the checks no text line can reach.
+BAD_EVENTS = {
+    "eid_mismatch": (Event(6, 2, EventKind.WRITE, "x"),
+                     "event id does not match stream position 5"),
+    "access_without_target": (Event(5, 2, EventKind.WRITE, None),
+                              "access without a target"),
+    "volatile_without_target": (Event(5, 2, EventKind.VOLATILE_READ, None),
+                                "access without a target"),
+    "acquire_without_target": (Event(5, 2, EventKind.ACQUIRE, None),
+                               "acquire without a target"),
+    "release_without_target": (Event(5, 2, EventKind.RELEASE, None),
+                               "release without a target"),
+}
+
+
+def trace_state(trace):
+    """Everything a stream records, as plain values."""
+    return {
+        "events": list(trace.events),
+        "columns": (bytes(trace.codes), list(trace.tix), list(trace.tgt),
+                    list(trace.held), list(trace.local_time),
+                    list(trace.enclosing_acquires)),
+        "tables": (list(trace.tid_names), dict(trace.tid_index),
+                   list(trace.var_names), list(trace.lock_names),
+                   list(trace.vol_names)),
+        "threads": ([list(eids) for eids in trace.thread_eids],
+                    trace.threads),
+        "matching": (dict(trace._match_rel), dict(trace._match_acq)),
+        "liveness": (set(trace._forked), set(trace._joined),
+                     set(trace._ended), set(trace._stopped)),
+    }
+
+
+class TestRejectedEvents:
+    def _finish_alike(self, analyzer, before):
+        """After a rejection: the stream is unchanged, accepts the rest
+        of the good stream and ends in the single-shot document."""
+        assert trace_state(analyzer.trace) == before
+        analyzer.feed_lines(GOOD_LINES[len(before["events"]):])
+        expected = Vindicator(vindicate_all=True).run(
+            loads_trace("\n".join(GOOD_LINES)))
+        assert normalize(analyzer.finish()) == normalize(
+            expected.to_document())
+
+    @pytest.mark.parametrize("name", sorted(BAD_LINES))
+    def test_bad_line_leaves_the_trace_unchanged(self, name):
+        accepted, line, message = BAD_LINES[name]
+        analyzer = SessionAnalyzer(SessionConfig(
+            name=name, gc_window=3, vindicate_all=True))
+        analyzer.feed_lines(GOOD_LINES[:accepted])
+        before = trace_state(analyzer.trace)
+        with pytest.raises(MalformedTraceError) as excinfo:
+            analyzer.feed_lines([line])
+        assert str(excinfo.value).startswith(message), str(excinfo.value)
+        assert excinfo.value.event_index == accepted
+        self._finish_alike(analyzer, before)
+
+    @pytest.mark.parametrize("name", sorted(BAD_EVENTS))
+    def test_bad_event_leaves_the_trace_unchanged(self, name):
+        event, message = BAD_EVENTS[name]
+        analyzer = SessionAnalyzer(SessionConfig(
+            name=name, gc_window=3, vindicate_all=True))
+        analyzer.feed_lines(GOOD_LINES[:5])
+        before = trace_state(analyzer.trace)
+        with pytest.raises(MalformedTraceError, match=message) as excinfo:
+            analyzer.feed_events([event])
+        assert excinfo.value.event_index == 5
+        self._finish_alike(analyzer, before)
+
+    @pytest.mark.parametrize("line,message", [
+        ("T1 fork T3", "thread 3 executes before its fork"),
+        ("T4 acq m", "lock 'm' already held by thread 1"),
+        ("T4 rel m", "releases lock 'm' not held by thread 4"),
+    ])
+    def test_bad_line_without_gc_leaves_the_trace_unchanged(self, line,
+                                                             message):
+        # Without GC a thread may run unforked: forking it later is
+        # rejected, and so is a new thread's first event that fails a
+        # lock check.
+        lines = ["T1 wr x", "T3 rd x", "T1 acq m", "T3 wr y", "T1 rel m"]
+        analyzer = SessionAnalyzer(SessionConfig(
+            name="unforked", gc_window=0, vindicate_all=True))
+        analyzer.feed_lines(lines[:3])
+        before = trace_state(analyzer.trace)
+        with pytest.raises(MalformedTraceError, match=message):
+            analyzer.feed_lines([line])
+        assert trace_state(analyzer.trace) == before
+        analyzer.feed_lines(lines[3:])
+        expected = Vindicator(vindicate_all=True).run(
+            loads_trace("\n".join(lines)))
+        assert normalize(analyzer.finish()) == normalize(
+            expected.to_document())
 
 
 # ----------------------------------------------------------------------

@@ -239,10 +239,13 @@ CODE_ORDER = [EventKind.READ, EventKind.WRITE, EventKind.ACQUIRE,
 def naive_columns(trace):
     """The trace's columns and interning tables, recomputed from the
     events' fields and ``held_locks`` alone."""
-    tids = list(dict.fromkeys(e.tid for e in trace.events))
+    tids = []
     for e in trace.events:
-        if e.kind in (EventKind.FORK, EventKind.JOIN) and e.target not in tids:
-            tids.append(e.target)
+        for tid in ((e.tid, e.target)
+                    if e.kind in (EventKind.FORK, EventKind.JOIN)
+                    else (e.tid,)):
+            if tid not in tids:
+                tids.append(tid)
     variables, locks, volatiles = [], [], []
 
     def intern(table, target):
@@ -305,15 +308,15 @@ class TestColumns:
         assert trace_columns(parsed) == naive_columns(parsed)
         assert trace_columns(parsed) == trace_columns(trace)
 
-    def test_fork_only_targets_intern_after_executing_threads(self):
+    def test_fork_targets_intern_at_their_fork(self):
         trace = (TraceBuilder()
                  .fork(1, 9).wr(1, "x").fork(1, 2).join(1, 9)
                  .vwr(2, "v").acq(2, "m").rd(2, "x").rel(2, "m")
                  .join(1, 2).fork(1, 7).begin(3).end(3)
                  .build())
-        assert trace.tid_names == [1, 2, 3, 9, 7]
+        assert trace.tid_names == [1, 9, 2, 7, 3]
         assert trace.threads == [1, 2, 3]
-        assert (trace.tgt[0], trace.tgt[2], trace.tgt[9]) == (3, 1, 4)
+        assert (trace.tgt[0], trace.tgt[2], trace.tgt[9]) == (1, 2, 3)
         assert trace_columns(trace) == naive_columns(trace)
 
     def test_unvalidated_trace(self):
