@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.events import Event, EventKind, conflicts
 from repro.core.trace import Trace, TraceBuilder
-from repro.core.vectorclock import Epoch, VectorClock
+from repro.core.vectorclock import VectorClock
 from repro.core.exceptions import (
     MalformedReorderingError,
     MalformedTraceError,
@@ -59,7 +59,6 @@ from repro.vindicate.oracle import OracleBudgetExceededError, PredictabilityOrac
 
 if TYPE_CHECKING:
     from repro.analysis.dc import DCDetector
-    from repro.analysis.fasttrack import FastTrackDetector
     from repro.analysis.hb import HBDetector
     from repro.analysis.reference import ReferenceAnalysis
     from repro.analysis.wcp import WCPDetector
@@ -82,10 +81,8 @@ __all__ = [
     "DCDetector",
     "Detector",
     "DynamicRace",
-    "Epoch",
     "Event",
     "EventKind",
-    "FastTrackDetector",
     "HBDetector",
     "MalformedReorderingError",
     "MalformedTraceError",

@@ -15,7 +15,6 @@ from repro.analysis.races import (
 
 if TYPE_CHECKING:
     from repro.analysis.dc import DCDetector
-    from repro.analysis.fasttrack import FastTrackDetector
     from repro.analysis.hb import HBDetector
     from repro.analysis.reference import ReferenceAnalysis
     from repro.analysis.wcp import WCPDetector
@@ -26,7 +25,6 @@ if TYPE_CHECKING:
 #: them, and ReferenceAnalysis needs numpy.
 LAZY = {
     "DCDetector": "repro.analysis.dc",
-    "FastTrackDetector": "repro.analysis.fasttrack",
     "HBDetector": "repro.analysis.hb",
     "ReferenceAnalysis": "repro.analysis.reference",
     "WCPDetector": "repro.analysis.wcp",
@@ -39,7 +37,6 @@ __all__ = [
     "DynamicRace",
     "EpochDCDetector",
     "EpochWCPDetector",
-    "FastTrackDetector",
     "HBDetector",
     "RaceClass",
     "RaceReport",

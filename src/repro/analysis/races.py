@@ -111,10 +111,6 @@ class RaceReport:
         """Number of statically distinct races (Table 1's main numbers)."""
         return len(static_races(self.races))
 
-    def static_keys(self) -> FrozenSet[FrozenSet[str]]:
-        """The set of statically distinct races."""
-        return frozenset(static_races(self.races))
-
     def by_class(self) -> Dict[RaceClass, List[DynamicRace]]:
         """Group this report's races by :class:`RaceClass` (races without a
         classification are omitted)."""

@@ -2,7 +2,7 @@
 
 from repro.core.events import Event, EventKind, Target, Tid, conflicts
 from repro.core.trace import Trace, TraceBuilder
-from repro.core.vectorclock import EPOCH_ZERO, Epoch, VectorClock
+from repro.core.vectorclock import VectorClock
 from repro.core.exceptions import (
     MalformedReorderingError,
     MalformedTraceError,
@@ -12,8 +12,6 @@ from repro.core.exceptions import (
 )
 
 __all__ = [
-    "EPOCH_ZERO",
-    "Epoch",
     "Event",
     "EventKind",
     "MalformedReorderingError",

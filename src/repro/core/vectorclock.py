@@ -1,4 +1,4 @@
-"""Vector clocks and epochs.
+"""Vector clocks.
 
 Vector clocks [Mattern 1989] map each thread to a logical time. The
 analyses in :mod:`repro.analysis` use them to represent, for each thread,
@@ -7,10 +7,6 @@ under a given relation (HB, WCP, or DC).
 
 The implementation is dict-backed: absent threads implicitly have time 0,
 so clocks stay small in programs where most threads never interact.
-
-:class:`Epoch` is the FastTrack-style compressed representation ``c@t``
-of a clock that is known to have a single non-trivial component; it backs
-the optional FastTrack detector (:mod:`repro.analysis.fasttrack`).
 """
 
 from __future__ import annotations
@@ -139,34 +135,3 @@ class VectorClock:
     def as_dict(self) -> Dict[Tid, int]:
         """Return a snapshot of the non-zero components."""
         return dict(self._clocks)
-
-
-class Epoch:
-    """A FastTrack epoch ``c@t``: logical time ``c`` of thread ``t``.
-
-    Epochs compress the common case where a variable's last writes (or
-    reads) are totally ordered, replacing a full vector clock with a
-    single (time, thread) pair.
-    """
-
-    __slots__ = ("time", "tid")
-
-    def __init__(self, time: int, tid: Tid):
-        self.time = time
-        self.tid = tid
-
-    def happens_before(self, clock: VectorClock) -> bool:
-        """Return True if this epoch is covered by ``clock`` (``c ≤ clock[t]``)."""
-        return self.time <= clock.get(self.tid)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Epoch):
-            return NotImplemented
-        return self.time == other.time and self.tid == other.tid
-
-    def __repr__(self) -> str:
-        return f"{self.time}@T{self.tid}"
-
-
-#: The distinguished empty epoch (time 0 is before everything).
-EPOCH_ZERO = Epoch(0, "<none>")

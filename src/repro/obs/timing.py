@@ -39,10 +39,6 @@ class Stopwatch:
                  tb: Optional[TracebackType]) -> None:
         self.elapsed_seconds = perf_counter() - self._start
 
-    @property
-    def elapsed_ms(self) -> float:
-        return self.elapsed_seconds * 1e3
-
 
 @dataclass(frozen=True)
 class Measurement:
@@ -51,10 +47,6 @@ class Measurement:
     result: object
     elapsed_seconds: float
     peak_rss_delta_kb: int
-
-    @property
-    def elapsed_ms(self) -> float:
-        return self.elapsed_seconds * 1e3
 
 
 def measure(fn: Callable[[], T]) -> Measurement:

@@ -118,13 +118,14 @@ def resume_session(path: str) -> SessionAnalyzer:
         raise CheckpointError(f"{path}: header is missing session/"
                               "config/events/trace_hash")
     packed = from_bytes(payload)  # full untrusted-input validation
-    trace = packed.unpack()
-    if len(trace) != expected_events:
+    if len(packed) != expected_events:
         raise CheckpointError(
             f"{path}: header claims {expected_events} events but the "
-            f"payload holds {len(trace)}")
+            f"payload holds {len(packed)}")
     analyzer = SessionAnalyzer(SessionConfig.from_dict(name, config_doc))
-    analyzer.feed_events(trace)
+    # The session's trace indexes each event as it accepts it; an
+    # unpacked Trace would index them all a second time.
+    analyzer.feed_events(packed.events())
     actual = analyzer.hasher.hexdigest()
     if actual != expected_hash:
         raise CheckpointError(

@@ -106,12 +106,9 @@ class PackedTrace:
                            self.loc_idx, self.local_time)
         )
 
-    def unpack(self) -> Trace:
-        """Rebuild the original :class:`~repro.core.trace.Trace`.
-
-        Validation is skipped: the packed form can only come from
-        :func:`pack`, whose input was already validated.
-        """
+    def events(self) -> List[Event]:
+        """Decode the packed events, unindexed (their ``eid`` is their
+        position)."""
         tids = self.tids
         targets = self.targets
         locs = self.locs
@@ -128,7 +125,15 @@ class PackedTrace:
                 None if t_i < 0 else targets[t_i],
                 None if l_i < 0 else locs[l_i],
             ))
-        trace = Trace(events, validate=False)
+        return events
+
+    def unpack(self) -> Trace:
+        """Rebuild the original :class:`~repro.core.trace.Trace`.
+
+        Validation is skipped: the packed form can only come from
+        :func:`pack`, whose input was already validated.
+        """
+        trace = Trace(self.events(), validate=False)
         trace.provenance = dict(self.provenance)
         return trace
 

@@ -5,7 +5,6 @@ import pytest
 from repro.core.exceptions import MalformedTraceError
 from repro.core.trace import TraceBuilder
 from repro.analysis.dc import DCDetector
-from repro.analysis.fasttrack import FastTrackDetector
 from repro.analysis.smarttrack import EpochDCDetector, EpochWCPDetector
 from repro.analysis.hb import HBDetector
 from repro.analysis.wcp import WCPDetector
@@ -233,7 +232,7 @@ class TestChildlessForkJoin:
                 .build())
 
     @pytest.mark.parametrize("detector_cls", [
-        DCDetector, HBDetector, WCPDetector, FastTrackDetector,
+        DCDetector, HBDetector, WCPDetector,
         EpochDCDetector, EpochWCPDetector,
     ], ids=lambda c: c.__name__)
     def test_no_race_through_childless_join(self, detector_cls):

@@ -9,7 +9,6 @@ the reference matrix.
 import pytest
 
 from repro.analysis.dc import DCDetector
-from repro.analysis.fasttrack import FastTrackDetector
 from repro.analysis.hb import HBDetector
 from repro.analysis.reference import ReferenceAnalysis
 from repro.analysis.wcp import WCPDetector
@@ -95,10 +94,6 @@ class TestRacesAreLocksetCandidates:
 
     def test_hb(self, config_name, seed):
         self._check(HBDetector(), random_trace(seed, CONFIGS[config_name]))
-
-    def test_fasttrack(self, config_name, seed):
-        self._check(FastTrackDetector(),
-                    random_trace(seed, CONFIGS[config_name]))
 
     def test_wcp(self, config_name, seed):
         self._check(WCPDetector(), random_trace(seed, CONFIGS[config_name]))

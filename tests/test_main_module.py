@@ -17,14 +17,26 @@ class TestPublicAPI:
     def test_subpackage_alls_resolve(self):
         import repro.analysis
         import repro.core
+        import repro.graph
+        import repro.obs
         import repro.runtime
+        import repro.serve
+        import repro.static
+        import repro.static.pysrc
         import repro.stats
         import repro.traces
         import repro.vindicate
-        for module in (repro.analysis, repro.core, repro.runtime,
-                       repro.traces, repro.vindicate):
-            for name in getattr(module, "__all__", []):
+        for module in (repro.analysis, repro.core, repro.graph, repro.obs,
+                       repro.runtime, repro.serve, repro.static,
+                       repro.static.pysrc, repro.stats, repro.traces,
+                       repro.vindicate):
+            assert module.__all__, module.__name__
+            for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
+        # A lazy export must resolve through both packages that serve it.
+        for name in repro.analysis.LAZY:
+            assert hasattr(repro, name), ("repro", name)
+            assert hasattr(repro.analysis, name), ("repro.analysis", name)
 
 
 class TestMainModule:

@@ -11,7 +11,6 @@ report against the candidates and must not change a race or a verdict.
 import pytest
 
 from repro.analysis.dc import DCDetector
-from repro.analysis.fasttrack import FastTrackDetector
 from repro.analysis.hb import HBDetector
 from repro.analysis.smarttrack import (EpochDCDetector, EpochHBDetector,
                                        EpochWCPDetector)
@@ -24,7 +23,6 @@ from repro.vindicate.vindicator import Vindicator
 
 DETECTORS = {
     "hb": HBDetector,
-    "fasttrack": FastTrackDetector,
     "wcp": WCPDetector,
     "dc": lambda: DCDetector(build_graph=False),
     "hb_epoch": EpochHBDetector,

@@ -19,11 +19,14 @@ import urllib.request
 
 import pytest
 
+from repro.core.trace import Trace
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
+from repro.serve.checkpoint import resume_session, write_checkpoint
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import MAX_FRAME_BYTES, ProtocolError, decode_frame
 from repro.serve.server import ServeDaemon
+from repro.serve.session import SessionAnalyzer, SessionConfig
 from repro.serve.shard import checkpoint_path, shard_of
 from repro.traces.io import dumps_trace, format_event
 from repro.traces.packed import trace_hash
@@ -265,6 +268,35 @@ class TestCheckpointResume:
             response = client.finish("live")
         assert response["trace_hash"] == trace_hash(trace)
         assert normalize(response["report"]) == reference_doc(trace)
+
+    def test_resume_indexes_each_event_once(self, tmp_path, monkeypatch):
+        """Resume feeds the decoded events to the session's own trace:
+        no other ``Trace`` indexes them, and the resumed session ends in
+        the uninterrupted session's document."""
+        trace = workload("avrora")
+        cut = len(trace) // 2
+        config = SessionConfig.from_dict("avrora", {"gc_window": 32})
+        first = SessionAnalyzer(config)
+        first.feed_events(trace.events[:cut])
+        path = str(tmp_path / "half.vckp")
+        write_checkpoint(first, path)
+
+        sizes = []
+        init = Trace.__init__
+
+        def counting_init(self, events, *args, **kwargs):
+            events = list(events)
+            sizes.append(len(events))
+            init(self, events, *args, **kwargs)
+
+        monkeypatch.setattr(Trace, "__init__", counting_init)
+        resumed = resume_session(path)
+        monkeypatch.undo()
+        assert sizes and not any(sizes)
+        assert len(resumed.trace) == cut
+        assert resumed.hasher.hexdigest() == first.hasher.hexdigest()
+        resumed.feed_events(trace.events[cut:])
+        assert normalize(resumed.finish()) == reference_doc(trace)
 
     def test_resume_rejects_wrong_session_name(self, daemon_factory,
                                                tmp_path):
@@ -514,7 +546,6 @@ class TestServeCli:
 
             path = checkpoint_path(str(ckpt), "avrora")
             assert os.path.exists(path)
-            from repro.serve.checkpoint import resume_session
             analyzer = resume_session(path)
             assert len(analyzer.trace) == cut
             analyzer.feed_events(trace.events[cut:])

@@ -1,10 +1,10 @@
-"""Unit and property tests for vector clocks and epochs."""
+"""Unit and property tests for vector clocks."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.vectorclock import EPOCH_ZERO, Epoch, VectorClock
+from repro.core.vectorclock import VectorClock
 
 clock_dicts = st.dictionaries(st.integers(1, 5), st.integers(1, 100),
                               max_size=5)
@@ -118,21 +118,3 @@ class TestVectorClockLattice:
         a, b = VectorClock(da), VectorClock(db)
         expected = all(a.get(t) >= v for t, v in db.items())
         assert a.dominates(b) == expected
-
-
-class TestEpoch:
-    def test_happens_before_covered(self):
-        assert Epoch(3, 1).happens_before(VectorClock({1: 3}))
-        assert Epoch(3, 1).happens_before(VectorClock({1: 9}))
-
-    def test_happens_before_not_covered(self):
-        assert not Epoch(3, 1).happens_before(VectorClock({1: 2}))
-        assert not Epoch(3, 1).happens_before(VectorClock({2: 9}))
-
-    def test_zero_epoch_before_everything(self):
-        assert EPOCH_ZERO.happens_before(VectorClock())
-
-    def test_equality_and_repr(self):
-        assert Epoch(3, 1) == Epoch(3, 1)
-        assert Epoch(3, 1) != Epoch(3, 2)
-        assert repr(Epoch(3, 1)) == "3@T1"
