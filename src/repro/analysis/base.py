@@ -154,8 +154,9 @@ class Detector(abc.ABC):
         """Run the detector over ``trace`` and return its race report."""
         with obs.span(f"analysis.{self.metric_label()}") as sp:
             self.begin_trace(trace)
-            for event in trace:
-                self.handle(event)
+            handle = self.handle
+            for eid in range(len(trace)):
+                handle(eid)
             report = self.finish()
             sp.annotate("events", len(trace))
             sp.annotate("races", len(report.races))
@@ -167,7 +168,8 @@ class Detector(abc.ABC):
 
     def begin_trace(self, trace: Trace) -> None:
         """Reset state and bind the detector to ``trace`` (streaming API:
-        call this, then :meth:`handle` per event, then :meth:`finish`)."""
+        call this, then :meth:`handle` per event id, then
+        :meth:`finish`)."""
         self.trace = trace
         self.report = RaceReport(relation=self.relation)
         self._history = {}
@@ -205,10 +207,13 @@ class Detector(abc.ABC):
             hist = reg.histogram(f"analysis.{label}.race_distance",
                                  DEFAULT_SIZE_BUCKETS)
             for race in self.report.races:
-                hist.observe(race.second.eid - race.first.eid)
+                hist.observe(race.event_distance)
 
-    def handle(self, event: Event) -> None:
-        """Dispatch one event to its kind-specific hook."""
+    def handle(self, eid: int) -> None:
+        """Dispatch event ``eid`` of the bound trace to its kind-specific
+        hook, as an :class:`Event` read through ``trace.events``."""
+        assert self.trace is not None, "begin_trace was never called"
+        event = self.trace.events[eid]
         kind = event.kind
         if kind is EventKind.READ:
             self.on_read(event)

@@ -84,7 +84,6 @@ documents compare equal modulo timing/metrics.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro import obs
@@ -96,7 +95,7 @@ from repro.core.events import (CODE_ACQUIRE as _ACQ, CODE_FORK as _FORK,
                                CODE_VOLATILE_WRITE as _VWR,
                                CODE_WRITE as _WRITE, Event, Tid)
 from repro.core.exceptions import MalformedTraceError
-from repro.core.trace import Trace
+from repro.core.trace import EventView, Trace
 from repro.core import kernels as _k
 from repro.core.vectorclock_dense import DenseVectorClock, TidTable
 from repro.analysis.sync_structures import DenseLockQueues, DenseSourceClocks
@@ -105,8 +104,10 @@ from repro.graph.program_order import ProgramOrderGraph
 
 __all__ = ["EpochDCDetector", "EpochHBDetector", "EpochWCPDetector"]
 
-_by_eid = attrgetter("eid")
 _T = TypeVar("_T")
+
+#: An access in a variable's per-thread maps: ``(time, eid, snapshot)``.
+_Access = Tuple[int, int, Optional[List[int]]]
 
 #: Smallest clock capacity and key stride a growing trace allocates.
 _MIN_CAPACITY = 8
@@ -118,7 +119,7 @@ class _VarState:
     EXCLUSIVE stage (``owner >= 0``): only ``owner`` has accessed the
     variable; its last read/write live in the O(1) ``x*`` fields.
     SHARED stage (``owner == -1``): per-thread last-access maps
-    ``writes``/``reads`` (tid index -> ``(time, event, snapshot)``,
+    ``writes``/``reads`` (tid index -> ``(time, eid, snapshot)``,
     insertion-ordered exactly like the reference's ``AccessHistory``)
     plus the epoch gate fields:
 
@@ -128,20 +129,20 @@ class _VarState:
       which only a write resets it.
     """
 
-    __slots__ = ("owner", "xw_time", "xw_ev", "xw_snap",
-                 "xr_time", "xr_ev", "xr_snap", "writes", "reads",
+    __slots__ = ("owner", "xw_time", "xw_eid", "xw_snap",
+                 "xr_time", "xr_eid", "xr_snap", "writes", "reads",
                  "we_time", "we_ti", "rg_time", "rg_ti", "rg_shared")
 
     def __init__(self, owner: int):
         self.owner = owner
         self.xw_time = 0
-        self.xw_ev: Optional[Event] = None
+        self.xw_eid = -1
         self.xw_snap: Optional[List[int]] = None
         self.xr_time = 0
-        self.xr_ev: Optional[Event] = None
+        self.xr_eid = -1
         self.xr_snap: Optional[List[int]] = None
-        self.writes: Optional[Dict[int, Tuple[int, Event, Optional[List[int]]]]] = None
-        self.reads: Optional[Dict[int, Tuple[int, Event, Optional[List[int]]]]] = None
+        self.writes: Optional[Dict[int, _Access]] = None
+        self.reads: Optional[Dict[int, _Access]] = None
         self.we_time = 0
         self.we_ti = 0
         self.rg_time = 0
@@ -161,6 +162,7 @@ class _EpochDetectorBase(Detector):
     def __init__(self) -> None:
         super().__init__()
         self._table = TidTable()
+        self._events: Optional[EventView] = None
         self._codes = bytearray()
         self._tix: List[int] = []
         self._tgt: List[int] = []
@@ -193,6 +195,7 @@ class _EpochDetectorBase(Detector):
     def begin_trace(self, trace: Trace) -> None:
         super().begin_trace(trace)
         self._table = TidTable.over(trace.tid_names, trace.tid_index)
+        self._events = trace.events
         self._codes = trace.codes
         self._tix = trace.tix
         self._tgt = trace.tgt
@@ -381,36 +384,67 @@ class _EpochDetectorBase(Detector):
     # ------------------------------------------------------------------
     # Dispatch (kind codes from the trace's column; begin/end only advance)
     # ------------------------------------------------------------------
-    def handle(self, event: Event) -> None:
-        code = self._codes[event.eid]
+    def handle(self, eid: int) -> None:
+        """Process event ``eid`` of the bound trace, read from its
+        columns."""
+        code = self._codes[eid]
         if code <= _WRITE:
-            self._on_access(event, code == _WRITE)
+            self._access(eid, code == _WRITE)
         elif code == _ACQ:
-            self.on_acquire(event)
+            self._acquire(eid)
         elif code == _REL:
-            self.on_release(event)
+            self._release(eid)
         elif code == _FORK:
-            self.on_fork(event)
+            self._fork(eid)
         elif code == _JOIN:
-            self.on_join(event)
+            self._join(eid)
         elif code == _VWR:
-            self.on_volatile_write(event)
+            self._volatile_write(eid)
         elif code == _VRD:
-            self.on_volatile_read(event)
+            self._volatile_read(eid)
         else:
-            self._on_other(event)
+            self._other(eid)
 
-    def _on_access(self, e: Event, is_write: bool) -> None:
+    def _access(self, eid: int, is_write: bool) -> None:
         raise NotImplementedError
 
-    def _on_other(self, event: Event) -> None:
+    def _acquire(self, eid: int) -> None:
         raise NotImplementedError
 
+    def _release(self, eid: int) -> None:
+        raise NotImplementedError
+
+    def _fork(self, eid: int) -> None:
+        raise NotImplementedError
+
+    def _join(self, eid: int) -> None:
+        raise NotImplementedError
+
+    def _volatile_write(self, eid: int) -> None:
+        raise NotImplementedError
+
+    def _volatile_read(self, eid: int) -> None:
+        raise NotImplementedError
+
+    def _other(self, eid: int) -> None:
+        raise NotImplementedError
+
+    # Detector's Event hooks: an event is handled by its eid.
     def on_read(self, e: Event) -> None:
-        self._on_access(e, False)
+        self.handle(e.eid)
 
-    def on_write(self, e: Event) -> None:
-        self._on_access(e, True)
+    on_write = on_acquire = on_release = on_read
+
+    def _no_matching_acquire(self, eid: int) -> MalformedTraceError:
+        """The error for a release the lock's queues did not see
+        acquired by its thread (a stream fed out of order)."""
+        assert self._events is not None
+        e = self._events[eid]
+        return MalformedTraceError(
+            f"{e}: releases lock {e.target!r} with no matching acquire "
+            f"by thread {e.tid!r}",
+            event_index=eid,
+        )
 
     # ------------------------------------------------------------------
     # Snapshots (version-gated reuse via a per-thread dirty flag)
@@ -444,34 +478,31 @@ class _EpochDetectorBase(Detector):
         reference's insertion order) and seed the epoch gates."""
         owner = st.owner
         st.owner = -1
-        writes: Dict[int, Tuple[int, Event, Optional[List[int]]]] = {}
-        reads: Dict[int, Tuple[int, Event, Optional[List[int]]]] = {}
+        writes: Dict[int, _Access] = {}
+        reads: Dict[int, _Access] = {}
         st.writes = writes
         st.reads = reads
         xw_t = st.xw_time
         if xw_t:
-            assert st.xw_ev is not None
-            writes[owner] = (xw_t, st.xw_ev, st.xw_snap)
+            writes[owner] = (xw_t, st.xw_eid, st.xw_snap)
             st.we_time = xw_t
             st.we_ti = owner
         xr_t = st.xr_time
         if xr_t:
-            assert st.xr_ev is not None
-            reads[owner] = (xr_t, st.xr_ev, st.xr_snap)
+            reads[owner] = (xr_t, st.xr_eid, st.xr_snap)
             if xr_t > xw_t:
                 st.rg_time = xr_t
                 st.rg_ti = owner
-        st.xw_ev = st.xr_ev = None
         st.xw_snap = st.xr_snap = None
         self._n_promotions += 1
 
     # ------------------------------------------------------------------
     # The race check (exact mirror of Detector.check_access outcomes).
     # The exclusive fast path is inlined into each subclass's
-    # _on_access — the overwhelmingly common case pays no extra call —
+    # _access — the overwhelmingly common case pays no extra call —
     # so this only handles SHARED-stage variables.
     # ------------------------------------------------------------------
-    def _check_shared(self, e: Event, ti: int, t: int,
+    def _check_shared(self, eid: int, ti: int, t: int,
                       values: List[int], is_write: bool,
                       st: _VarState) -> None:
         if st.owner >= 0:
@@ -494,9 +525,11 @@ class _EpochDetectorBase(Detector):
         if r_gate:
             self._n_r_gate += 1
         if racing is not None:
-            self.racing_at[e.eid] = frozenset(rec[1].eid for _, rec in racing)
-            shortest = max((rec[1] for _, rec in racing), key=_by_eid)
-            race = DynamicRace(first=shortest, second=e, relation=self.relation)
+            self.racing_at[eid] = frozenset(rec[1] for _, rec in racing)
+            shortest = max(rec[1] for _, rec in racing)
+            assert self._events is not None
+            race = DynamicRace.between(self._events, shortest, eid,
+                                       self.relation)
             assert self.report is not None
             self.report.races.append(race)
             if self.force_order:
@@ -509,20 +542,20 @@ class _EpochDetectorBase(Detector):
                             _k.join_into_list(values, rec[2])
                             self._n_joins += 1
                         self._snap_ok[ti] = False
-                        self._forced_order_dense(rec[1], e, rec[2])
+                        self._forced_order_dense(rec[1], eid, rec[2])
         snap2 = self._take_snapshot(ti, values)
         # Most-recent-last re-insertion, matching Detector.check_access:
         # the force loop above consumes `racing` in table order, so table
         # order must be a pure function of the access sequence.
         if is_write:
-            _k.record_latest(writes, ti, (t, e, snap2))
+            _k.record_latest(writes, ti, (t, eid, snap2))
             if self._use_gates:
                 st.we_time = t
                 st.we_ti = ti
                 st.rg_time = 0
                 st.rg_shared = False
         else:
-            _k.record_latest(reads, ti, (t, e, snap2))
+            _k.record_latest(reads, ti, (t, eid, snap2))
             if self._use_gates and not st.rg_shared:
                 rg_t = st.rg_time
                 if rg_t == 0 or values[st.rg_ti] >= rg_t:
@@ -532,11 +565,12 @@ class _EpochDetectorBase(Detector):
                     st.rg_shared = True
                     self._n_inflations += 1
 
-    def _forced_order_dense(self, prior: Event, e: Event,
+    def _forced_order_dense(self, prior: int, eid: int,
                             snapshot: Optional[List[int]]) -> None:
         """Dense analog of :meth:`Detector.on_forced_order`, called by
-        :meth:`_check_shared` with the racing prior's stored snapshot
-        list after the force was joined into the analysis clock."""
+        :meth:`_check_shared` with the racing prior's eid and stored
+        snapshot list after the force was joined into the analysis
+        clock."""
 
     # ------------------------------------------------------------------
     # Queries shared by the subclasses
@@ -646,15 +680,13 @@ class EpochHBDetector(_EpochDetectorBase):
                 self._n_joins += 1
         return c
 
-    def _on_other(self, event: Event) -> None:
-        eid = event.eid
+    def _other(self, eid: int) -> None:
         self._advance(self._tix[eid], self._lt[eid])
 
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
-    def _on_access(self, e: Event, is_write: bool) -> None:
-        eid = e.eid
+    def _access(self, eid: int, is_write: bool) -> None:
         ti = self._tix[eid]
         t = self._lt[eid]
         # Inlined _advance: one method call per access is measurable.
@@ -689,20 +721,19 @@ class EpochHBDetector(_EpochDetectorBase):
                 snap = None
             if is_write:
                 st.xw_time = t
-                st.xw_ev = e
+                st.xw_eid = eid
                 st.xw_snap = snap
             else:
                 st.xr_time = t
-                st.xr_ev = e
+                st.xr_eid = eid
                 st.xr_snap = snap
             return
-        self._check_shared(e, ti, t, c, is_write, st)
+        self._check_shared(eid, ti, t, c, is_write, st)
 
     # ------------------------------------------------------------------
     # Synchronisation: release→acquire, fork/join and volatile orders
     # ------------------------------------------------------------------
-    def on_acquire(self, e: Event) -> None:
-        eid = e.eid
+    def _acquire(self, eid: int) -> None:
         ti = self._tix[eid]
         c = self._advance(ti, self._lt[eid])
         released = self._lock_c[self._tgt[eid]]
@@ -711,18 +742,15 @@ class EpochHBDetector(_EpochDetectorBase):
                 self._snap_ok[ti] = False
             self._n_joins += 1
 
-    def on_release(self, e: Event) -> None:
-        eid = e.eid
+    def _release(self, eid: int) -> None:
         c = self._advance(self._tix[eid], self._lt[eid])
         self._lock_c[self._tgt[eid]] = c.copy()
 
-    def on_fork(self, e: Event) -> None:
-        eid = e.eid
+    def _fork(self, eid: int) -> None:
         c = self._advance(self._tix[eid], self._lt[eid])
         self._pending_fork[self._tgt[eid]] = c.copy()
 
-    def on_join(self, e: Event) -> None:
-        eid = e.eid
+    def _join(self, eid: int) -> None:
         ti = self._tix[eid]
         c = self._advance(ti, self._lt[eid])
         ci = self._tgt[eid]
@@ -739,8 +767,7 @@ class EpochHBDetector(_EpochDetectorBase):
                 self._snap_ok[ti] = False
             self._n_joins += 1
 
-    def on_volatile_write(self, e: Event) -> None:
-        eid = e.eid
+    def _volatile_write(self, eid: int) -> None:
         ti = self._tix[eid]
         c = self._advance(ti, self._lt[eid])
         xi = self._tgt[eid]
@@ -750,8 +777,7 @@ class EpochHBDetector(_EpochDetectorBase):
         # c now covers the accumulated writes, so their join with c is c.
         self._vol_writes[xi] = c.copy()
 
-    def on_volatile_read(self, e: Event) -> None:
-        eid = e.eid
+    def _volatile_read(self, eid: int) -> None:
         ti = self._tix[eid]
         c = self._advance(ti, self._lt[eid])
         xi = self._tgt[eid]
@@ -935,15 +961,13 @@ class EpochWCPDetector(_RuleTablesBase):
                 self._n_joins += 2
         return h, p
 
-    def _on_other(self, event: Event) -> None:
-        eid = event.eid
+    def _other(self, eid: int) -> None:
         self._advance(self._tix[eid], self._lt[eid])
 
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
-    def _on_access(self, e: Event, is_write: bool) -> None:
-        eid = e.eid
+    def _access(self, eid: int, is_write: bool) -> None:
         ti = self._tix[eid]
         t = self._lt[eid]
         # Inlined _advance: one method call per access is measurable.
@@ -1005,24 +1029,24 @@ class EpochWCPDetector(_RuleTablesBase):
                 snap = None
             if is_write:
                 st.xw_time = t
-                st.xw_ev = e
+                st.xw_eid = eid
                 st.xw_snap = snap
             else:
                 st.xr_time = t
-                st.xr_ev = e
+                st.xr_eid = eid
                 st.xr_snap = snap
             return
-        self._check_shared(e, ti, t, p, is_write, st)
+        self._check_shared(eid, ti, t, p, is_write, st)
 
-    def _forced_order_dense(self, prior: Event, e: Event,
+    def _forced_order_dense(self, prior: int, eid: int,
                             snapshot: Optional[List[int]]) -> None:
         # Forced race edges are hard orderings: mirror them into H as
         # well as P so they survive WCP's H-only propagation channels
         # (see WCPDetector.on_forced_order for the full rationale).
-        h = self._h[self._tix[e.eid]]
+        h = self._h[self._tix[eid]]
         assert h is not None
-        u = self._tix[prior.eid]
-        prior_t = self._lt[prior.eid]
+        u = self._tix[prior]
+        prior_t = self._lt[prior]
         if h[u] < prior_t:
             h[u] = prior_t
         if self.transitive_force and snapshot is not None:
@@ -1032,8 +1056,7 @@ class EpochWCPDetector(_RuleTablesBase):
     # ------------------------------------------------------------------
     # Lock operations
     # ------------------------------------------------------------------
-    def on_acquire(self, e: Event) -> None:
-        eid = e.eid
+    def _acquire(self, eid: int) -> None:
         ti = self._tix[eid]
         t = self._lt[eid]
         h, p = self._advance(ti, t)
@@ -1051,8 +1074,7 @@ class EpochWCPDetector(_RuleTablesBase):
             queues = self._queues[li] = DenseLockQueues()
         queues.on_acquire(ti, t)
 
-    def on_release(self, e: Event) -> None:
-        eid = e.eid
+    def _release(self, eid: int) -> None:
         ti = self._tix[eid]
         t = self._lt[eid]
         h, p = self._advance(ti, t)
@@ -1061,11 +1083,7 @@ class EpochWCPDetector(_RuleTablesBase):
         if queues is None or queues.open_ti != ti:
             # As in the reference detector: a streamed release without a
             # matching acquire is a malformed trace, not a KeyError.
-            raise MalformedTraceError(
-                f"{e}: releases lock {e.target!r} with no matching acquire "
-                f"by thread {e.tid!r}",
-                event_index=e.eid,
-            )
+            raise self._no_matching_acquire(eid)
         if queues.apply_rule_b(ti, p) is not None:
             self._snap_ok[ti] = False
         h_snapshot = h.copy()
@@ -1091,13 +1109,11 @@ class EpochWCPDetector(_RuleTablesBase):
     # Fork / join / volatiles (hard WCP edges; H snapshots joined into P
     # by rule (c)'s left composition — see the reference detector)
     # ------------------------------------------------------------------
-    def on_fork(self, e: Event) -> None:
-        eid = e.eid
+    def _fork(self, eid: int) -> None:
         h, _ = self._advance(self._tix[eid], self._lt[eid])
         self._pending_fork[self._tgt[eid]] = h.copy()
 
-    def on_join(self, e: Event) -> None:
-        eid = e.eid
+    def _join(self, eid: int) -> None:
         ti = self._tix[eid]
         h, p = self._advance(ti, self._lt[eid])
         ci = self._tgt[eid]
@@ -1116,8 +1132,7 @@ class EpochWCPDetector(_RuleTablesBase):
                 self._snap_ok[ti] = False
             self._n_joins += 2
 
-    def on_volatile_write(self, e: Event) -> None:
-        eid = e.eid
+    def _volatile_write(self, eid: int) -> None:
         ti = self._tix[eid]
         t = self._lt[eid]
         h, p = self._advance(ti, t)
@@ -1134,8 +1149,7 @@ class EpochWCPDetector(_RuleTablesBase):
                 self._snap_ok[ti] = False
         writes.record(ti, eid, t, h.copy())
 
-    def on_volatile_read(self, e: Event) -> None:
-        eid = e.eid
+    def _volatile_read(self, eid: int) -> None:
         ti = self._tix[eid]
         t = self._lt[eid]
         h, p = self._advance(ti, t)
@@ -1259,22 +1273,20 @@ class EpochDCDetector(_RuleTablesBase):
             self.graph.add_edge(src, dst)
             self._n_graph_edges += 1
 
-    def _forced_order_dense(self, prior: Event, e: Event,
+    def _forced_order_dense(self, prior: int, eid: int,
                             snapshot: Optional[List[int]]) -> None:
         # The snapshot was already joined by _check_shared; DC's single
         # clock carries it everywhere, so only the graph needs the edge.
-        self._add_edge(prior.eid, e.eid)
+        self._add_edge(prior, eid)
         self.bump("forced_orders")
 
-    def _on_other(self, event: Event) -> None:
-        eid = event.eid
+    def _other(self, eid: int) -> None:
         self._advance(eid, self._tix[eid], self._lt[eid])
 
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
-    def _on_access(self, e: Event, is_write: bool) -> None:
-        eid = e.eid
+    def _access(self, eid: int, is_write: bool) -> None:
         ti = self._tix[eid]
         t = self._lt[eid]
         # Inlined _advance: one method call per access is measurable.
@@ -1338,20 +1350,19 @@ class EpochDCDetector(_RuleTablesBase):
                 snap = None
             if is_write:
                 st.xw_time = t
-                st.xw_ev = e
+                st.xw_eid = eid
                 st.xw_snap = snap
             else:
                 st.xr_time = t
-                st.xr_ev = e
+                st.xr_eid = eid
                 st.xr_snap = snap
             return
-        self._check_shared(e, ti, t, values, is_write, st)
+        self._check_shared(eid, ti, t, values, is_write, st)
 
     # ------------------------------------------------------------------
     # Lock operations
     # ------------------------------------------------------------------
-    def on_acquire(self, e: Event) -> None:
-        eid = e.eid
+    def _acquire(self, eid: int) -> None:
         ti = self._tix[eid]
         t = self._lt[eid]
         self._advance(eid, ti, t)
@@ -1371,8 +1382,7 @@ class EpochDCDetector(_RuleTablesBase):
                     self._n_lock_transfers += 1
                 queues.owner = -2
 
-    def on_release(self, e: Event) -> None:
-        eid = e.eid
+    def _release(self, eid: int) -> None:
         ti = self._tix[eid]
         t = self._lt[eid]
         values = self._advance(eid, ti, t)
@@ -1382,11 +1392,7 @@ class EpochDCDetector(_RuleTablesBase):
             # Streaming traces bypass Trace's construction-time
             # validation, so a release without a matching acquire must
             # surface as a malformed-trace error, not a KeyError.
-            raise MalformedTraceError(
-                f"{e}: releases lock {e.target!r} with no matching acquire "
-                f"by thread {e.tid!r}",
-                event_index=e.eid,
-            )
+            raise self._no_matching_acquire(eid)
         if queues.owner == ti:
             # Ownership fast path: every record is the releasing
             # thread's own; its clock dominates its own past, so the
@@ -1420,14 +1426,12 @@ class EpochDCDetector(_RuleTablesBase):
     # ------------------------------------------------------------------
     # Fork / join / volatiles: direct DC ordering
     # ------------------------------------------------------------------
-    def on_fork(self, e: Event) -> None:
-        eid = e.eid
+    def _fork(self, eid: int) -> None:
         ti = self._tix[eid]
         values = self._advance(eid, ti, self._lt[eid])
         self._pending_fork[self._tgt[eid]] = (eid, values.copy())
 
-    def on_join(self, e: Event) -> None:
-        eid = e.eid
+    def _join(self, eid: int) -> None:
         ti = self._tix[eid]
         values = self._advance(eid, ti, self._lt[eid])
         ci = self._tgt[eid]
@@ -1449,8 +1453,7 @@ class EpochDCDetector(_RuleTablesBase):
             if child_last >= 0:
                 self._add_edge(child_last, eid)
 
-    def on_volatile_write(self, e: Event) -> None:
-        eid = e.eid
+    def _volatile_write(self, eid: int) -> None:
         ti = self._tix[eid]
         t = self._lt[eid]
         values = self._advance(eid, ti, t)
@@ -1469,8 +1472,7 @@ class EpochDCDetector(_RuleTablesBase):
                     self._add_edge(s, eid)
         writes.record(ti, eid, t, values.copy())
 
-    def on_volatile_read(self, e: Event) -> None:
-        eid = e.eid
+    def _volatile_read(self, eid: int) -> None:
         ti = self._tix[eid]
         t = self._lt[eid]
         values = self._advance(eid, ti, t)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, Optional, Tuple
 
 #: Type alias for thread identifiers.
 Tid = Hashable
@@ -143,25 +143,21 @@ def _new_event(eid: int, tid: Tid, kind: EventKind, target: Optional[Target],
 # Compact kind codes, the ``Trace.codes`` column. Ordered so range checks
 # dispatch fast: accesses are ``<= CODE_WRITE``, lock operations
 # ``<= CODE_RELEASE``, thread operations ``<= CODE_JOIN``, volatiles
-# ``<= CODE_VOLATILE_READ``; begin and end share ``CODE_OTHER``.
+# ``<= CODE_VOLATILE_READ``; begin and end come last.
 (CODE_READ, CODE_WRITE, CODE_ACQUIRE, CODE_RELEASE, CODE_FORK, CODE_JOIN,
- CODE_VOLATILE_WRITE, CODE_VOLATILE_READ, CODE_OTHER) = range(9)
+ CODE_VOLATILE_WRITE, CODE_VOLATILE_READ, CODE_BEGIN, CODE_END) = range(10)
+
+#: The kind of each code (index == code).
+KIND_BY_CODE: Tuple[EventKind, ...] = (
+    EventKind.READ, EventKind.WRITE, EventKind.ACQUIRE, EventKind.RELEASE,
+    EventKind.FORK, EventKind.JOIN, EventKind.VOLATILE_WRITE,
+    EventKind.VOLATILE_READ, EventKind.BEGIN, EventKind.END)
 
 #: Kind code by ``id()`` of the (immortal, module-level) enum member:
 #: enum's ``__hash__`` is a Python-level call, ``id()`` hashing is
 #: C-speed, and this map is hit once per event while indexing a trace.
 CODE_BY_KIND_ID: Dict[int, int] = {
-    id(EventKind.READ): CODE_READ,
-    id(EventKind.WRITE): CODE_WRITE,
-    id(EventKind.ACQUIRE): CODE_ACQUIRE,
-    id(EventKind.RELEASE): CODE_RELEASE,
-    id(EventKind.FORK): CODE_FORK,
-    id(EventKind.JOIN): CODE_JOIN,
-    id(EventKind.VOLATILE_WRITE): CODE_VOLATILE_WRITE,
-    id(EventKind.VOLATILE_READ): CODE_VOLATILE_READ,
-    id(EventKind.BEGIN): CODE_OTHER,
-    id(EventKind.END): CODE_OTHER,
-}
+    id(kind): code for code, kind in enumerate(KIND_BY_CODE)}
 
 
 def conflicts(e1: Event, e2: Event) -> bool:

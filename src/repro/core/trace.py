@@ -1,14 +1,19 @@
 """Execution traces: container, validation, and builder.
 
-A :class:`Trace` is a totally ordered list of :class:`~repro.core.events.Event`
-objects (the paper's ``tr``, Section 2.1) together with precomputed
-structure the analyses need:
+A :class:`Trace` is a totally ordered sequence of events (the paper's
+``tr``, Section 2.1), held as columns (see "Trace columns" in
+``docs/ALGORITHMS.md``), together with precomputed structure the
+analyses need:
 
 * per-thread event lists and thread-local times (for vector clocks);
 * acquire/release matching — the paper's ``A(r)`` and ``R(a)`` functions;
 * for every event, the acquires of the critical sections enclosing it —
   the basis of ``CS(r)`` and of the lock-semantics reasoning in
   VindicateRace.
+
+``trace.events`` (:class:`EventView`) builds an
+:class:`~repro.core.events.Event` from the columns each time one is
+read; a trace keeps none.
 
 Traces are validated on construction (:class:`MalformedTraceError` on
 structural violations) so downstream algorithms can assume
@@ -26,15 +31,20 @@ from __future__ import annotations
 from itertools import count
 from operator import attrgetter, ne
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+                    Sequence, Set, Tuple, Union, overload)
 
-from repro.core.events import (CODE_ACQUIRE, CODE_BY_KIND_ID, CODE_FORK,
-                               CODE_JOIN, CODE_OTHER, CODE_RELEASE,
-                               CODE_VOLATILE_READ, CODE_WRITE, Event,
-                               EventKind, Target, Tid, _new_event, conflicts)
+from repro.core.events import (CODE_ACQUIRE, CODE_BEGIN, CODE_BY_KIND_ID,
+                               CODE_END, CODE_FORK, CODE_JOIN, CODE_RELEASE,
+                               CODE_VOLATILE_READ, CODE_WRITE, KIND_BY_CODE,
+                               Event, EventKind, Target, Tid, _new_event,
+                               conflicts)
 from repro.core.exceptions import MalformedTraceError
 
 _eid_of = attrgetter("eid")
+
+#: One event as the indexing step takes it: ``(tid, code, target, loc)``,
+#: its eid being its position.
+Row = Tuple[Tid, int, Optional[Target], Optional[str]]
 
 
 def _positions(codes: bytearray, code: int) -> List[int]:
@@ -47,28 +57,96 @@ def _positions(codes: bytearray, code: int) -> List[int]:
     return found
 
 
+def _rows_of(events: Iterable[Event]) -> Iterator[Row]:
+    """The indexing step's rows for ``events`` (their eids ignored)."""
+    code_of = CODE_BY_KIND_ID
+    return ((e.tid, code_of[id(e.kind)], e.target, e.loc) for e in events)
+
+
+def _describe(eid: int, tid: Tid, code: int, target: Optional[Target]) -> str:
+    """How an error names the event (``Event.__str__``)."""
+    return str(_new_event(eid, tid, KIND_BY_CODE[code], target, None))
+
+
+class EventView(Sequence[Event]):
+    """The events of a trace, read-only, built from its columns on read.
+
+    Indexing and iteration return a fresh :class:`Event` equal to the
+    one the trace was built from (location included); slicing returns a
+    list. :meth:`fields` reads one event's fields without building it.
+    A growing trace's view grows with it.
+    """
+
+    __slots__ = ("_codes", "_tix", "_tgt", "_loc", "_tids", "_markers",
+                 "_names")
+
+    def __init__(self, trace: "Trace") -> None:
+        self._codes, self._tix = trace.codes, trace.tix
+        self._tgt, self._loc = trace.tgt, trace.loc
+        self._tids, self._markers = trace.tid_names, trace.marker_targets
+        #: Per kind code, the table its target indexes (None: no target).
+        self._names: Tuple[Optional[List[Target]], ...] = (
+            trace.var_names, trace.var_names, trace.lock_names,
+            trace.lock_names, trace.tid_names, trace.tid_names,
+            trace.vol_names, trace.vol_names, None, None)
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    @overload
+    def __getitem__(self, i: int) -> Event: ...
+
+    @overload
+    def __getitem__(self, i: slice) -> List[Event]: ...
+
+    def __getitem__(self, i: Union[int, slice]) -> Union[Event, List[Event]]:
+        if isinstance(i, slice):
+            return [self[eid] for eid in range(*i.indices(len(self._codes)))]
+        tid, kind, target, loc = self.fields(i)
+        return _new_event(i if i >= 0 else i + len(self._codes), tid, kind,
+                          target, loc)
+
+    def fields(self, eid: int) -> Tuple[Tid, EventKind, Optional[Target],
+                                        Optional[str]]:
+        """Event ``eid``'s ``(tid, kind, target, loc)``."""
+        code = self._codes[eid]
+        names = self._names[code]
+        return (self._tids[self._tix[eid]], KIND_BY_CODE[code],
+                self._markers.get(eid) if names is None
+                else names[self._tgt[eid]],
+                self._loc[eid])
+
+    def __iter__(self) -> Iterator[Event]:
+        return (self[eid] for eid in range(len(self._codes)))
+
+    def __repr__(self) -> str:
+        return f"EventView({len(self)} events)"
+
+
 class Trace:
     """A validated, indexed execution trace.
 
-    Construction runs one indexing step per event (:meth:`_indexer`;
-    see "Trace columns" in ``docs/ALGORITHMS.md``). Besides the
-    per-thread tables and the acquire/release matching it builds the
-    columns the epoch detectors and the witness checker read, parallel
-    to ``events``:
+    The trace is its columns, one entry per event in observed order,
+    built by one indexing step per event (:meth:`_indexer`; see "Trace
+    columns" in ``docs/ALGORITHMS.md``):
 
     * ``codes`` — the kind code (``repro.core.events.CODE_*``);
     * ``tix`` — the executing thread's index into ``tid_names``;
     * ``tgt`` — the target's index into the table of its role: a
       variable for accesses, a lock for acquire/release, a thread for
       fork/join, a volatile for volatile accesses; -1 otherwise;
+    * ``loc`` — the source location, or None;
     * ``held`` — for accesses under locks, the held lock indices,
-      outermost first (``held_locks`` as indices); None otherwise.
+      outermost first (``held_locks`` as indices); None otherwise;
+    * ``local_time`` and ``enclosing_acquires`` (below).
 
-    ``thread_eids`` lists each thread index's eids in program order
-    (empty for a fork/join target that executes nothing). The
-    interning tables list targets in first-appearance order; a thread
-    first appears as an event's executor or as a fork/join target,
-    whichever comes first. Serve's
+    ``events`` is an :class:`EventView` over them. ``thread_eids``
+    lists each thread index's eids in program order (empty for a
+    fork/join target that executes nothing). The interning tables list
+    targets in first-appearance order; a thread first appears as an
+    event's executor or as a fork/join target, whichever comes first.
+    The text parser fills a trace straight from its lines
+    (:meth:`from_rows`); serve's
     :class:`~repro.serve.streaming.StreamingTrace` is a ``Trace`` grown
     by the same step one event at a time.
 
@@ -79,15 +157,10 @@ class Trace:
         validate: Whether to run structural validation (default True).
     """
 
-    def __init__(self, events: Sequence[Event], validate: bool = True):
-        self.events: List[Event] = list(events)
-        #: Where this trace came from (generator seed and config,
-        #: scheduler seed, source file, ...). Stamped by producers
-        #: (``traces.gen``, ``runtime.scheduler``, ``traces.io``) and
-        #: copied into :class:`~repro.vindicate.vindicator.VindicatorReport`
-        #: so any measured run is reproducible from its own output.
-        self.provenance: Dict[str, object] = {}
-        events = self.events
+    def __init__(self, events: Iterable[Event], validate: bool = True):
+        self._start()
+        if not isinstance(events, Sequence):
+            events = list(events)
         if any(map(ne, map(_eid_of, events), count())):
             for i, e in enumerate(events):
                 if e.eid != i:
@@ -96,7 +169,17 @@ class Trace:
                         "Trace.from_events to renumber",
                         event_index=i,
                     )
-        #: thread-local 1-based time of each event (parallel to ``events``).
+        self._fill(_rows_of(events), validate)
+
+    def _start(self) -> None:
+        """The empty columns and tables."""
+        #: Where this trace came from (generator seed and config,
+        #: scheduler seed, source file, ...). Stamped by producers
+        #: (``traces.gen``, ``runtime.scheduler``, ``traces.io``) and
+        #: copied into :class:`~repro.vindicate.vindicator.VindicatorReport`
+        #: so any measured run is reproducible from its own output.
+        self.provenance: Dict[str, object] = {}
+        #: thread-local 1-based time of each event.
         self.local_time: List[int] = []
         #: per event: tuple of acquire eids of enclosing critical sections,
         #: outermost first (the executing thread's lock stack at the event).
@@ -104,18 +187,25 @@ class Trace:
         self.codes = bytearray()
         self.tix: List[int] = []
         self.tgt: List[int] = []
+        self.loc: List[Optional[str]] = []
         self.held: List[Optional[Tuple[int, ...]]] = []
         self.tid_names: List[Tid] = []
         self.tid_index: Dict[Tid, int] = {}
         self.var_names: List[Target] = []
         self.lock_names: List[Target] = []
         self.vol_names: List[Target] = []
+        #: The target of each begin or end event given one (only an
+        #: ``Event`` can carry it; the text format has no such field).
+        self.marker_targets: Dict[int, Target] = {}
         self.thread_eids: List[List[int]] = []
         #: The executing threads' eid lists, by first event.
         self._thread_events: Dict[Tid, List[int]] = {}
         self._match_rel: Dict[int, int] = {}  # acquire eid -> release eid
         self._match_acq: Dict[int, int] = {}  # release eid -> acquire eid
-        self._indexer(validate)(events)
+        self.events = EventView(self)
+
+    def _fill(self, rows: Iterable[Row], validate: bool) -> None:
+        self._indexer(validate)(rows)
         if validate:
             self._validate_threads()
 
@@ -123,40 +213,48 @@ class Trace:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
+    def from_rows(cls, rows: Iterable[Row], validate: bool = True) -> "Trace":
+        """Build a trace from ``(tid, code, target, loc)`` rows (see
+        :data:`Row`), numbered by position: the text parser's and the
+        unpacker's entry point, which build no :class:`Event`."""
+        trace = cls.__new__(cls)
+        trace._start()
+        trace._fill(rows, validate)
+        return trace
+
+    @classmethod
     def from_events(cls, events: Iterable[Event], validate: bool = True) -> "Trace":
         """Build a trace from events, renumbering eids to positions."""
-        renumbered = [_new_event(i, e.tid, e.kind, e.target, e.loc)
-                      for i, e in enumerate(events)]
-        return cls(renumbered, validate=validate)
+        return cls.from_rows(_rows_of(events), validate=validate)
 
     # ------------------------------------------------------------------
     # Indexing / validation
     # ------------------------------------------------------------------
-    def _indexer(self, validate: bool) -> Callable[[Iterable[Event]], bool]:
+    def _indexer(self, validate: bool) -> Callable[[Iterable[Row]], bool]:
         """The per-event indexing step over this trace's columns and
-        tables, as a function that applies it to events in order.
+        tables, as a function that applies it to rows in order.
 
         The step checks the event's lock operation (an unheld release
         always; a double acquire and a release out of nesting order when
         ``validate``), then interns the event's thread and target and
         commits its columns, thread tables and lock matching. Every
         check runs before the first change, so an event it rejects
-        leaves the trace as it was. The event's ``eid`` must be its
-        position, ``len(codes)`` (both callers check it); ``events`` is
-        left to the caller. The function returns whether an interning
-        table grew.
+        leaves the trace as it was. An event's eid is its position,
+        ``len(codes)``. The function returns whether an interning table
+        grew.
 
-        The constructor passes it all its events, serve's stream one
-        accepted event at a time: looping inside the function spares the
-        batch pass a call per event."""
+        It has three callers: the constructor (rows of its events), the
+        text parser (rows straight from the file's lines, through
+        :meth:`from_rows`) and serve's stream (one accepted event at a
+        time). Looping inside the function spares the batch passes a
+        call per event."""
         local, enclosing = self.local_time, self.enclosing_acquires
         codes, tix, tgt, held = self.codes, self.tix, self.tgt, self.held
         match_rel, match_acq = self._match_rel, self._match_acq
         tid_names, tid_index = self.tid_names, self.tid_index
         thread_eids, thread_events = self.thread_eids, self._thread_events
         var_names, lock_names = self.var_names, self.lock_names
-        vol_names = self.vol_names
-        code_of = CODE_BY_KIND_ID
+        vol_names, marker_targets = self.vol_names, self.marker_targets
         var_ix: Dict[Target, int] = {}
         lock_ix: Dict[Target, int] = {}
         vol_ix: Dict[Target, int] = {}
@@ -170,7 +268,7 @@ class Trace:
         holders: Dict[int, Tuple[int, int]] = {}  # lock -> (thread, acquire)
         add_local, add_enclosing = local.append, enclosing.append
         add_code, add_tix = codes.append, tix.append
-        add_tgt, add_held = tgt.append, held.append
+        add_tgt, add_held, add_loc = tgt.append, held.append, self.loc.append
 
         def new_thread(tid: Tid) -> int:
             ti = tid_index[tid] = len(tid_names)
@@ -182,12 +280,9 @@ class Trace:
             held_now.append(None)
             return ti
 
-        def index(events: Iterable[Event]) -> bool:
+        def index(rows: Iterable[Row]) -> bool:
             grew = False
-            for e in events:
-                eid = e.eid
-                code = code_of[id(e.kind)]
-                tid, target = e.tid, e.target
+            for eid, (tid, code, target, loc) in enumerate(rows, len(codes)):
                 ti = tid_index.get(tid)
                 if CODE_WRITE < code <= CODE_RELEASE:
                     li = lock_ix.get(target)
@@ -195,20 +290,22 @@ class Trace:
                     if code == CODE_ACQUIRE:
                         if validate and holder is not None:
                             raise MalformedTraceError(
-                                f"{e}: lock {target!r} already held by thread "
+                                f"{_describe(eid, tid, code, target)}: lock "
+                                f"{target!r} already held by thread "
                                 f"{tid_names[holder[0]]!r} (locks are "
                                 "non-reentrant)",
                                 event_index=eid,
                             )
                     elif holder is None or holder[0] != ti:
                         raise MalformedTraceError(
-                            f"{e}: releases lock {target!r} not held by thread "
-                            f"{tid!r}",
+                            f"{_describe(eid, tid, code, target)}: releases "
+                            f"lock {target!r} not held by thread {tid!r}",
                             event_index=eid,
                         )
                     elif validate and stacks[holder[0]][-1] != holder[1]:
                         raise MalformedTraceError(
-                            f"{e}: releases lock {target!r} out of nesting order",
+                            f"{_describe(eid, tid, code, target)}: releases "
+                            f"lock {target!r} out of nesting order",
                             event_index=eid,
                         )
                 # Every check passed: commit.
@@ -222,6 +319,7 @@ class Trace:
                 add_local(len(own))
                 add_tix(ti)
                 add_code(code)
+                add_loc(loc)
                 if code <= CODE_WRITE:
                     xi = var_ix.get(target)
                     if xi is None:
@@ -271,6 +369,8 @@ class Trace:
                         grew = True
                 else:
                     xi = -1
+                    if target is not None:
+                        marker_targets[eid] = target
                 add_tgt(xi)
             return grew
 
@@ -336,11 +436,12 @@ class Trace:
         misplaced: Dict[int, Tuple[int, str]] = {}
         local, tix = self.local_time, self.tix
         counts = [len(eids) for eids in self.thread_eids]
-        for eid in _positions(codes, CODE_OTHER):
+        for eid in sorted(_positions(codes, CODE_BEGIN)
+                          + _positions(codes, CODE_END)):
             ti = tix[eid]
             if ti in misplaced:
                 continue
-            if events[eid].kind is EventKind.BEGIN:
+            if codes[eid] == CODE_BEGIN:
                 if local[eid] != 1:
                     misplaced[ti] = (eid, "begin is not thread's first event")
             elif local[eid] != counts[ti]:
@@ -363,20 +464,29 @@ class Trace:
         eid = self._match_rel.get(acquire.eid)
         return None if eid is None else self.events[eid]
 
+    def acquire_eid(self, release: int) -> int:
+        """:meth:`acquire_of` by eid."""
+        return self._match_acq[release]
+
+    def release_eid(self, acquire: int) -> Optional[int]:
+        """:meth:`release_of` by eid (None for a section left open)."""
+        return self._match_rel.get(acquire)
+
     def critical_section(self, release: Event) -> List[Event]:
         """``CS(r)``: the events of the critical section ended by ``release``,
         including ``A(r)`` and ``r`` (same-thread events only)."""
-        acq = self.acquire_of(release)
+        acquire = self._match_acq[release.eid]
         return [
             self.events[eid]
             for eid in self._thread_events[release.tid]
-            if acq.eid <= eid <= release.eid
+            if acquire <= eid <= release.eid
         ]
 
     def held_locks(self, e: Event) -> Tuple[Target, ...]:
         """Locks held by ``thr(e)`` at ``e`` (targets of enclosing critical
         sections, outermost first). An acquire/release's own lock is included."""
-        return tuple(self.events[a].target for a in self.enclosing_acquires[e.eid])
+        locks, tgt = self.lock_names, self.tgt
+        return tuple(locks[tgt[a]] for a in self.enclosing_acquires[e.eid])
 
     def program_ordered(self, e1: Event, e2: Event) -> bool:
         """``e1 <_PO e2``: same thread, e1 earlier."""
@@ -386,7 +496,7 @@ class Trace:
     # Collection protocol / misc
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -445,7 +555,7 @@ class Trace:
                         yield e1, e2
 
     def __repr__(self) -> str:
-        return f"Trace({len(self.events)} events, {len(self._thread_events)} threads)"
+        return f"Trace({len(self)} events, {len(self._thread_events)} threads)"
 
 
 class TraceBuilder:

@@ -50,7 +50,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.core.events import CODE_ACQUIRE, CODE_RELEASE, Event, Target, Tid
+from repro.core.events import CODE_ACQUIRE, CODE_RELEASE, Target, Tid
 from repro.core.trace import Trace
 from repro.graph.constraint_graph import ConstraintGraph
 
@@ -411,30 +411,30 @@ class CutIndex:
         ``reaches(x, x)`` holds exactly when ``x`` lies on a cycle."""
         return self.holds(self.ancestor_cut((dst,)), src)
 
-    def latest_acquires(self, src: int) -> Dict[Tuple[Tid, Target], Event]:
-        """Per (thread, lock), the latest acquire in ``anc(src) ∪ {src}``."""
+    def latest_acquires(self, src: int) -> Dict[Tuple[Tid, Target], int]:
+        """Per (thread, lock), the eid of the latest acquire in
+        ``anc(src) ∪ {src}``."""
         cut = list(self.ancestor_cut((src,)))
         own = self.thread_of(src)
         cut[own] = max(cut[own], self.trace.local_time[src])
-        events = self.trace.events
-        found: Dict[Tuple[Tid, Target], Event] = {}
+        found: Dict[Tuple[Tid, Target], int] = {}
         for t, tid, lock, times in self._acquires:
             i = bisect_right(times, cut[t])
             if i:
-                found[(tid, lock)] = events[self._eids[t][times[i - 1] - 1]]
+                found[(tid, lock)] = self._eids[t][times[i - 1] - 1]
         return found
 
-    def earliest_releases(self, snk: int) -> Dict[Tuple[Tid, Target], Event]:
-        """Per (thread, lock), the earliest release in ``desc(snk) ∪ {snk}``."""
+    def earliest_releases(self, snk: int) -> Dict[Tuple[Tid, Target], int]:
+        """Per (thread, lock), the eid of the earliest release in
+        ``desc(snk) ∪ {snk}``."""
         cut = list(self.descendant_cut((snk,)))
         own = self.thread_of(snk)
         cut[own] = min(cut[own], self.trace.local_time[snk])
-        events = self.trace.events
-        found: Dict[Tuple[Tid, Target], Event] = {}
+        found: Dict[Tuple[Tid, Target], int] = {}
         for t, tid, lock, times in self._releases:
             i = bisect_left(times, cut[t])
             if i < len(times):
-                found[(tid, lock)] = events[self._eids[t][times[i] - 1]]
+                found[(tid, lock)] = self._eids[t][times[i] - 1]
         return found
 
     # ------------------------------------------------------------------

@@ -123,9 +123,10 @@ def resume_session(path: str) -> SessionAnalyzer:
             f"{path}: header claims {expected_events} events but the "
             f"payload holds {len(packed)}")
     analyzer = SessionAnalyzer(SessionConfig.from_dict(name, config_doc))
-    # The session's trace indexes each event as it accepts it; an
-    # unpacked Trace would index them all a second time.
-    analyzer.feed_events(packed.events())
+    # The session's trace indexes each event as it accepts it, straight
+    # from the packed columns: no unpacked Trace indexes them a second
+    # time, and no Event is built.
+    analyzer.feed_rows(packed.rows())
     actual = analyzer.hasher.hexdigest()
     if actual != expected_hash:
         raise CheckpointError(

@@ -17,7 +17,7 @@ function of the accepted-event prefix, never of frame boundaries.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.analysis.races import RaceReport, classify
@@ -25,6 +25,7 @@ from repro.analysis.smarttrack import (EpochDCDetector, EpochHBDetector,
                                        EpochWCPDetector)
 from repro.core import kernels
 from repro.core.events import Event, Tid
+from repro.core.trace import Row
 from repro.serve import gc as serve_gc
 from repro.serve.protocol import ProtocolError
 from repro.serve.streaming import StreamingTrace
@@ -163,33 +164,39 @@ class SessionAnalyzer:
         load would have.)
         """
         self._check_open()
-        events, _ = parse_lines(lines, len(self.trace), self._tid_tokens,
-                                self._strings)
-        return self.feed_events(events)
+        rows = list(parse_lines(lines, self._tid_tokens, self._strings))
+        return self.feed_rows(rows)
 
     def feed_events(self, events: Iterable[Event]) -> int:
-        """Accept already-parsed events (checkpoint replay path).
+        """Accept already-parsed events; each event's eid must be its
+        stream position. See :meth:`feed_rows`."""
+        return self.feed_rows(map(self.trace.row_of, events))
 
-        Each event is validated and appended to the trace (which raises
+    def feed_rows(self, rows: Iterable[Row]) -> int:
+        """Accept events given as ``(tid, code, target, loc)`` rows
+        (:data:`repro.core.trace.Row`; the checkpoint replay path).
+
+        Each event is validated and accepted by the trace (which raises
         MalformedTraceError and grows the columns), hashed, and handed
-        to the three detectors, with the detectors' tables sized first
-        when the event grew an interning table.
+        to the three detectors by eid, with the detectors' tables sized
+        first when the event grew an interning table. No :class:`Event`
+        is built.
         """
         self._check_open()
         accepted = 0
         start = time.perf_counter()
-        append, update = self.trace.append, self.hasher.update
+        accept, hash_event = self.trace.accept, self.hasher.add
         hb, wcp, dc = self.hb.handle, self.wcp.handle, self.dc.handle
         window = self.config.gc_window
         count = len(self.trace)
-        for event in events:
-            if append(event):
+        for tid, code, target, loc in rows:
+            if accept(tid, code, target, loc):
                 for detector in self._detectors:
                     detector.sync_tables()
-            update(event)
-            hb(event)
-            wcp(event)
-            dc(event)
+            hash_event(count, tid, code, target, loc)
+            hb(count)
+            wcp(count)
+            dc(count)
             accepted += 1
             count += 1
             # The GC tick is a pure function of the accepted-event
@@ -234,9 +241,9 @@ class SessionAnalyzer:
         classified against the current HB/WCP racing sets — without
         mutating any detector state (the stream may keep going)."""
         classified = [
-            replace(race, race_class=classify((
-                race.first.eid not in self.hb.racing_at.get(race.second.eid, ()),
-                race.first.eid not in self.wcp.racing_at.get(race.second.eid, ()),
+            race.with_class(classify((
+                race.first_eid not in self.hb.racing_at.get(race.second_eid, ()),
+                race.first_eid not in self.wcp.racing_at.get(race.second_eid, ()),
             )))
             for race in self._races_of(self.dc)
         ]

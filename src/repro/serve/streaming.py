@@ -11,19 +11,20 @@ rejecting the first bad event with a
 :class:`~repro.core.exceptions.MalformedTraceError` carrying its stream
 index (the daemon parses untrusted client bytes, so nothing may escape
 as a raw ``KeyError``/``IndexError``). A rejected event leaves the trace
-as it was. The stream also keeps the liveness sets the metadata GC
-(:mod:`repro.serve.gc`) reads.
+as it was. Like any ``Trace``, the stream holds its events as columns
+only, and keeps the liveness sets the metadata GC (:mod:`repro.serve.gc`)
+reads.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.core.events import (CODE_ACQUIRE, CODE_BY_KIND_ID, CODE_FORK,
-                               CODE_JOIN, CODE_OTHER, CODE_RELEASE,
-                               CODE_WRITE, Event, EventKind, Tid)
+from repro.core.events import (CODE_ACQUIRE, CODE_BEGIN, CODE_BY_KIND_ID,
+                               CODE_END, CODE_FORK, CODE_JOIN, CODE_RELEASE,
+                               CODE_WRITE, Event, Target, Tid)
 from repro.core.exceptions import MalformedTraceError
-from repro.core.trace import Trace
+from repro.core.trace import Row, Trace, _describe
 
 
 class StreamingTrace(Trace):
@@ -75,71 +76,89 @@ class StreamingTrace(Trace):
     # Ingestion
     # ------------------------------------------------------------------
     def append(self, e: Event) -> bool:
-        """Validate and accept one event: the thread checks ``Trace``
-        makes after its pass, evaluated online, then ``Trace``'s
-        indexing step (which makes the lock checks). Returns whether an
-        interning table grew, so the detectors must size their tables
-        before they handle ``e``."""
-        eid = len(self.events)
+        """:meth:`accept` for an :class:`Event`."""
+        return self.accept(*self.row_of(e))
+
+    def row_of(self, e: Event) -> Row:
+        """``e`` as an indexing row, checking that it is the next event:
+        its eid must be the stream position."""
+        eid = len(self.codes)
         if e.eid != eid:
             raise MalformedTraceError(
                 f"{e}: event id does not match stream position {eid}",
                 event_index=eid)
-        tid, kind, target = e.tid, e.kind, e.target
+        return e.tid, CODE_BY_KIND_ID[id(e.kind)], e.target, e.loc
+
+    def accept(self, tid: Tid, code: int, target: Optional[Target],
+               loc: Optional[str]) -> bool:
+        """Validate and accept one event, given as its fields (``code``
+        its kind code), at the next stream position: the thread checks
+        ``Trace`` makes after its pass, evaluated online, then
+        ``Trace``'s indexing step (which makes the lock checks). The
+        stream keeps no :class:`Event`. Returns whether an interning
+        table grew, so the detectors must size their tables before they
+        handle the event."""
+        eid = len(self.codes)
         ti = self.tid_index.get(tid)
         if ti is not None and ti in self._stopped:
             if tid in self._joined:
                 raise MalformedTraceError(
-                    f"{e}: thread {tid!r} executes after its join",
-                    event_index=eid)
+                    f"{_describe(eid, tid, code, target)}: thread {tid!r} "
+                    "executes after its join", event_index=eid)
             raise MalformedTraceError(
-                f"{e}: thread {tid!r} executes after its end", event_index=eid)
+                f"{_describe(eid, tid, code, target)}: thread {tid!r} "
+                "executes after its end", event_index=eid)
         new_thread = tid not in self._thread_events
         if (new_thread and self.require_fork_closed and self._thread_events
                 and tid not in self._forked):
             raise MalformedTraceError(
-                f"{e}: thread {tid!r} appears without a fork (this session "
-                "runs metadata GC, which requires a fork-closed stream)",
+                f"{_describe(eid, tid, code, target)}: thread {tid!r} appears "
+                "without a fork (this session runs metadata GC, which "
+                "requires a fork-closed stream)",
                 event_index=eid)
 
-        code = CODE_BY_KIND_ID[id(kind)]
-        if code <= CODE_WRITE or CODE_JOIN < code < CODE_OTHER:
+        if code <= CODE_WRITE or CODE_JOIN < code < CODE_BEGIN:
             if target is None:
                 raise MalformedTraceError(
-                    f"{e}: access without a target", event_index=eid)
+                    f"{_describe(eid, tid, code, target)}: access without a "
+                    "target", event_index=eid)
         elif code <= CODE_RELEASE:
             if target is None:
                 operation = "acquire" if code == CODE_ACQUIRE else "release"
                 raise MalformedTraceError(
-                    f"{e}: {operation} without a target", event_index=eid)
+                    f"{_describe(eid, tid, code, target)}: {operation} "
+                    "without a target", event_index=eid)
         elif code == CODE_FORK:
             if target == tid:
                 raise MalformedTraceError(
-                    f"{e}: thread forks itself", event_index=eid)
+                    f"{_describe(eid, tid, code, target)}: thread forks "
+                    "itself", event_index=eid)
             if target in self._forked:
                 raise MalformedTraceError(
-                    f"{e}: thread {target!r} forked twice", event_index=eid)
+                    f"{_describe(eid, tid, code, target)}: thread "
+                    f"{target!r} forked twice", event_index=eid)
             if target in self._thread_events:
                 raise MalformedTraceError(
-                    f"{e}: thread {target!r} executes before its fork",
-                    event_index=eid)
+                    f"{_describe(eid, tid, code, target)}: thread "
+                    f"{target!r} executes before its fork", event_index=eid)
         elif code == CODE_JOIN:
             if target in self._joined:
                 raise MalformedTraceError(
-                    f"{e}: thread {target!r} joined twice", event_index=eid)
-        elif kind is EventKind.BEGIN and not new_thread:
+                    f"{_describe(eid, tid, code, target)}: thread "
+                    f"{target!r} joined twice", event_index=eid)
+        elif code == CODE_BEGIN and not new_thread:
             raise MalformedTraceError(
-                f"{e}: begin is not thread's first event", event_index=eid)
+                f"{_describe(eid, tid, code, target)}: begin is not "
+                "thread's first event", event_index=eid)
 
-        grew = self._index((e,))
-        self.events.append(e)
+        grew = self._index(((tid, code, target, loc),))
         if code > CODE_RELEASE:
             if code == CODE_FORK:
                 self._forked.add(target)
             elif code == CODE_JOIN:
                 self._joined.add(target)
                 self._stopped.add(self.tgt[eid])
-            elif kind is EventKind.END:
+            elif code == CODE_END:
                 self._ended.add(tid)
                 self._stopped.add(self.tix[eid])
         return grew

@@ -19,20 +19,23 @@ collected from other tools can be vindicated offline.
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, TextIO, Tuple,
+                    Union)
 
 from repro import obs
-from repro.core.events import Event, EventKind, Tid, _new_event
+from repro.core.events import (CODE_BY_KIND_ID, KIND_BY_CODE, Event,
+                               EventKind, Tid, _new_event)
 from repro.core.exceptions import MalformedTraceError, TraceFormatError
-from repro.core.trace import Trace
+from repro.core.trace import Row, Trace
 
 _KIND_BY_NAME = {kind.value: kind for kind in EventKind}
 _NO_TARGET = (EventKind.BEGIN, EventKind.END)
 _THREAD_TARGET = (EventKind.FORK, EventKind.JOIN)
-#: Operation name -> (kind, whether the target is a thread), for the
-#: operations that take a target: the file parser's fast path.
-_TARGETED_OPS = {kind.value: (kind, kind in _THREAD_TARGET)
+#: Operation name -> (kind code, whether the target is a thread), for
+#: the operations that take a target: the file parser's fast path.
+_TARGETED_OPS = {kind.value: (CODE_BY_KIND_ID[id(kind)], kind in _THREAD_TARGET)
                  for kind in EventKind if kind not in _NO_TARGET}
 
 
@@ -118,8 +121,8 @@ def load_events(source: Union[str, Path, TextIO]) -> Tuple[List[Event], List[int
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            return _parse(handle)
-    return _parse(source)
+            return _events(handle)
+    return _events(source)
 
 
 def parse_event_line(line: str, *, eid: int, line_number: int = -1) -> Optional[Event]:
@@ -158,19 +161,57 @@ def parse_event_line(line: str, *, eid: int, line_number: int = -1) -> Optional[
     return _new_event(eid, tid, kind, target, loc)
 
 
-def _parse(handle: TextIO) -> Tuple[List[Event], List[int]]:
-    """The file parser: :func:`parse_lines` over the file's lines."""
-    return parse_lines(handle, 0, {}, {})
+def _events(handle: TextIO) -> Tuple[List[Event], List[int]]:
+    lines = LineMap()
+    events = [_new_event(eid, tid, KIND_BY_CODE[code], target, loc)
+              for eid, (tid, code, target, loc)
+              in enumerate(parse_lines(handle, {}, {}, lines))]
+    return events, [lines.line(eid) for eid in range(len(events))]
 
 
-def parse_lines(lines: Iterable[str], first_eid: int,
-                tids: Dict[str, Tid], strings: Dict[str, str],
-                ) -> Tuple[List[Event], List[int]]:
-    """:func:`parse_event_line`'s events for ``lines``, numbered from
-    ``first_eid``; returns ``(events, line_numbers)`` with 1-based line
-    numbers within ``lines``. The first bad line raises its
-    :class:`TraceFormatError`, exactly as :func:`parse_event_line`
-    would.
+class LineMap:
+    """Event index -> 1-based line number within the parsed lines, kept
+    only where comments or blank lines shift the two apart: one entry
+    per run of such lines, none per event. :func:`parse_lines` fills it.
+    """
+
+    __slots__ = ("_eids", "_lines", "events")
+
+    def __init__(self) -> None:
+        #: The first event after each run of skipped lines, and its line.
+        self._eids: List[int] = []
+        self._lines: List[int] = []
+        #: Events parsed, once the lines are exhausted.
+        self.events = 0
+
+    def _skipped(self, eid: int, number: int) -> None:
+        """Line ``number`` holds no event; ``eid`` is the next event's."""
+        if self._eids and self._eids[-1] == eid:
+            self._lines[-1] = number + 1
+        else:
+            self._eids.append(eid)
+            self._lines.append(number + 1)
+
+    def line(self, eid: int) -> int:
+        """The line of event ``eid``."""
+        i = bisect_right(self._eids, eid)
+        if not i:
+            return eid + 1
+        return self._lines[i - 1] + eid - self._eids[i - 1]
+
+
+def parse_lines(lines: Iterable[str], tids: Dict[str, Tid],
+                strings: Dict[str, str],
+                line_map: Optional[LineMap] = None) -> Iterator[Row]:
+    """The events of ``lines`` as the indexing step's ``(tid, code,
+    target, loc)`` rows (:data:`repro.core.trace.Row`), in order, read
+    lazily: the file parser feeds them straight into
+    :meth:`Trace.from_rows <repro.core.trace.Trace.from_rows>`, and no
+    :class:`Event` is built. The first bad line raises
+    :func:`parse_event_line`'s :class:`TraceFormatError`, with its
+    1-based line number within ``lines``. ``line_map``, when given,
+    learns where comments and blank lines shift event indices away from
+    line numbers.
 
     Lines of the common shape (``<tid> <op> <target> [loc]`` with a
     targeted op) are parsed here: each distinct tid token is parsed
@@ -180,54 +221,62 @@ def parse_lines(lines: Iterable[str], first_eid: int,
     and malformed ones included, goes through :func:`parse_event_line`
     itself.
     """
-    events: List[Event] = []
-    line_numbers: List[int] = []
     ops = _TARGETED_OPS
-    eid = first_eid
+    code_of = CODE_BY_KIND_ID
+    skipped = 0
+    number = 0
     for number, raw in enumerate(lines, start=1):
         parts = raw.split(None, 3)
         op = ops.get(parts[1]) if len(parts) > 2 else None
         if op is None or parts[0][0] == "#":
-            event = parse_event_line(raw, eid=eid, line_number=number)
+            event = parse_event_line(raw, eid=number - 1 - skipped,
+                                     line_number=number)
             if event is None:
+                if line_map is not None:
+                    line_map._skipped(number - 1 - skipped, number)
+                skipped += 1
                 continue
+            yield (event.tid, code_of[id(event.kind)], event.target,
+                   event.loc)
+            continue
+        tid = tids.get(parts[0])
+        if tid is None:
+            tid = tids[parts[0]] = _parse_tid(parts[0])
+        code, thread_target = op
+        if thread_target:
+            target = tids.get(parts[2])
+            if target is None:
+                target = tids[parts[2]] = _parse_tid(parts[2])
         else:
-            tid = tids.get(parts[0])
-            if tid is None:
-                tid = tids[parts[0]] = _parse_tid(parts[0])
-            kind, thread_target = op
-            if thread_target:
-                target = tids.get(parts[2])
-                if target is None:
-                    target = tids[parts[2]] = _parse_tid(parts[2])
-            else:
-                target = strings.setdefault(parts[2], parts[2])
-            loc = None
-            if len(parts) == 4:
-                loc = parts[3].rstrip()
-                loc = strings.setdefault(loc, loc)
-            event = _new_event(eid, tid, kind, target, loc)
-        events.append(event)
-        line_numbers.append(number)
-        eid += 1
-    return events, line_numbers
+            target = strings.setdefault(parts[2], parts[2])
+        loc = None
+        if len(parts) == 4:
+            loc = parts[3].rstrip()
+            loc = strings.setdefault(loc, loc)
+        yield tid, code, target, loc
+    if line_map is not None:
+        line_map.events = number - skipped
 
 
 def _read(handle: TextIO, validate: bool) -> Trace:
-    with obs.span("traces.parse"):
-        events, line_numbers = _parse(handle)
+    """The file parser: one pass that tokenizes each line and indexes
+    its event into the trace's columns."""
+    lines = LineMap()
+    rows = parse_lines(handle, {}, {}, lines)
     try:
-        with obs.span("traces.index"):
-            return Trace(events, validate=validate)
+        with obs.span("traces.parse"):
+            return Trace.from_rows(rows, validate=validate)
     except MalformedTraceError as exc:
+        # A malformed line anywhere in the file is reported ahead of a
+        # structural error, so tokenize the rest first.
+        for _ in rows:
+            pass
         # Map the failing event back to its source line so the error is
         # actionable for whoever logged the trace (the structural check
         # reports an *event index*, which the file's comments and blank
         # lines shift away from the line number).
         line = -1
-        if 0 <= exc.event_index < len(line_numbers):
-            line = line_numbers[exc.event_index]
+        if 0 <= exc.event_index < lines.events:
+            line = lines.line(exc.event_index)
         raise TraceFormatError(f"structurally invalid trace: {exc}",
                                line_number=line) from exc
-    except Exception as exc:
-        raise TraceFormatError(f"structurally invalid trace: {exc}") from exc

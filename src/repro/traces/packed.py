@@ -1,8 +1,8 @@
 """Columnar packed encoding of a :class:`~repro.core.trace.Trace`.
 
-A ``Trace`` holds one ``Event`` object per trace event — tens of
-thousands of small dataclass records plus their per-event strings.
-:class:`PackedTrace` stores the same information columnarly:
+A ``Trace`` holds its events as Python lists of per-event values, with
+targets interned per role. :class:`PackedTrace` stores the same
+information as machine-typed columns:
 
 * ``kinds`` — one byte per event, an index into the fixed
   :class:`~repro.core.events.EventKind` order;
@@ -45,22 +45,26 @@ import json
 import sys
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar
+from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
+                    Tuple, TypeVar)
 
 _T = TypeVar("_T", bound=Hashable)
 
-from repro.core.events import Event, EventKind, Target, Tid, _new_event
+from repro.core.events import (CODE_BY_KIND_ID, KIND_BY_CODE, Event,
+                               EventKind, Target, Tid)
 from repro.core.exceptions import MalformedTraceError
-from repro.core.trace import Trace
+from repro.core.trace import Row, Trace
 
 #: The fixed kind numbering used by the ``kinds`` column. Index in this
 #: tuple == byte value; both sides of a process boundary run the same
 #: code, so the enum definition order is a stable contract.
 KIND_ORDER: Tuple[EventKind, ...] = tuple(EventKind)
 
-#: Kind byte by ``id()`` of the enum member (C-speed hashing, as in
-#: ``repro.core.events.CODE_BY_KIND_ID``).
-_KIND_CODE: Dict[int, int] = {id(kind): i for i, kind in enumerate(KIND_ORDER)}
+#: Kind byte by trace kind code (``repro.core.events.CODE_*``), and back.
+_BYTE_BY_CODE: Tuple[int, ...] = tuple(KIND_ORDER.index(kind)
+                                       for kind in KIND_BY_CODE)
+_CODE_BY_BYTE: Tuple[int, ...] = tuple(CODE_BY_KIND_ID[id(kind)]
+                                       for kind in KIND_ORDER)
 
 
 @dataclass
@@ -106,26 +110,16 @@ class PackedTrace:
                            self.loc_idx, self.local_time)
         )
 
-    def events(self) -> List[Event]:
-        """Decode the packed events, unindexed (their ``eid`` is their
-        position)."""
-        tids = self.tids
-        targets = self.targets
-        locs = self.locs
-        target_idx = self.target_idx
-        loc_idx = self.loc_idx
-        events: List[Event] = []
-        for eid, (code, tid_i) in enumerate(zip(self.kinds, self.tid_idx)):
-            t_i = target_idx[eid]
-            l_i = loc_idx[eid]
-            events.append(_new_event(
-                eid,
-                tids[tid_i],
-                KIND_ORDER[code],
-                None if t_i < 0 else targets[t_i],
-                None if l_i < 0 else locs[l_i],
-            ))
-        return events
+    def rows(self) -> Iterator[Row]:
+        """The packed events as the indexing step's ``(tid, code,
+        target, loc)`` rows, in order (no :class:`Event` is built)."""
+        tids, targets, locs = self.tids, self.targets, self.locs
+        codes = _CODE_BY_BYTE
+        for kind, tid_i, t_i, l_i in zip(self.kinds, self.tid_idx,
+                                         self.target_idx, self.loc_idx):
+            yield (tids[tid_i], codes[kind],
+                   None if t_i < 0 else targets[t_i],
+                   None if l_i < 0 else locs[l_i])
 
     def unpack(self) -> Trace:
         """Rebuild the original :class:`~repro.core.trace.Trace`.
@@ -133,13 +127,13 @@ class PackedTrace:
         Validation is skipped: the packed form can only come from
         :func:`pack`, whose input was already validated.
         """
-        trace = Trace(self.events(), validate=False)
+        trace = Trace.from_rows(self.rows(), validate=False)
         trace.provenance = dict(self.provenance)
         return trace
 
 
 def pack(trace: Trace) -> PackedTrace:
-    """Encode ``trace`` as a :class:`PackedTrace`."""
+    """Encode ``trace`` as a :class:`PackedTrace`, from its columns."""
     kinds = array("B")
     tid_idx = array("I")
     target_idx = array("i")
@@ -147,18 +141,23 @@ def pack(trace: Trace) -> PackedTrace:
     tids: List[Tid] = []
     targets: List[Target] = []
     locs: List[str] = []
-    tid_table: Dict[Tid, int] = {}
     target_table: Dict[Target, int] = {}
     loc_table: Dict[str, int] = {}
-    for e in trace.events:
-        kinds.append(_KIND_CODE[id(e.kind)])
-        tid_i = tid_table.get(e.tid)
-        if tid_i is None:
-            tid_i = tid_table[e.tid] = len(tids)
-            tids.append(e.tid)
+    # The packed thread numbering is by first executed event, so map
+    # the trace's thread indices lazily.
+    packed_tid: List[int] = [-1] * len(trace.tid_names)
+    fields = trace.events.fields
+    byte_of = _BYTE_BY_CODE
+    for eid, (code, ti) in enumerate(zip(trace.codes, trace.tix)):
+        tid, _, target, loc = fields(eid)
+        kinds.append(byte_of[code])
+        tid_i = packed_tid[ti]
+        if tid_i < 0:
+            tid_i = packed_tid[ti] = len(tids)
+            tids.append(tid)
         tid_idx.append(tid_i)
-        target_idx.append(_intern(e.target, target_table, targets))
-        loc_idx.append(_intern(e.loc, loc_table, locs))
+        target_idx.append(_intern(target, target_table, targets))
+        loc_idx.append(_intern(loc, loc_table, locs))
     return PackedTrace(
         kinds=kinds,
         tid_idx=tid_idx,
@@ -188,9 +187,15 @@ def _intern(value: Optional[_T], table: Dict[_T, int], pool: List[_T]) -> int:
 # Determinism hash
 # --------------------------------------------------------------------------
 
-#: Kind name by ``id()`` of the enum member (``EventKind.name`` is a
-#: Python-level descriptor).
-_KIND_NAME: Dict[int, str] = {id(kind): kind.name for kind in EventKind}
+#: Kind name by kind code (``EventKind.name`` is a Python-level
+#: descriptor).
+_NAME_BY_CODE: Tuple[str, ...] = tuple(kind.name for kind in KIND_BY_CODE)
+
+
+def _fingerprint(eid: int, tid: Tid, code: int, target: Optional[Target],
+                 loc: Optional[str]) -> bytes:
+    return (f"{eid}\x1f{tid!r}\x1f{_NAME_BY_CODE[code]}\x1f"
+            f"{target!r}\x1f{loc!r}\x1e").encode("utf-8")
 
 
 def event_fingerprint(e: Event) -> bytes:
@@ -201,8 +206,8 @@ def event_fingerprint(e: Event) -> bytes:
     equality ignores it, because the checkpoint must attest to the full
     stream the client sent.
     """
-    return (f"{e.eid}\x1f{e.tid!r}\x1f{_KIND_NAME[id(e.kind)]}\x1f"
-            f"{e.target!r}\x1f{e.loc!r}\x1e").encode("utf-8")
+    return _fingerprint(e.eid, e.tid, CODE_BY_KIND_ID[id(e.kind)], e.target,
+                        e.loc)
 
 
 class TraceHasher:
@@ -223,6 +228,13 @@ class TraceHasher:
 
     def update(self, e: Event) -> None:
         self._sha.update(event_fingerprint(e))
+        self.count += 1
+
+    def add(self, eid: int, tid: Tid, code: int, target: Optional[Target],
+            loc: Optional[str]) -> None:
+        """:meth:`update` with the event's fields (``code`` its kind
+        code), for callers that hold no :class:`Event`."""
+        self._sha.update(_fingerprint(eid, tid, code, target, loc))
         self.count += 1
 
     def hexdigest(self) -> str:

@@ -36,13 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.events import Event, EventKind, Target, Tid
+from repro.core.events import CODE_ACQUIRE, CODE_RELEASE, Event, Target, Tid
 from repro.core.trace import Trace
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.graph.cuts import CutIndex
 
-#: Per (thread, lock): the candidate acquire or release of the LS search.
-Candidates = Dict[Tuple[Tid, Target], Event]
+#: Per (thread, lock): the eid of the candidate acquire or release of the
+#: LS search.
+Candidates = Dict[Tuple[Tid, Target], int]
 
 
 @dataclass
@@ -177,21 +178,22 @@ def _windowed_candidates(graph: ConstraintGraph, trace: Trace, src: int,
     (thread, lock), the latest acquire among ``src`` and its windowed
     ancestors, and the earliest release among ``snk`` and its windowed
     descendants."""
-    events = trace.events
+    codes, tix, tgt = trace.codes, trace.tix, trace.tgt
+    tids, locks = trace.tid_names, trace.lock_names
     acquires: Candidates = {}
     for eid in graph.ancestors([src], include_roots=True, within=bounds):
-        e = events[eid]
-        if e.kind is EventKind.ACQUIRE:
-            best = acquires.get((e.tid, e.target))
-            if best is None or eid > best.eid:
-                acquires[(e.tid, e.target)] = e
+        if codes[eid] == CODE_ACQUIRE:
+            key = (tids[tix[eid]], locks[tgt[eid]])
+            best = acquires.get(key)
+            if best is None or eid > best:
+                acquires[key] = eid
     releases: Candidates = {}
     for eid in graph.descendants([snk], include_roots=True, within=bounds):
-        e = events[eid]
-        if e.kind is EventKind.RELEASE:
-            best = releases.get((e.tid, e.target))
-            if best is None or eid < best.eid:
-                releases[(e.tid, e.target)] = e
+        if codes[eid] == CODE_RELEASE:
+            key = (tids[tix[eid]], locks[tgt[eid]])
+            best = releases.get(key)
+            if best is None or eid < best:
+                releases[key] = eid
     return acquires, releases
 
 
@@ -211,20 +213,20 @@ def _ls_pairs(graph: ConstraintGraph, trace: Trace, acquires: Candidates,
     """
     edges: List[Tuple[int, int]] = []
     for (_, lock_a), a in acquires.items():
-        release_of_a = trace.release_of(a)
+        release_of_a = trace.release_eid(a)
         if release_of_a is None:
             continue  # critical section never closes; cannot constrain it
         for (_, lock_r), r in releases.items():
             if lock_a != lock_r:
                 continue
-            acquire_of_r = trace.acquire_of(r)
-            if acquire_of_r.eid == a.eid:
+            acquire_of_r = trace.acquire_eid(r)
+            if acquire_of_r == a:
                 continue  # same critical section
-            if not in_race(acquire_of_r.eid):
+            if not in_race(acquire_of_r):
                 continue  # r's critical section is not needed for the race
-            if graph.has_edge(release_of_a.eid, acquire_of_r.eid):
+            if graph.has_edge(release_of_a, acquire_of_r):
                 continue
-            if index.reaches(release_of_a.eid, acquire_of_r.eid):
+            if index.reaches(release_of_a, acquire_of_r):
                 continue  # already fully ordered
-            edges.append((release_of_a.eid, acquire_of_r.eid))
+            edges.append((release_of_a, acquire_of_r))
     return edges

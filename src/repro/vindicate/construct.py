@@ -55,7 +55,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.core.events import Event, Target
+from repro.core.events import CODE_RELEASE, Event
 from repro.core.exceptions import VindicationError
 from repro.core.trace import Trace
 from repro.core.witness import CutWitness, ListedWitness, Witness
@@ -85,9 +85,10 @@ class ConstructionStats:
 
 
 class _MissingRelease:
-    """Sentinel returned by an attempt that needs one more release."""
+    """Sentinel returned by an attempt that needs one more release (its
+    eid)."""
 
-    def __init__(self, release: Event):
+    def __init__(self, release: int):
         self.release = release
 
 
@@ -135,14 +136,13 @@ def construct_reordered_trace(
         if isinstance(outcome, _MissingRelease):
             release = outcome.release
             stats.extra_releases += 1
-            release_cut = list(index.ancestor_cut((release.eid,)))
-            needed.add(release.eid)
+            release_cut = list(index.ancestor_cut((release,)))
+            needed.add(release)
             needed.update(index.cut_events(release_cut))
             needed.discard(e1.eid)
             needed.discard(e2.eid)
-            t = index.thread_of(release.eid)
-            release_cut[t] = max(release_cut[t],
-                                 trace.local_time[release.eid])
+            t = index.thread_of(release)
+            release_cut[t] = max(release_cut[t], trace.local_time[release])
             cut = tuple(map(max, cut, release_cut))
             continue
         if outcome is None:
@@ -187,16 +187,17 @@ def _replays_whole_cut(graph: ConstraintGraph, trace: Trace,
     for src, dst in graph.backward_edges():
         if holds(cut, src) and holds(cut, dst):
             return False
-    events, enclosing = trace.events, trace.enclosing_acquires
+    codes, enclosing = trace.codes, trace.enclosing_acquires
+    locks, tgt = trace.lock_names, trace.tgt
     for t in range(len(cut)):
         last = index.last_event(cut, t)
         if last < 0:
             continue
-        closed = trace.acquire_of(events[last]).eid \
-            if events[last].is_release else -1
+        closed = trace.acquire_eid(last) \
+            if codes[last] == CODE_RELEASE else -1
         for acquire in enclosing[last]:
             if acquire != closed and \
-                    index.last_acquire(cut, events[acquire].target) != acquire:
+                    index.last_acquire(cut, locks[tgt[acquire]]) != acquire:
                 return False
     return True
 
@@ -211,17 +212,16 @@ def _attempt(
     rng: random.Random,
 ) -> Tuple[Union[List[Event], _MissingRelease, None], int]:
     """One ATTEMPTTOCONSTRUCTTRACE pass (lines 32–44). Returns the
-    outcome and the number of events the observed-order replay placed."""
+    outcome and the number of events the observed-order replay placed.
+    The pass places event ids; the witness's events are built last."""
     state = _BackwardState(trace)
-    reversed_trace: List[Event] = []
-    for seed_event in (e2, e1):
-        check = state.ls_check(seed_event)
-        if check is not _OK:
+    reversed_trace: List[int] = []
+    for seed_eid in (e2.eid, e1.eid):
+        if state.ls_check(seed_eid) is not _OK:
             return None, 0
-        state.place(seed_event)
-        reversed_trace.append(seed_event)
+        state.place(seed_eid)
+        reversed_trace.append(seed_eid)
 
-    events = trace.events
     replayed = 0
     if policy == "latest":
         # Observed-order replay: every needed event above ``eid`` is
@@ -234,12 +234,11 @@ def _attempt(
         for eid in order:
             if eid in held_back:
                 break
-            event = events[eid]
             if enclosing[eid]:
-                if state.ls_check(event) is not _OK:
+                if state.ls_check(eid) is not _OK:
                     break
-                state.place(event)
-            reversed_trace.append(event)
+                state.place(eid)
+            reversed_trace.append(eid)
             replayed += 1
         remaining = set(order[replayed:])
     else:
@@ -255,35 +254,35 @@ def _attempt(
         if count == 0:
             ready.add(eid)
     while remaining:
-        chosen: Optional[Event] = None
-        missing: List[Event] = []
+        chosen = -1
+        missing: List[int] = []
         for eid in _in_policy_order(ready, policy, rng):
-            event = events[eid]
-            check = state.ls_check(event)
+            check = state.ls_check(eid)
             if check is _OK:
-                chosen = event
+                chosen = eid
                 break
-            if isinstance(check, Event):
+            if check is not None:
                 missing.append(check)
-        if chosen is not None:
+        if chosen >= 0:
             state.place(chosen)
             reversed_trace.append(chosen)
-            remaining.discard(chosen.eid)
-            ready.discard(chosen.eid)
-            for pred in graph.predecessor_set(chosen.eid):
+            remaining.discard(chosen)
+            ready.discard(chosen)
+            for pred in graph.predecessor_set(chosen):
                 if pred in remaining:
                     blocking[pred] -= 1
                     if blocking[pred] == 0:
                         ready.add(pred)
             continue
         # No legal event: look for a missing release to pull in (line 38).
-        for release in sorted(missing, key=lambda r: -r.eid):
-            if release.eid in needed or release.eid in (e1.eid, e2.eid):
+        for release in sorted(missing, reverse=True):
+            if release in needed or release in (e1.eid, e2.eid):
                 continue
             if state.ls_check(release) is _OK:
                 return _MissingRelease(release), replayed
         return None, replayed  # construction failed (line 40)
-    return list(reversed(reversed_trace)), replayed
+    events = trace.events
+    return [events[eid] for eid in reversed(reversed_trace)], replayed
 
 
 def _in_policy_order(ready: Set[int], policy: str, rng: random.Random) -> List[int]:
@@ -301,29 +300,31 @@ _OK = object()
 
 
 class _BackwardState:
-    """Lock-semantics state for backward (prepend-only) construction."""
+    """Lock-semantics state for backward (prepend-only) construction,
+    over event ids and lock indices."""
 
     def __init__(self, trace: Trace):
         self.trace = trace
         #: lock -> acquire eid of the section open at the front.
-        self.open_front: Dict[Target, int] = {}
+        self.open_front: Dict[int, int] = {}
         #: lock -> acquire eids of sections with placed events.
-        self.cs_below: Dict[Target, Set[int]] = {}
+        self.cs_below: Dict[int, Set[int]] = {}
 
-    def ls_check(self, event: Event):
-        """Can ``event`` be prepended? Returns ``_OK``, ``None`` for an
-        LS violation, or the missing release :class:`Event` whose
+    def ls_check(self, eid: int) -> object:
+        """Can event ``eid`` be prepended? Returns ``_OK``, ``None`` for
+        an LS violation, or the eid of the missing release whose
         presence would make the prepend possible later."""
         trace = self.trace
-        for acq_eid in trace.enclosing_acquires[event.eid]:
-            lock = trace.events[acq_eid].target
+        tgt = trace.tgt
+        for acq_eid in trace.enclosing_acquires[eid]:
+            lock = tgt[acq_eid]
             front = self.open_front.get(lock)
             if front == acq_eid:
                 continue  # continuing the section already open at the front
             if front is not None:
                 return None  # a different section on this lock is open
-            release = trace.release_of(trace.events[acq_eid])
-            if release is not None and event.eid == release.eid:
+            release = trace.release_eid(acq_eid)
+            if release is not None and eid == release:
                 continue  # prepending the release opens the section cleanly
             # The event starts a section whose release will not appear
             # below it; only fine if no other section on this lock has
@@ -335,13 +336,14 @@ class _BackwardState:
                 return release  # the missing release (line 38)
         return _OK
 
-    def place(self, event: Event) -> None:
-        """Update state after prepending ``event`` (must be LS-checked)."""
-        trace = self.trace
-        for acq_eid in trace.enclosing_acquires[event.eid]:
-            lock = trace.events[acq_eid].target
+    def place(self, eid: int) -> None:
+        """Update state after prepending event ``eid`` (must be
+        LS-checked)."""
+        tgt = self.trace.tgt
+        for acq_eid in self.trace.enclosing_acquires[eid]:
+            lock = tgt[acq_eid]
             self.cs_below.setdefault(lock, set()).add(acq_eid)
-            if event.eid == acq_eid:
+            if eid == acq_eid:
                 # The section's acquire completes it at the front.
                 if self.open_front.get(lock) == acq_eid:
                     del self.open_front[lock]

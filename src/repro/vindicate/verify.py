@@ -198,19 +198,28 @@ _INDEXES: "weakref.WeakKeyDictionary[Trace, TraceIndex]" = \
     weakref.WeakKeyDictionary()
 
 
-def _trace_index(trace: Trace) -> TraceIndex:
-    """The cached :class:`TraceIndex` of ``trace``, built on first use.
+def _trace_index(trace: Trace,
+                 span: str = "vindicate.check_witness.index") -> TraceIndex:
+    """The cached :class:`TraceIndex` of ``trace``, built on first use
+    inside a span named ``span``.
 
     Two threads checking a fresh trace at once may both build it; the
     indexes are equal, so whichever is stored last is as good.
     """
     index = _INDEXES.get(trace)
     if index is None or index.size != len(trace):
-        with obs.span("vindicate.check_witness.index") as span:
+        with obs.span(span) as sp:
             index = TraceIndex(trace)
-            span.annotate("events", index.size)
+            sp.annotate("events", index.size)
         _INDEXES[trace] = index
     return index
+
+
+def index_trace(trace: Trace) -> None:
+    """Build (or find cached) the index the checks of ``trace``'s
+    witnesses read, in a ``vindicate.trace_index`` span: a pipeline
+    that will check witnesses builds it once, ahead of its races."""
+    _trace_index(trace, "vindicate.trace_index")
 
 
 Reordering = Union[Witness, Sequence[Event]]
@@ -315,7 +324,7 @@ def _check_cut(original: Trace, index: TraceIndex,
             f"cut {cut} does not fit the trace's threads", rule="EVENTS")
     for e in (first, second):
         eid = e.eid
-        if not 0 <= eid < n or (events[eid] is not e and events[eid] != e):
+        if not 0 <= eid < n or events[eid] != e:
             raise MalformedReorderingError(
                 f"{e} is not an event of the original trace", rule="EVENTS")
     thread_index = index.thread_index
@@ -438,7 +447,7 @@ def _check_membership(original: Trace,
     position: Dict[int, int] = {}
     for i, e in enumerate(reordered):
         eid = e.eid
-        if not 0 <= eid < n or (events[eid] is not e and events[eid] != e):
+        if not 0 <= eid < n or events[eid] != e:
             raise MalformedReorderingError(
                 f"{e} is not an event of the original trace", rule="EVENTS")
         if eid in position:

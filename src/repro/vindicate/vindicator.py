@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro import obs
 from repro.core import kernels
-from repro.core.events import Event
 from repro.core.exceptions import SanitizerError
 from repro.core.trace import Trace
 from repro.core.witness import Witness
@@ -40,7 +39,7 @@ from repro.static.lockset import LocksetResult, analyze_locksets, cross_check
 from repro.vindicate.add_constraints import add_constraints
 from repro.vindicate.construct import (POLICIES, ConstructionStats,
                                        construct_reordered_trace)
-from repro.vindicate.verify import check_witness
+from repro.vindicate.verify import check_witness, index_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dc import DCDetector
@@ -283,15 +282,16 @@ class VindicatorReport:
         }
 
 
-def _event_doc(e: Event) -> Dict[str, object]:
-    return {"eid": e.eid, "tid": e.tid, "kind": e.kind.value,
-            "target": e.target, "loc": e.loc}
+def _event_doc(race: DynamicRace, eid: int) -> Dict[str, object]:
+    tid, kind, target, loc = race.events.fields(eid)
+    return {"eid": eid, "tid": tid, "kind": kind.value, "target": target,
+            "loc": loc}
 
 
 def _race_doc(race: DynamicRace) -> Dict[str, object]:
     return {
-        "first": _event_doc(race.first),
-        "second": _event_doc(race.second),
+        "first": _event_doc(race, race.first_eid),
+        "second": _event_doc(race, race.second_eid),
         "relation": race.relation,
         "race_class": str(race.race_class) if race.race_class else None,
         "distance": race.event_distance,
@@ -394,10 +394,10 @@ class Vindicator:
             for detector in (hb, wcp, dc):
                 detector.begin_trace(trace)
             hb_handle, wcp_handle, dc_handle = hb.handle, wcp.handle, dc.handle
-            for event in trace.events:
-                hb_handle(event)
-                wcp_handle(event)
-                dc_handle(event)
+            for eid in range(len(trace)):
+                hb_handle(eid)
+                wcp_handle(eid)
+                dc_handle(eid)
             hb_report = hb.finish()
             wcp_report = wcp.finish()
             dc_report = dc.finish()
@@ -425,10 +425,11 @@ class Vindicator:
         with obs.span("pipeline.classify") as sp:
             classified: List[DynamicRace] = []
             for race in dc_report.races:
-                hb_unordered = race.first.eid in hb.racing_at.get(race.second.eid, ())
-                wcp_unordered = race.first.eid in wcp.racing_at.get(race.second.eid, ())
+                first, second = race.first_eid, race.second_eid
+                hb_unordered = first in hb.racing_at.get(second, ())
+                wcp_unordered = first in wcp.racing_at.get(second, ())
                 race_class = classify((not hb_unordered, not wcp_unordered))
-                classified.append(replace(race, race_class=race_class))
+                classified.append(race.with_class(race_class))
             dc_report.races = classified
             sp.annotate("dc_races", len(classified))
 
@@ -447,9 +448,13 @@ class Vindicator:
         start = time.perf_counter()
         index = CutIndex(dc.graph, trace)
         with obs.span("pipeline.vindicate") as sp:
-            for race in classified:
-                if not self.vindicate_all and race.race_class is not RaceClass.DC_ONLY:
-                    continue
+            races = [race for race in classified if self.vindicate_all
+                     or race.race_class is RaceClass.DC_ONLY]
+            if races and self.check_witnesses:
+                # The witness checker's index of the whole trace, built
+                # once here rather than inside the first race's check.
+                index_trace(trace)
+            for race in races:
                 # The first call builds the cut tables here, outside
                 # the first race's span; later calls only read the
                 # previous race's edge removals from the journal.

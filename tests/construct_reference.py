@@ -65,8 +65,8 @@ def construct_reordered_trace(
         if isinstance(outcome, _MissingRelease):
             release = outcome.release
             stats.extra_releases += 1
-            needed.add(release.eid)
-            needed.update(index.ancestors([release.eid]))
+            needed.add(release)
+            needed.update(index.ancestors([release]))
             needed.discard(e1.eid)
             needed.discard(e2.eid)
             continue
@@ -88,10 +88,10 @@ def _attempt(
     state = _BackwardState(trace)
     reversed_trace: List[Event] = []
     for seed_event in (e2, e1):
-        check = state.ls_check(seed_event)
+        check = state.ls_check(seed_event.eid)
         if check is not _OK:
             return None
-        state.place(seed_event)
+        state.place(seed_event.eid)
         reversed_trace.append(seed_event)
     placed: Set[int] = {e1.eid, e2.eid}
 
@@ -108,14 +108,14 @@ def _attempt(
         missing: List[Event] = []
         for eid in _in_policy_order(ready, policy, rng):
             event = trace.events[eid]
-            check = state.ls_check(event)
+            check = state.ls_check(eid)
             if check is _OK:
                 chosen = event
                 break
-            if isinstance(check, Event):
-                missing.append(check)
+            if check is not None:
+                missing.append(trace.events[check])
         if chosen is not None:
-            state.place(chosen)
+            state.place(chosen.eid)
             reversed_trace.append(chosen)
             placed.add(chosen.eid)
             remaining.discard(chosen.eid)
@@ -129,8 +129,8 @@ def _attempt(
         for release in sorted(missing, key=lambda r: -r.eid):
             if release.eid in needed or release.eid in placed:
                 continue
-            if state.ls_check(release) is _OK:
-                return _MissingRelease(release)
+            if state.ls_check(release.eid) is _OK:
+                return _MissingRelease(release.eid)
         return None
     return list(reversed(reversed_trace))
 

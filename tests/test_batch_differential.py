@@ -73,7 +73,7 @@ def stream(detector, trace):
     """Drive ``detector`` over ``trace`` one event at a time."""
     detector.begin_trace(trace)
     for event in trace:
-        detector.handle(event)
+        detector.handle(event.eid)
     return detector.finish()
 
 
@@ -245,7 +245,7 @@ class TestAdversarial:
         for det in (DCDetector(), EpochDCDetector()):
             det.begin_trace(trace)
             with pytest.raises(MalformedTraceError) as exc:
-                det.handle(trace.events[1])
+                det.handle(1)
             errors.append((str(exc.value), exc.value.event_index))
         assert errors[0] == errors[1]
 
@@ -255,7 +255,7 @@ class TestAdversarial:
         for det in (WCPDetector(), EpochWCPDetector(), DCDetector()):
             det.begin_trace(trace)
             with pytest.raises(MalformedTraceError) as exc:
-                det.handle(trace.events[1])
+                det.handle(1)
             errors.append((str(exc.value), exc.value.event_index))
         assert errors[0] == errors[1] == errors[2]
 

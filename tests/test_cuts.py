@@ -166,12 +166,12 @@ class TestAgainstBFS:
             for x in sorted(graph.ancestors([eid], include_roots=True)):
                 e = trace.events[x]
                 if e.kind is EventKind.ACQUIRE:
-                    acquires[(e.tid, e.target)] = e
+                    acquires[(e.tid, e.target)] = x
             for x in sorted(graph.descendants([eid], include_roots=True),
                             reverse=True):
                 e = trace.events[x]
                 if e.kind is EventKind.RELEASE:
-                    releases[(e.tid, e.target)] = e
+                    releases[(e.tid, e.target)] = x
             assert index.latest_acquires(eid) == acquires
             assert index.earliest_releases(eid) == releases
             lo, hi = sorted((eid, rng.randrange(n)))

@@ -104,7 +104,7 @@ class TestConstraintGraph:
             det.begin_trace(trace)
             snaps = []
             for e in trace:
-                det.handle(e)
+                det.handle(e.eid)
                 snaps.append(det.clock_of(e.tid).copy())
             for j, ej in enumerate(trace):
                 descendants = det.graph.descendants([j])
@@ -195,7 +195,7 @@ class TestMalformedStreams:
         det.begin_trace(trace)
         # Feed the release without its acquire.
         with pytest.raises(MalformedTraceError) as exc:
-            det.handle(trace.events[1])
+            det.handle(1)
         assert exc.value.event_index == 1
 
     def test_release_by_wrong_thread(self):
@@ -205,9 +205,9 @@ class TestMalformedStreams:
                  .build())
         det = DCDetector()
         det.begin_trace(trace)
-        det.handle(trace.events[0])  # t1 acquires m ...
+        det.handle(0)  # t1 acquires m ...
         with pytest.raises(MalformedTraceError):
-            det.handle(trace.events[3])  # ... but t2 releases it
+            det.handle(3)  # ... but t2 releases it
 
     def test_well_formed_stream_unaffected(self):
         trace = (TraceBuilder()

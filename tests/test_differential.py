@@ -36,7 +36,7 @@ def clock_snapshots(detector, trace):
     detector.begin_trace(trace)
     snaps = []
     for e in trace:
-        detector.handle(e)
+        detector.handle(e.eid)
         snaps.append(detector.clock_of(e.tid).copy())
     return snaps
 

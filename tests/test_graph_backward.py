@@ -102,7 +102,7 @@ def test_dc_graph_points_forward(variant, name, trace):
         if variant == "handle":
             detector.begin_trace(trace)
             for event in trace:
-                detector.handle(event)
+                detector.handle(event.eid)
             detector.finish()
         else:
             detector.analyze(trace)

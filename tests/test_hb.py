@@ -168,5 +168,5 @@ class TestQueries:
         det = HBDetector()
         det.begin_trace(trace)
         for e in trace:
-            det.handle(e)
+            det.handle(e.eid)
         assert det.finish().dynamic_count == 1

@@ -227,7 +227,7 @@ class TestAdversarial:
         for det in (DCDetector(), EpochDCDetector()):
             det.begin_trace(trace)
             with pytest.raises(MalformedTraceError) as exc:
-                det.handle(trace.events[1])
+                det.handle(1)
             errors.append((str(exc.value), exc.value.event_index))
         assert errors[0] == errors[1]
 
@@ -239,9 +239,9 @@ class TestAdversarial:
         errors = []
         for det in (DCDetector(), EpochDCDetector()):
             det.begin_trace(trace)
-            det.handle(trace.events[0])
+            det.handle(0)
             with pytest.raises(MalformedTraceError) as exc:
-                det.handle(trace.events[3])
+                det.handle(3)
             errors.append((str(exc.value), exc.value.event_index))
         assert errors[0] == errors[1]
 
@@ -256,9 +256,9 @@ class TestAdversarial:
         outcomes = []
         for det in (HBDetector(), EpochHBDetector()):
             det.begin_trace(trace)
-            det.handle(trace.events[2])
+            det.handle(2)
             for event in trace.events[3:]:
-                det.handle(event)
+                det.handle(event.eid)
             report = det.finish()
             outcomes.append(([(r.first.eid, r.second.eid)
                               for r in report.races],
@@ -272,7 +272,7 @@ class TestAdversarial:
         for det in (WCPDetector(), EpochWCPDetector(), DCDetector()):
             det.begin_trace(trace)
             with pytest.raises(MalformedTraceError) as exc:
-                det.handle(trace.events[1])
+                det.handle(1)
             errors.append((str(exc.value), exc.value.event_index))
         assert errors[0] == errors[1] == errors[2]
 
@@ -284,9 +284,9 @@ class TestAdversarial:
         errors = []
         for det in (WCPDetector(), EpochWCPDetector(), DCDetector()):
             det.begin_trace(trace)
-            det.handle(trace.events[0])
+            det.handle(0)
             with pytest.raises(MalformedTraceError) as exc:
-                det.handle(trace.events[3])
+                det.handle(3)
             errors.append((str(exc.value), exc.value.event_index))
         assert errors[0] == errors[1] == errors[2]
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.races import DynamicRace
 from repro.core.trace import TraceBuilder
 from repro.static.lockset import (
     VariableVerdict,
@@ -144,8 +145,8 @@ class TestCrossCheck:
         res = analyze_locksets(trace.events)
         report = Vindicator(vindicate_all=True).run(trace)
         assert report.dc.races, "setup: expected a race on y"
-        from dataclasses import replace
-        forged = [replace(r, first=trace[0], second=trace[1])
+        forged = [DynamicRace(first=trace[0], second=trace[1],
+                              relation=r.relation)
                   for r in report.dc.races[:1]]
         violations = cross_check(forged, res)
         assert len(violations) == 1

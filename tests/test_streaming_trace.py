@@ -12,8 +12,9 @@
   leaves the trace's columns, tables, events and liveness sets as they
   were, and the session goes on to the single-shot document.
 * **Frames** — the frame parser (:func:`repro.traces.io.parse_lines`)
-  yields exactly :func:`~repro.traces.io.parse_event_line`'s events and
-  errors, with intern tables kept across frames.
+  yields exactly :func:`~repro.traces.io.parse_event_line`'s events (as
+  rows) and errors, with intern tables kept across frames, and its line
+  map gives each event's line.
 """
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.smarttrack import (EpochDCDetector, EpochHBDetector,
                                        EpochWCPDetector)
-from repro.core.events import Event, EventKind
+from repro.core.events import KIND_BY_CODE, Event, EventKind
 from repro.core.exceptions import MalformedTraceError, TraceFormatError
 from repro.core.trace import Trace
 from repro.runtime import execute
@@ -30,8 +31,8 @@ from repro.runtime.workloads import WORKLOADS
 from repro.serve.session import SessionAnalyzer, SessionConfig
 from repro.serve.streaming import StreamingTrace
 from repro.traces.gen import GeneratorConfig, random_trace
-from repro.traces.io import (format_event, loads_trace, parse_event_line,
-                             parse_lines)
+from repro.traces.io import (LineMap, format_event, loads_trace,
+                             parse_event_line, parse_lines)
 from repro.traces.litmus import ALL as LITMUS
 from repro.vindicate.vindicator import Vindicator
 
@@ -234,8 +235,9 @@ def trace_state(trace):
     return {
         "events": list(trace.events),
         "columns": (bytes(trace.codes), list(trace.tix), list(trace.tgt),
-                    list(trace.held), list(trace.local_time),
-                    list(trace.enclosing_acquires)),
+                    list(trace.loc), list(trace.held), list(trace.local_time),
+                    list(trace.enclosing_acquires),
+                    dict(trace.marker_targets)),
         "tables": (list(trace.tid_names), dict(trace.tid_index),
                    list(trace.var_names), list(trace.lock_names),
                    list(trace.vol_names)),
@@ -337,9 +339,10 @@ def text_lines(draw):
         st.sampled_from(["", " ", "\n"]))
 
 
-def by_line(lines, first_eid):
+def by_line(lines, first_eid, numbers=None):
     """:func:`parse_event_line` over ``lines``: the events, or the
-    first error."""
+    first error. ``numbers``, when given, collects the events' line
+    numbers."""
     events = []
     for number, line in enumerate(lines, start=1):
         try:
@@ -349,7 +352,17 @@ def by_line(lines, first_eid):
             return None, (str(exc), exc.line_number)
         if event is not None:
             events.append(event)
+            if numbers is not None:
+                numbers.append(number)
     return events, None
+
+
+def parsed(lines, first_eid, tids, strings, line_map=None):
+    """:func:`parse_lines`'s rows for ``lines`` as events numbered from
+    ``first_eid``."""
+    return [Event(first_eid + i, tid, KIND_BY_CODE[code], target, loc)
+            for i, (tid, code, target, loc)
+            in enumerate(parse_lines(lines, tids, strings, line_map))]
 
 
 def fields(events):
@@ -365,16 +378,19 @@ class TestFrameParsing:
         tids, strings = {}, {}
         eid = 0
         for lines in frames:
-            expected, error = by_line(lines, eid)
+            numbers = []
+            expected, error = by_line(lines, eid, numbers)
             if error is not None:
                 with pytest.raises(TraceFormatError) as excinfo:
-                    parse_lines(lines, eid, tids, strings)
+                    parsed(lines, eid, tids, strings)
                 assert (str(excinfo.value),
                         excinfo.value.line_number) == error
                 continue
-            events, numbers = parse_lines(lines, eid, tids, strings)
+            line_map = LineMap()
+            events = parsed(lines, eid, tids, strings, line_map)
             assert fields(events) == fields(expected)
-            assert len(numbers) == len(events)
+            assert line_map.events == len(events)
+            assert [line_map.line(i) for i in range(len(events))] == numbers
             eid += len(events)
 
     def test_a_bad_line_rejects_the_whole_frame(self):

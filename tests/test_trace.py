@@ -114,12 +114,12 @@ class TestPaperNotation:
     def test_acquire_of(self):
         trace = simple_trace()
         rel_t1 = trace[3]
-        assert trace.acquire_of(rel_t1) is trace[1]
+        assert trace.acquire_of(rel_t1) == trace[1]
 
     def test_release_of(self):
         trace = simple_trace()
-        assert trace.release_of(trace[1]) is trace[3]
-        assert trace.release_of(trace[4]) is trace[6]
+        assert trace.release_of(trace[1]) == trace[3]
+        assert trace.release_of(trace[4]) == trace[6]
 
     def test_release_of_open_section_is_none(self):
         trace = TraceBuilder().acq(1, "m").wr(1, "x").build()
@@ -195,7 +195,7 @@ class TestAccessors:
     def test_len_iter_getitem(self):
         trace = simple_trace()
         assert len(trace) == 8
-        assert list(trace)[0] is trace[0]
+        assert list(trace)[0] == trace[0]
 
     def test_repr(self):
         assert "8 events" in repr(simple_trace())
@@ -229,11 +229,11 @@ class TestBuilder:
 # The indexing pass: columns, first errors, parsed events
 # ----------------------------------------------------------------------
 
-#: Kinds in code order (``repro.core.events.CODE_*``); begin and end
-#: share the next code.
+#: Kinds in code order (``repro.core.events.CODE_*``).
 CODE_ORDER = [EventKind.READ, EventKind.WRITE, EventKind.ACQUIRE,
               EventKind.RELEASE, EventKind.FORK, EventKind.JOIN,
-              EventKind.VOLATILE_WRITE, EventKind.VOLATILE_READ]
+              EventKind.VOLATILE_WRITE, EventKind.VOLATILE_READ,
+              EventKind.BEGIN, EventKind.END]
 
 
 def naive_columns(trace):
@@ -256,8 +256,7 @@ def naive_columns(trace):
     codes, tix, tgt, held, local = [], [], [], [], []
     seen = {}
     for e in trace.events:
-        codes.append(CODE_ORDER.index(e.kind) if e.kind in CODE_ORDER
-                     else len(CODE_ORDER))
+        codes.append(CODE_ORDER.index(e.kind))
         tix.append(tids.index(e.tid))
         seen[e.tid] = seen.get(e.tid, 0) + 1
         local.append(seen[e.tid])

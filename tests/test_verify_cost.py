@@ -14,8 +14,10 @@
   ``repro.vindicate.construct``, ``repro.vindicate.add_constraints`` or
   anything under ``repro.graph`` (an AST lint, like ``test_lint.py``).
 * **Observability.** Every ``vindicate.check_witness`` span carries the
-  witness length as ``events``; the one check that builds a trace's
-  index opens a ``vindicate.check_witness.index`` child span. The
+  witness length as ``events``. A pipeline run builds the trace's
+  index once, in a ``vindicate.trace_index`` span outside every race,
+  and only when it will check a witness; a check that has to build it
+  itself opens a ``vindicate.check_witness.index`` child span. The
   counters ``vindicate.witness.cut`` and ``vindicate.witness.listed``
   count the checks by form.
 """
@@ -26,6 +28,7 @@ import pathlib
 import pytest
 
 from repro import obs
+from repro.core.events import Event
 from repro.core.exceptions import MalformedReorderingError
 from repro.core.trace import Trace
 from repro.core.witness import CutWitness
@@ -135,6 +138,28 @@ def _rejected_checks(witness, first, second):
     yield witness, second, first
 
 
+def _copy(e):
+    return Event(e.eid, e.tid, e.kind, e.target, e.loc)
+
+
+class TestFreshEvents:
+    """The checker compares events by value: a witness whose events are
+    fresh equal copies, not the trace's own, passes as the original."""
+
+    def test_cut_witness_with_copied_pair(self, xalan_cuts):
+        trace, cuts = xalan_cuts
+        for witness in cuts:
+            first, second = _copy(witness.first), _copy(witness.second)
+            check_witness(trace, CutWitness(trace, witness.cut, first, second),
+                          first, second)
+
+    def test_listed_witness_of_copies(self, xalan_witnesses):
+        trace, witnessed = xalan_witnesses
+        for witness, first, second in witnessed:
+            check_witness(trace, [_copy(e) for e in witness], _copy(first),
+                          _copy(second))
+
+
 class TestNoPassesOverTheTrace:
     def test_first_check_indexes_once_later_checks_never_scan(
             self, monkeypatch, xalan_witnesses):
@@ -229,11 +254,42 @@ class TestObservability:
                    if v.witness is not None]
         assert lengths
         assert sorted(s.counts["events"] for s in checks) == sorted(lengths)
+        indexes = [s for s in spans if s.name == "vindicate.trace_index"]
+        assert len(indexes) == 1
+        assert indexes[0].counts["events"] == len(trace)
+        races = [s for s in spans if s.name == "vindicate.race"]
+        assert races
+        assert not any(indexes[0] in _walk(race.children) for race in races)
+        assert not [s for s in spans
+                    if s.name == "vindicate.check_witness.index"]
+
+    def test_a_run_without_vindications_builds_no_index(self):
+        trace = execute(WORKLOADS["avrora"](scale=1), seed=3)
+        try:
+            obs.enable(sample_memory=False)
+            report = Vindicator().run(trace)
+            spans = list(_walk(obs.tracer().roots))
+        finally:
+            obs.disable()
+        assert not report.vindications
+        assert not [s for s in spans if s.name.endswith("index")]
+
+    def test_a_direct_check_builds_the_index_in_its_span(self, xalan_cuts):
+        trace, cuts = xalan_cuts
+        fresh = Trace(list(trace))
+        witness = cuts[0]
+        try:
+            obs.enable(sample_memory=False)
+            check_witness(fresh, CutWitness(fresh, witness.cut, witness.first,
+                                            witness.second),
+                          witness.first, witness.second)
+            spans = list(_walk(obs.tracer().roots))
+        finally:
+            obs.disable()
         indexes = [s for s in spans
                    if s.name == "vindicate.check_witness.index"]
         assert len(indexes) == 1
-        assert indexes[0].counts["events"] == len(trace)
-        assert indexes[0] in checks[0].children
+        assert indexes[0].counts["events"] == len(fresh)
 
     def test_form_counters_count_every_check(self):
         trace = execute(WORKLOADS["xalan"](scale=1), seed=3)
