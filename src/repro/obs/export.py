@@ -14,14 +14,17 @@ Three formats, chosen by file extension in :func:`write_metrics`:
 
 All record shapes are pinned by :mod:`repro.obs.schema`. Every JSON
 document the program emits (``--json`` reports, the ``*.json``
-snapshot, watch-directory results) goes through :func:`write_document`.
+snapshot, watch-directory results) goes through :func:`write_document`,
+and every serve reply through :func:`repro.serve.protocol.frame_blocks`;
+both encode with :func:`json_blocks`.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import Dict, IO, List, Mapping, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Dict, IO, Iterator, List, Mapping, Optional
 
 from repro.core import kernels
 from repro.obs.metrics import AnyRegistry, Value
@@ -33,17 +36,89 @@ def _dumps(record: Mapping[str, object]) -> str:
     return json.dumps(record, separators=(",", ":"), sort_keys=True)
 
 
+#: A block is cut once it holds this many characters, so it runs over
+#: by at most its last piece (one batch of records, or one value).
+BLOCK_BYTES = 64 * 1024
+
+#: Records per C-encoder call when a list is encoded in batches.
+BATCH_RECORDS = 256
+
+#: Dict values of these types make a dict walked rather than encoded
+#: whole (exact types: a subclass is encoded whole, which is equal text).
+_CONTAINERS = frozenset((dict, list, tuple))
+_DOCUMENT_ENCODER = json.JSONEncoder(sort_keys=True)
+_FRAME_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def json_blocks(doc: object, compact: bool = False) -> Iterator[str]:
+    """``doc``'s JSON text in blocks of about :data:`BLOCK_BYTES`.
+
+    The joined blocks equal ``json.dumps(doc, sort_keys=True)`` (the
+    document layout), or with ``compact`` ``json.dumps(doc,
+    separators=(",", ":"))`` with keys in insertion order (the serve
+    frame layout), byte for byte. No step holds the whole text: dicts
+    that hold a list or a dict are walked here, a list of more than
+    :data:`BATCH_RECORDS` records is encoded by the C encoder one batch
+    at a time, and everything else (a record, a leaf dict, a scalar) is
+    one C-encoder call. A document of scalars is a single call.
+    """
+    encoder = _FRAME_ENCODER if compact else _DOCUMENT_ENCODER
+    parts: List[str] = []
+    size = 0
+    for piece in _pieces(doc, encoder):
+        parts.append(piece)
+        size += len(piece)
+        if size >= BLOCK_BYTES:
+            yield "".join(parts)
+            parts = []
+            size = 0
+    if parts:
+        yield "".join(parts)
+
+
+def _pieces(obj: object, encoder: json.JSONEncoder) -> Iterator[str]:
+    if isinstance(obj, dict) and not _CONTAINERS.isdisjoint(
+            map(type, obj.values())):
+        items = sorted(obj.items()) if encoder.sort_keys else obj.items()
+        opener = "{"
+        for key, value in items:
+            yield opener + _key_text(key, encoder) + encoder.key_separator
+            opener = encoder.item_separator
+            yield from _pieces(value, encoder)
+        yield "}"
+    elif isinstance(obj, (list, tuple)) and len(obj) > BATCH_RECORDS:
+        yield encoder.encode(obj[:BATCH_RECORDS])[:-1]
+        for start in range(BATCH_RECORDS, len(obj), BATCH_RECORDS):
+            yield encoder.item_separator
+            yield encoder.encode(obj[start:start + BATCH_RECORDS])[1:-1]
+        yield "]"
+    else:
+        yield encoder.encode(obj)
+
+
+def _key_text(key: object, encoder: json.JSONEncoder) -> str:
+    """A dict key as the C encoder writes it (non-str keys become
+    strings: ``1.5`` → ``"1.5"``, ``None`` → ``"null"``)."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    text = encoder.encode({key: 0})
+    return text[1:-len(encoder.key_separator) - 2]
+
+
 def write_document(doc: Mapping[str, object], fh: IO[str]) -> None:
     """Write ``doc`` to ``fh`` as one compact JSON line, keys sorted.
 
-    The text is encoded in one call and written once: ``json.dumps``
-    without ``indent`` uses the C encoder, where ``json.dump`` with
-    ``indent`` runs the pure-Python one and writes every token
-    separately (half a million writes for the 3.7 MB indented form of
-    a 38k-event report, each a system call on an unbuffered stdout). Sorted keys keep the output
-    byte-stable; pipe it through ``python -m json.tool`` to read it.
+    The text is written in the blocks of :func:`json_blocks`, so no
+    copy of the whole text is made; a document smaller than one block
+    is one write plus the newline. The blocks come from the C encoder:
+    ``json.dump`` with ``indent`` runs the pure-Python one and writes
+    every token separately (half a million writes for the 3.7 MB
+    indented form of a 38k-event report, each a system call on an
+    unbuffered stdout). Sorted keys keep the output byte-stable; pipe
+    it through ``python -m json.tool`` to read it.
     """
-    fh.write(json.dumps(doc, sort_keys=True))
+    for block in json_blocks(doc):
+        fh.write(block)
     fh.write("\n")
 
 

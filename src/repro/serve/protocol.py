@@ -10,17 +10,19 @@ directions are pinned by :mod:`repro.obs.schema`
 
 Every client-triggerable failure maps to a structured error object
 ``{"code", "message", ...}`` — a malformed event stream reports the
-offending event index, a bad text line its line number — never a raw
-Python traceback.
+offending event index, a bad text line its line number, a reply over
+the cap ``too-large`` — never a raw Python traceback or a dropped
+connection.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.exceptions import (MalformedTraceError, ReproError,
                                    TraceFormatError)
+from repro.obs.export import json_blocks
 from repro.obs.schema import SERVE_SCHEMA_ID
 
 #: Hard cap on one NDJSON frame (either direction).
@@ -83,14 +85,31 @@ def error_response(op: str, exc: BaseException) -> Dict[str, Any]:
             "error": error_fields(exc)}
 
 
-def encode_frame(doc: Dict[str, Any]) -> bytes:
-    """One NDJSON frame (including the trailing newline)."""
-    data = json.dumps(doc, separators=(",", ":")).encode("utf-8") + b"\n"
-    if len(data) > MAX_FRAME_BYTES:
+def frame_blocks(doc: Dict[str, Any]) -> List[bytes]:
+    """One NDJSON frame as encoded blocks (the last ends in the newline).
+
+    The blocks come from :func:`repro.obs.export.json_blocks`, so the
+    frame is never held as one string nor copied whole; a reply of
+    scalars (``events``, ``ping``) is one C-encoder call. The cap
+    is checked on their total, so a frame over :data:`MAX_FRAME_BYTES`
+    raises ``too-large`` before a byte of it is sent.
+    """
+    blocks = [block.encode("utf-8")
+              for block in json_blocks(doc, compact=True)]
+    blocks[-1] += b"\n"
+    size = sum(map(len, blocks))
+    if size > MAX_FRAME_BYTES:
         raise ProtocolError("too-large",
-                            f"frame of {len(data)} bytes exceeds "
+                            f"frame of {size} bytes exceeds "
                             f"{MAX_FRAME_BYTES}")
-    return data
+    return blocks
+
+
+def encode_frame(doc: Dict[str, Any]) -> bytes:
+    """One NDJSON frame (including the trailing newline) as one
+    ``bytes``: :func:`frame_blocks` joined."""
+    blocks = frame_blocks(doc)
+    return blocks[0] if len(blocks) == 1 else b"".join(blocks)
 
 
 def decode_frame(line: bytes) -> Dict[str, Any]:

@@ -38,8 +38,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.obs.export import to_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.protocol import (ProtocolError, MAX_FRAME_BYTES,
-                                  decode_frame, encode_frame,
-                                  error_response, ok_response)
+                                  decode_frame, error_response,
+                                  frame_blocks, ok_response)
 from repro.serve.shard import (DRAIN_OP, InlineShard, ProcessShard,
                                make_shards, shard_of)
 from repro.serve.watch import Watcher
@@ -301,8 +301,18 @@ class ServeDaemon:
                 else:
                     response = self.route(request)
                 try:
-                    conn.sendall(encode_frame(response))
-                except (ProtocolError, OSError):
+                    blocks = frame_blocks(response)
+                except ProtocolError as exc:
+                    # The reply is over the frame cap: answer with the
+                    # error instead, and keep the connection.
+                    response = error_response(response["op"], exc)
+                    with self._metrics_lock:
+                        self.registry.add("serve.errors_total", 1)
+                    blocks = frame_blocks(response)
+                try:
+                    for block in blocks:
+                        conn.sendall(block)
+                except OSError:
                     return
 
 

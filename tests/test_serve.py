@@ -20,11 +20,14 @@ import urllib.request
 import pytest
 
 from repro.core.trace import Trace
+from repro.obs.export import BLOCK_BYTES
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
 from repro.serve.checkpoint import resume_session, write_checkpoint
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.protocol import MAX_FRAME_BYTES, ProtocolError, decode_frame
+from repro.serve import protocol
+from repro.serve.protocol import (MAX_FRAME_BYTES, ProtocolError, decode_frame,
+                                  encode_frame, ok_response)
 from repro.serve.server import ServeDaemon
 from repro.serve.session import SessionAnalyzer, SessionConfig
 from repro.serve.shard import checkpoint_path, shard_of
@@ -185,6 +188,32 @@ class TestDaemonEndToEnd:
             assert (races["analyses"]["dc"]["dynamic_races"]
                     == final["report"]["analyses"]["dc"]["dynamic_races"])
             assert client.status("s")["finished"] is True
+
+    def test_reply_of_many_blocks_is_one_frame(self, daemon_factory):
+        """A reply sent as several blocks reads as one frame with the
+        bytes of ``encode_frame`` (timings aside)."""
+        trace = execute(WORKLOADS["avrora"](scale=2), seed=3)
+        lines = event_lines(trace)
+        local = SessionAnalyzer(SessionConfig(name="blocks"))
+        local.feed_lines(lines)
+        expected = encode_frame(ok_response(
+            "finish", report=local.finish(),
+            trace_hash=local.hasher.hexdigest()))
+        daemon = daemon_factory()
+        with connect(daemon) as client:
+            client.hello("blocks")
+            for chunk in chunks(lines, 500):
+                client.events("blocks", chunk)
+            client._sock.sendall(encode_frame({"op": "finish",
+                                               "session": "blocks"}))
+            line = client._reader.readline(MAX_FRAME_BYTES + 2)
+            assert client.ping()["ok"]
+        assert len(line) > 3 * BLOCK_BYTES
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        got, want = decode_frame(line), decode_frame(expected)
+        assert list(got) == list(want)  # insertion order, as encoded
+        assert normalize(got["report"]) == normalize(want["report"])
+        assert got["trace_hash"] == want["trace_hash"] == trace_hash(trace)
 
     def test_sessions_listing_merges_shards(self, daemon_factory):
         daemon = daemon_factory(jobs=2)
@@ -419,6 +448,27 @@ class TestProtocolErrors:
             assert response["error"]["code"] == "bad-frame"
         finally:
             client.close()
+
+    def test_oversized_reply_is_an_error_reply(self, daemon_factory,
+                                               monkeypatch):
+        """A reply over the frame cap is answered with a ``too-large``
+        error reply, and the connection and the finished session stay."""
+        lines = event_lines(workload("avrora"))
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+        daemon = daemon_factory()
+        with connect(daemon) as client:
+            client.hello("big")
+            for chunk in chunks(lines, 40):
+                client.events("big", chunk)
+            with pytest.raises(ServeError) as excinfo:
+                client.finish("big")
+            assert excinfo.value.code == "too-large"
+            assert "exceeds 4096" in excinfo.value.error["message"]
+            status = client.status("big")
+            assert status["finished"] is True
+            assert status["events"] == len(lines)
+            assert client.ping()["ok"]
+        assert daemon.registry.counters()["serve.errors_total"] == 1
 
     def test_oversized_frame_is_rejected_client_side(self, daemon_factory):
         daemon = daemon_factory()
