@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.core import kernels as _k
@@ -48,57 +48,6 @@ class AccessHistory:
     #: stays within a single thread no racing prior can exist, so
     #: :meth:`Detector.check_access` skips the scan outright.
     tids: Set[Tid] = field(default_factory=set)
-
-
-class GCFloors:
-    """Retirement floors for streaming metadata GC (:mod:`repro.serve`).
-
-    ``covers`` maps every *live* thread ``v`` (one that may still produce
-    events: started and neither ended nor joined, or forked and not yet
-    begun) to its *cover*: a component-wise lower bound on every clock
-    ``v`` will ever use to observe other threads under the detector's
-    relation. For HB that is ``C_v``; for WCP the component-wise min of
-    ``H_v`` and ``P_v`` (a forked child's initial ``P`` is the parent's
-    ``H`` snapshot, so both must cover); for DC the thread clock. A
-    pending forked child's cover is its stored fork snapshot, which
-    lower-bounds its future clocks.
-
-    A metadata entry attributed to thread ``u`` at thread-local time
-    ``t`` is retirable iff ``t <= floor(u)`` — every live thread other
-    than ``u`` already has ``u``'s component at ``>= t``, so no future
-    race check or rule-(a)/(b) join can observe the entry: race scans
-    see ``local_time <= clock.get(u)`` (not racing) and source-clock
-    joins see ``target.get(u) >= t`` (skipped). Retiring it is therefore
-    invisible to verdicts, racing sets, counters, and the DC edge list —
-    the property the GC differential tests pin.
-
-    Soundness requires a *fork-closed* stream: a thread that appeared
-    out of nowhere would start with an empty clock and could race with
-    already-retired entries. The serve session enforces that for
-    GC-enabled sessions.
-    """
-
-    __slots__ = ("_covers", "_dead", "_floors")
-
-    def __init__(self, covers: Dict[Tid, Dict[Tid, int]],
-                 dead: Collection[Tid]):
-        self._covers = covers
-        self._dead = frozenset(dead)
-        self._floors: Dict[Tid, float] = {}
-
-    def floor(self, u: Tid) -> float:
-        """Min of every live thread's (other than ``u``) cover of ``u``;
-        ``+inf`` when no other live thread exists."""
-        f = self._floors.get(u)
-        if f is None:
-            f = min((cover.get(u, 0) for v, cover in self._covers.items()
-                     if v != u), default=float("inf"))
-            self._floors[u] = f
-        return f
-
-    def is_dead(self, u: Tid) -> bool:
-        """Can thread ``u`` produce no further events (ended or joined)?"""
-        return u in self._dead
 
 
 class Detector(abc.ABC):

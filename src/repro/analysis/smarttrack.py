@@ -13,12 +13,11 @@ They follow SmartTrack [Roemer, Genç & Bond, PLDI 2020], which ported
 FastTrack's [Flanagan & Freund 2009] epoch/ownership ideas to the
 predictive analyses, adapted to this repo's exact reference semantics:
 
-* **Dense clock kernel** — one :class:`~repro.core.vectorclock_dense.TidTable`
-  per trace interns thread ids to indices; every clock is a plain
-  ``list`` of ints of one length (the thread count ``T`` of a loaded
-  trace; a growing trace doubles it as threads appear), joined by the
-  fused kernels in
-  :mod:`repro.core.vectorclock_dense`. The trace's indexing pass
+* **Dense clocks** — every clock is a plain ``list`` of ints indexed
+  by the trace's own thread index (``trace.tid_names``/``tid_index``),
+  of one length (the thread count ``T`` of a loaded trace; a growing
+  trace doubles it as threads appear), joined by the fused kernels in
+  :mod:`repro.core.kernels`. The trace's indexing pass
   (:class:`~repro.core.trace.Trace`'s columns) interns thread ids,
   variables, locks, and volatiles and precomputes each access's
   held-lock index tuple, so the per-event loop never hashes a thread id
@@ -87,7 +86,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro import obs
-from repro.analysis.base import Detector, GCFloors
+from repro.analysis.base import Detector
 from repro.analysis.races import DynamicRace, RaceReport
 from repro.core.events import (CODE_ACQUIRE as _ACQ, CODE_FORK as _FORK,
                                CODE_JOIN as _JOIN, CODE_RELEASE as _REL,
@@ -97,7 +96,7 @@ from repro.core.events import (CODE_ACQUIRE as _ACQ, CODE_FORK as _FORK,
 from repro.core.exceptions import MalformedTraceError
 from repro.core.trace import EventView, Trace
 from repro.core import kernels as _k
-from repro.core.vectorclock_dense import DenseVectorClock, TidTable
+from repro.core.vectorclock import VectorClock
 from repro.analysis.sync_structures import DenseLockQueues, DenseSourceClocks
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.graph.program_order import ProgramOrderGraph
@@ -161,7 +160,7 @@ class _EpochDetectorBase(Detector):
 
     def __init__(self) -> None:
         super().__init__()
-        self._table = TidTable()
+        self._tid_index: Dict[Tid, int] = {}
         self._events: Optional[EventView] = None
         self._codes = bytearray()
         self._tix: List[int] = []
@@ -194,7 +193,7 @@ class _EpochDetectorBase(Detector):
 
     def begin_trace(self, trace: Trace) -> None:
         super().begin_trace(trace)
-        self._table = TidTable.over(trace.tid_names, trace.tid_index)
+        self._tid_index = trace.tid_index
         self._events = trace.events
         self._codes = trace.codes
         self._tix = trace.tix
@@ -302,18 +301,16 @@ class _EpochDetectorBase(Detector):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Streaming metadata GC (repro.serve.gc; criterion: GCFloors)
+    # Streaming metadata GC (repro.serve.gc, which states the criterion)
     # ------------------------------------------------------------------
-    def _view(self, values: List[int]) -> DenseVectorClock:
-        return DenseVectorClock(self._table, values=values)
-
-    def gc_cover_clocks(self, tid: Tid) -> List[DenseVectorClock]:
-        """The clocks whose component-wise min is live thread ``tid``'s
-        cover under this relation (see :class:`GCFloors`); empty when
-        the detector holds no clock for ``tid`` yet."""
+    def gc_cover_clocks(self, ti: int) -> List[List[int]]:
+        """The clocks whose component-wise min is live thread ``ti``'s
+        cover under this relation (the detector's own lists; missing
+        trailing components read as 0); empty when the detector holds
+        no clock for ``ti`` yet."""
         raise NotImplementedError
 
-    def gc_collect(self, floors: GCFloors) -> int:
+    def gc_collect(self, floor: List[float], dead: Set[int]) -> int:
         """Retire access metadata and synchronisation records no live
         thread can observe again; returns the entries dropped.
 
@@ -321,11 +318,9 @@ class _EpochDetectorBase(Detector):
         below the owner's floor, or a shared one whose maps empty, is
         forgotten outright: its next access starts it afresh as
         exclusive, which sees no racing prior, exactly as the scan over
-        the retired (covered) entries would have.
+        the retired (covered) entries would have. ``floor`` and ``dead``
+        are by thread index.
         """
-        tids = self._table.tids
-        floor = [floors.floor(tid) for tid in tids]
-        dead = {ti for ti, tid in enumerate(tids) if floors.is_dead(tid)}
         retired = 0
         states = self._vars
         for vi, st in enumerate(states):
@@ -353,12 +348,9 @@ class _EpochDetectorBase(Detector):
         and volatile tables) below ``floor`` (indexed by thread)."""
         return 0
 
-    def gc_drop_thread(self, tid: Tid) -> None:
+    def gc_drop_thread(self, ti: int) -> None:
         """Forget a joined thread's clocks, snapshot and pending
         critical-section variables."""
-        ti = self._table.index.get(tid)
-        if ti is None:
-            return
         self._snaps[ti] = None
         self._snap_ok[ti] = False
         self._pending_vars[ti] = {}
@@ -578,13 +570,15 @@ class _EpochDetectorBase(Detector):
     def _clock_values_of(self, tid: Tid) -> Optional[List[int]]:
         raise NotImplementedError
 
-    def clock_of(self, tid: Tid) -> Optional[DenseVectorClock]:
-        """The thread's current analysis clock as a live dense view
-        (None before its first event), mirroring the reference API."""
+    def clock_of(self, tid: Tid) -> Optional[VectorClock]:
+        """A copy of the thread's current analysis clock (None before
+        its first event), mirroring the reference API."""
         values = self._clock_values_of(tid)
         if values is None:
             return None
-        return DenseVectorClock(self._table, values=values)
+        assert self.trace is not None
+        return VectorClock({u: t for u, t in zip(self.trace.tid_names, values)
+                            if t})
 
     def ordered_to_current(self, prior: Event, tid: Tid) -> bool:
         if prior.tid == tid:
@@ -630,7 +624,7 @@ class EpochHBDetector(_EpochDetectorBase):
         self._pending_fork = {}
 
     def _clock_values_of(self, tid: Tid) -> Optional[List[int]]:
-        idx = self._table.index.get(tid)
+        idx = self._tid_index.get(tid)
         return None if idx is None else self._c[idx]
 
     # ------------------------------------------------------------------
@@ -648,15 +642,12 @@ class EpochHBDetector(_EpochDetectorBase):
         _extend(self._vol_writes, n_vols, None)
         _extend(self._vol_reads, n_vols, None)
 
-    def gc_cover_clocks(self, tid: Tid) -> List[DenseVectorClock]:
-        ti = self._table.index.get(tid)
-        if ti is None:
-            return []
+    def gc_cover_clocks(self, ti: int) -> List[List[int]]:
         c = self._c[ti]
         if c is not None:
-            return [self._view(c)]
+            return [c]
         pending = self._pending_fork.get(ti)
-        return [] if pending is None else [self._view(pending)]
+        return [] if pending is None else [pending]
 
     def _drop_thread(self, ti: int) -> None:
         self._c[ti] = None
@@ -898,7 +889,7 @@ class EpochWCPDetector(_RuleTablesBase):
         self._pending_fork = {}
 
     def _clock_values_of(self, tid: Tid) -> Optional[List[int]]:
-        idx = self._table.index.get(tid)
+        idx = self._tid_index.get(tid)
         return None if idx is None else self._p[idx]
 
     # ------------------------------------------------------------------
@@ -921,18 +912,15 @@ class EpochWCPDetector(_RuleTablesBase):
         # joins until P dominates them.
         return self._p[ti]
 
-    def gc_cover_clocks(self, tid: Tid) -> List[DenseVectorClock]:
+    def gc_cover_clocks(self, ti: int) -> List[List[int]]:
         # Both clocks must cover an entry before it can retire: rule
         # (a)/(b) and volatile sources join into P *and* H, and a forked
         # child's initial P is the parent's H snapshot.
-        ti = self._table.index.get(tid)
-        if ti is None:
-            return []
         h, p = self._h[ti], self._p[ti]
         if h is not None and p is not None:
-            return [self._view(h), self._view(p)]
+            return [h, p]
         pending = self._pending_fork.get(ti)
-        return [] if pending is None else [self._view(pending)]
+        return [] if pending is None else [pending]
 
     def _drop_thread(self, ti: int) -> None:
         self._h[ti] = None
@@ -1216,7 +1204,7 @@ class EpochDCDetector(_RuleTablesBase):
         return super().finish()
 
     def _clock_values_of(self, tid: Tid) -> Optional[List[int]]:
-        idx = self._table.index.get(tid)
+        idx = self._tid_index.get(tid)
         return None if idx is None else self._values[idx]
 
     # ------------------------------------------------------------------
@@ -1234,15 +1222,12 @@ class EpochDCDetector(_RuleTablesBase):
         # join nothing: the dominance check always passes.
         return self._values[ti]
 
-    def gc_cover_clocks(self, tid: Tid) -> List[DenseVectorClock]:
-        ti = self._table.index.get(tid)
-        if ti is None:
-            return []
+    def gc_cover_clocks(self, ti: int) -> List[List[int]]:
         values = self._values[ti]
         if values is not None:
-            return [self._view(values)]
+            return [values]
         pending = self._pending_fork.get(ti)
-        return [] if pending is None else [self._view(pending[1])]
+        return [] if pending is None else [pending[1]]
 
     def _drop_thread(self, ti: int) -> None:
         self._values[ti] = None

@@ -159,7 +159,7 @@ class DenseSourceClocks:
 
     def gc_retire(self, floor: Sequence[float]) -> int:
         """Drop entries at or below ``floor[ti]`` (streaming GC; see
-        :class:`~repro.analysis.base.GCFloors`); returns how many.
+        :mod:`repro.serve.gc`); returns how many.
 
         A retired entry could never contribute again: every live thread
         other than its source already covers its local time, so

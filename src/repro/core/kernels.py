@@ -12,6 +12,12 @@ into every ``vindicator.analyze/1`` document, the obs session meta
 record and the serve shard status, whose schemas predate the single
 implementation.
 
+A dense clock is a plain ``list`` of ints indexed by the trace's own
+thread index (``Trace.tid_names``/``tid_index``). Plain lists measured
+faster than ``array('q')`` for indexing and joins on CPython;
+``array`` is kept for long-lived packed columns
+(:mod:`repro.traces.packed`).
+
 Iteration-order contract: every dict-table kernel sees the table in
 insertion order (CPython dicts), and the del-then-insert maintenance
 (:func:`record_latest`) keeps that order most-recent-last — a pure
@@ -31,7 +37,6 @@ __all__ = [
     "join_into_list_changed",
     "dominates_list",
     "record_latest",
-    "slot_intern",
     "source_join_into",
     "rule_b_fixpoint",
     "gated_scan",
@@ -89,20 +94,6 @@ def record_latest(table: Dict[_K, _V], key: _K, value: _V) -> None:
     if key in table:
         del table[key]
     table[key] = value
-
-
-def slot_intern(index: Dict[Any, int], tids: List[Any],
-                   values: List[int], tid: Any) -> int:
-    """Intern ``tid`` into the (``index``, ``tids``) table and grow the
-    ``values`` storage to cover its slot; returns the slot index."""
-    idx = index.get(tid)
-    if idx is None:
-        idx = len(tids)
-        index[tid] = idx
-        tids.append(tid)
-    if idx >= len(values):
-        values.extend([0] * (len(tids) - len(values)))
-    return idx
 
 
 def source_join_into(entries: Dict[int, DenseRec], values: List[int],

@@ -27,6 +27,7 @@ import os
 import struct
 from typing import Any, Dict, Tuple
 
+from repro.core.exceptions import MalformedTraceError
 from repro.serve.protocol import ProtocolError
 from repro.serve.session import SessionAnalyzer, SessionConfig
 from repro.traces.packed import from_bytes, pack, to_bytes
@@ -101,7 +102,11 @@ def _parse(data: bytes, source: str) -> Tuple[Dict[str, Any], bytes]:
 
 def resume_session(path: str) -> SessionAnalyzer:
     """Rebuild a session from its checkpoint by replay, verifying the
-    determinism hash before handing the session back."""
+    determinism hash before handing the session back.
+
+    A payload that the decoder or the replay rejects as a malformed
+    trace is a corrupt checkpoint (:class:`CheckpointError`), not a
+    malformed client stream."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -117,7 +122,10 @@ def resume_session(path: str) -> SessionAnalyzer:
             or not isinstance(expected_events, int)):
         raise CheckpointError(f"{path}: header is missing session/"
                               "config/events/trace_hash")
-    packed = from_bytes(payload)  # full untrusted-input validation
+    try:
+        packed = from_bytes(payload)  # full untrusted-input validation
+    except MalformedTraceError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     if len(packed) != expected_events:
         raise CheckpointError(
             f"{path}: header claims {expected_events} events but the "
@@ -126,7 +134,10 @@ def resume_session(path: str) -> SessionAnalyzer:
     # The session's trace indexes each event as it accepts it, straight
     # from the packed columns: no unpacked Trace indexes them a second
     # time, and no Event is built.
-    analyzer.feed_rows(packed.rows())
+    try:
+        analyzer.feed_rows(packed.rows())
+    except MalformedTraceError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     actual = analyzer.hasher.hexdigest()
     if actual != expected_hash:
         raise CheckpointError(

@@ -8,13 +8,34 @@ which retires detector metadata no live thread can ever observe again:
 * rule-(b) critical-section records and the cursors of dead observers,
 * the per-thread clocks, snapshots, and caches of *joined* threads.
 
-The criterion (see :class:`repro.analysis.base.GCFloors`): an entry
-attributed to thread ``u`` at thread-local time ``t`` retires once every
-live thread's cover clock has ``u``'s component at ``>= t`` — then no
-future race scan or join can be affected by it, so the GC-on and GC-off
-runs produce bit-identical verdicts, racing sets, counters, and DC edge
-lists (the differential the tests pin). Soundness additionally requires
-a fork-closed stream, which GC-enabled sessions enforce at ingestion.
+Everything here is in the trace's thread-index space: the detectors'
+clocks are lists indexed by thread index, and so are the covers and
+floors computed from them.
+
+The criterion. A thread ``v`` is *live* when it may still produce
+events: started and neither ended nor joined, or forked and not yet
+begun. Its *cover* is a component-wise lower bound on every clock ``v``
+will ever use to observe other threads under the detector's relation:
+for HB ``C_v``; for WCP the component-wise min of ``H_v`` and ``P_v``
+(a forked child's initial ``P`` is the parent's ``H`` snapshot, so both
+must cover); for DC the thread clock. A pending forked child's cover is
+its stored fork snapshot, which lower-bounds its future clocks. The
+*floor* of thread ``u`` is the min over live ``v != u`` of ``cover_v[u]``
+(``+inf`` when no other thread is live).
+
+A metadata entry attributed to thread ``u`` at thread-local time ``t``
+is retirable iff ``t <= floor[u]``: every live thread other than ``u``
+already has ``u``'s component at ``>= t``, so no future race check or
+rule-(a)/(b) join can observe the entry. Race scans see
+``local_time <= clock[u]`` (not racing) and source-clock joins see
+``target[u] >= t`` (skipped). Retiring it is therefore invisible to
+verdicts, racing sets, counters, and the DC edge list: the GC-on and
+GC-off runs are bit-identical (the differential the tests pin).
+
+Soundness additionally requires a *fork-closed* stream: a thread that
+appeared out of nowhere would start with an empty clock and could race
+with already-retired entries. GC-enabled sessions enforce that at
+ingestion.
 
 The GC tick is a pure function of the accepted-event count, so it fires
 at the same stream positions regardless of how the client chunked its
@@ -23,36 +44,28 @@ frames — the property that makes checkpoint/resume deterministic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
-
-from repro.analysis.base import GCFloors
-from repro.core.events import Tid
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.smarttrack import _EpochDetectorBase
     from repro.serve.streaming import StreamingTrace
 
 
-def _cover(detector: _EpochDetectorBase, tid: Tid) -> Dict[Tid, int]:
-    """Component-wise min over the detector's cover clocks for ``tid``.
+def _cover(clocks: Sequence[List[int]]) -> List[int]:
+    """Component-wise min of a live thread's cover clocks (missing
+    trailing components read as 0, so the shortest clock bounds it)."""
+    if len(clocks) == 1:
+        return clocks[0]
+    return [min(column) for column in zip(*clocks)]
 
-    Components absent from any cover clock min to zero and are simply
-    omitted (``GCFloors`` treats missing as 0).
-    """
-    clocks = detector.gc_cover_clocks(tid)
-    if not clocks:
-        return {}
-    first = clocks[0]
-    cover: Dict[Tid, int] = {u: t for u, t in first}
-    for clock in clocks[1:]:
-        for u in list(cover):
-            other = clock.get(u)
-            if other < cover[u]:
-                if other:
-                    cover[u] = other
-                else:
-                    del cover[u]
-    return cover
+
+def _floors(covers: List[Tuple[int, List[int]]], n: int) -> List[float]:
+    """``floor[u]`` for every thread index ``u < n``: the min over live
+    ``v != u`` of ``cover_v[u]``, ``+inf`` when no other thread is
+    live."""
+    return [min((cover[u] if u < len(cover) else 0
+                 for v, cover in covers if v != u), default=float("inf"))
+            for u in range(n)]
 
 
 def collect(trace: StreamingTrace,
@@ -60,18 +73,18 @@ def collect(trace: StreamingTrace,
     """Run one GC pass over every detector; returns entries retired.
 
     A live thread with no clock yet (e.g. forked before its parent's
-    snapshot survived — impossible today, but belt and braces) maps to
-    an empty cover, pinning every floor at zero rather than silently
+    snapshot survived — impossible today, but belt and braces) has an
+    empty cover, pinning every floor at zero rather than silently
     loosening the criterion.
     """
     dead = trace.dead_tids()
     live = trace.cover_tids()
     joined = trace.joined_tids()
+    n = len(trace.tid_names)
     retired = 0
     for detector in detectors:
-        covers = {tid: _cover(detector, tid) for tid in live}
-        floors = GCFloors(covers, dead)
-        retired += detector.gc_collect(floors)
-        for tid in joined:
-            detector.gc_drop_thread(tid)
+        covers = [(v, _cover(detector.gc_cover_clocks(v))) for v in live]
+        retired += detector.gc_collect(_floors(covers, n), dead)
+        for ti in joined:
+            detector.gc_drop_thread(ti)
     return retired

@@ -45,32 +45,30 @@ class StreamingTrace(Trace):
         self.require_fork_closed = require_fork_closed
         self.provenance = dict(provenance or {})
         self._index = self._indexer(validate=True)
-        self._forked: Set[Tid] = set()
-        self._joined: Set[Tid] = set()
-        self._ended: Set[Tid] = set()
-        #: Thread indices that are joined or ended (one lookup per event).
+        # Liveness, by thread index.
+        self._forked: Set[int] = set()
+        self._joined: Set[int] = set()
+        self._ended: Set[int] = set()
+        #: Joined or ended (one lookup per event).
         self._stopped: Set[int] = set()
 
     # ------------------------------------------------------------------
-    # Liveness bookkeeping consumed by the GC driver
+    # Liveness bookkeeping consumed by the GC driver (thread indices)
     # ------------------------------------------------------------------
-    def dead_tids(self) -> Set[Tid]:
+    def dead_tids(self) -> Set[int]:
         """Threads that can produce no further events (ended or joined)."""
         return self._ended | self._joined
 
-    def joined_tids(self) -> Set[Tid]:
+    def joined_tids(self) -> Set[int]:
         return set(self._joined)
 
-    def cover_tids(self) -> List[Tid]:
+    def cover_tids(self) -> List[int]:
         """Threads whose clocks constrain retirement: every started
         thread that is not dead, plus forked-but-not-yet-begun children
         (their stored fork snapshots lower-bound their future clocks)."""
-        dead = self.dead_tids()
-        started = self._thread_events
-        live = [tid for tid in started if tid not in dead]
-        live.extend(tid for tid in self._forked
-                    if tid not in started and tid not in self._joined)
-        return live
+        stopped, forked = self._stopped, self._forked
+        return [ti for ti, eids in enumerate(self.thread_eids)
+                if ti not in stopped and (eids or ti in forked)]
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -99,9 +97,10 @@ class StreamingTrace(Trace):
         table grew, so the detectors must size their tables before they
         handle the event."""
         eid = len(self.codes)
-        ti = self.tid_index.get(tid)
+        tid_index = self.tid_index
+        ti = tid_index.get(tid)
         if ti is not None and ti in self._stopped:
-            if tid in self._joined:
+            if ti in self._joined:
                 raise MalformedTraceError(
                     f"{_describe(eid, tid, code, target)}: thread {tid!r} "
                     "executes after its join", event_index=eid)
@@ -110,7 +109,7 @@ class StreamingTrace(Trace):
                 "executes after its end", event_index=eid)
         new_thread = tid not in self._thread_events
         if (new_thread and self.require_fork_closed and self._thread_events
-                and tid not in self._forked):
+                and (ti is None or ti not in self._forked)):
             raise MalformedTraceError(
                 f"{_describe(eid, tid, code, target)}: thread {tid!r} appears "
                 "without a fork (this session runs metadata GC, which "
@@ -133,7 +132,7 @@ class StreamingTrace(Trace):
                 raise MalformedTraceError(
                     f"{_describe(eid, tid, code, target)}: thread forks "
                     "itself", event_index=eid)
-            if target in self._forked:
+            if tid_index.get(target) in self._forked:
                 raise MalformedTraceError(
                     f"{_describe(eid, tid, code, target)}: thread "
                     f"{target!r} forked twice", event_index=eid)
@@ -142,7 +141,7 @@ class StreamingTrace(Trace):
                     f"{_describe(eid, tid, code, target)}: thread "
                     f"{target!r} executes before its fork", event_index=eid)
         elif code == CODE_JOIN:
-            if target in self._joined:
+            if tid_index.get(target) in self._joined:
                 raise MalformedTraceError(
                     f"{_describe(eid, tid, code, target)}: thread "
                     f"{target!r} joined twice", event_index=eid)
@@ -154,11 +153,11 @@ class StreamingTrace(Trace):
         grew = self._index(((tid, code, target, loc),))
         if code > CODE_RELEASE:
             if code == CODE_FORK:
-                self._forked.add(target)
+                self._forked.add(self.tgt[eid])
             elif code == CODE_JOIN:
-                self._joined.add(target)
+                self._joined.add(self.tgt[eid])
                 self._stopped.add(self.tgt[eid])
             elif code == CODE_END:
-                self._ended.add(tid)
+                self._ended.add(self.tix[eid])
                 self._stopped.add(self.tix[eid])
         return grew

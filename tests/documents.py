@@ -1,4 +1,5 @@
-"""Helpers for comparing ``vindicator.analyze/1`` documents."""
+"""Helpers for comparing ``vindicator.analyze/1`` documents and for
+reading ``--metrics`` span trees."""
 
 import json
 
@@ -17,3 +18,20 @@ def blank_timings(doc):
             return [blank(item) for item in node]
         return node
     return blank(json.loads(json.dumps(doc)))
+
+
+def span_totals(path):
+    """Total ``elapsed_seconds`` per span name in the ``--metrics``
+    document at ``path``, over every span of the tree (children
+    included, repeated names summed)."""
+    with open(path, encoding="utf-8") as handle:
+        spans = json.load(handle)["spans"]
+    totals = {}
+
+    def walk(nodes):
+        for span in nodes:
+            name = span["name"]
+            totals[name] = totals.get(name, 0.0) + span["elapsed_seconds"]
+            walk(span.get("children", []))
+    walk(spans)
+    return totals

@@ -19,11 +19,13 @@ import urllib.request
 
 import pytest
 
+from repro.core.events import EventKind
 from repro.core.trace import Trace
 from repro.obs.export import BLOCK_BYTES
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
-from repro.serve.checkpoint import resume_session, write_checkpoint
+from repro.serve.checkpoint import (CHECKPOINT_MAGIC, resume_session,
+                                    write_checkpoint)
 from repro.serve.client import ServeClient, ServeError
 from repro.serve import protocol
 from repro.serve.protocol import (MAX_FRAME_BYTES, ProtocolError, decode_frame,
@@ -32,7 +34,7 @@ from repro.serve.server import ServeDaemon
 from repro.serve.session import SessionAnalyzer, SessionConfig
 from repro.serve.shard import checkpoint_path, shard_of
 from repro.traces.io import dumps_trace, format_event
-from repro.traces.packed import trace_hash
+from repro.traces.packed import KIND_ORDER, PACKED_MAGIC, trace_hash
 from repro.vindicate.vindicator import Vindicator
 
 #: Differential matrix: enough workloads to cover fork/join, lock, and
@@ -348,6 +350,47 @@ class TestCheckpointResume:
             with pytest.raises(ServeError) as excinfo:
                 client.hello("bad", resume=str(path))
         assert excinfo.value.code == "checkpoint"
+
+    @pytest.mark.parametrize("damage", ["truncated", "kind-out-of-range",
+                                        "acquire-made-write"])
+    def test_corrupt_columns_are_a_checkpoint_error(self, daemon_factory,
+                                                    tmp_path, damage):
+        """A real checkpoint damaged inside its column region answers
+        ``checkpoint`` (not ``malformed-trace``), whether the decoder or
+        the replay rejects it, and the daemon keeps serving."""
+        daemon = daemon_factory()
+        path = tmp_path / "cut.vckp"
+        with connect(daemon) as client:
+            client.hello("cut")
+            client.events("cut", ["T1 begin", "T1 acq m", "T1 wr x",
+                                  "T1 rel m", "T1 rd x", "T1 end"])
+            client.checkpoint("cut", path=str(path))
+        data = bytearray(path.read_bytes())
+        # The packed payload follows the checkpoint header; its kinds
+        # column (one byte per event) follows the packed header.
+        offset = len(CHECKPOINT_MAGIC)
+        offset += 8 + int.from_bytes(data[offset:offset + 8], "little")
+        offset += len(PACKED_MAGIC)
+        kinds = offset + 4 + int.from_bytes(data[offset:offset + 4],
+                                            "little")
+        if damage == "truncated":
+            del data[-3:]
+        elif damage == "kind-out-of-range":
+            data[kinds] = 0xFF
+        else:  # decodes, but the replay sees a release of an unheld lock
+            assert data[kinds + 1] == KIND_ORDER.index(EventKind.ACQUIRE)
+            data[kinds + 1] = KIND_ORDER.index(EventKind.WRITE)
+        path.write_bytes(bytes(data))
+        fresh = daemon_factory()
+        with connect(fresh) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.hello("cut", resume=str(path))
+            assert excinfo.value.code == "checkpoint"
+            assert str(path) in excinfo.value.error["message"]
+            assert client.ping()["ok"]
+            client.hello("cut")
+            client.events("cut", ["T1 begin", "T1 wr x"])
+            assert client.status("cut")["events"] == 2
 
 
 class TestProtocolErrors:

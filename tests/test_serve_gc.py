@@ -105,6 +105,24 @@ class TestGCDifferential:
         without = run_session(trace, 0)
         assert session_fingerprint(with_gc) == session_fingerprint(without)
 
+    @pytest.mark.parametrize("gc_window", [1, 2, 3])
+    def test_thread_lifecycle_edges_bit_identical(self, gc_window):
+        """Covers at the edges of a thread's life: a child forked
+        several GC passes before its first event (its cover is the
+        pending fork snapshot, which must keep the ended sibling's
+        unsynchronized write alive for the race it later makes), a
+        thread forked and joined without ever running, and a thread
+        that ends while the others continue."""
+        events = lifecycle_stream()
+        with_gc = run_session(events, gc_window)
+        without = run_session(events, 0)
+        assert with_gc.gc_runs >= len(events) // 3
+        assert with_gc.gc_retired > 0
+        assert session_fingerprint(with_gc) == session_fingerprint(without)
+        # The late child's q write races with the ended sibling's.
+        late_q = next(e.eid for e in events if e.tid == 1 and e.target == "q")
+        assert late_q in without.hb.racing_at
+
     def test_gc_session_rejects_unforked_threads(self):
         """GC is sound only on fork-closed streams, so GC-enabled
         sessions must refuse a thread that appears from nowhere."""
@@ -125,6 +143,31 @@ class TestGCDifferential:
             Event(2, 2, EventKind.WRITE, "x"),
         ])
         assert len(relaxed.trace) == 3
+
+
+def lifecycle_stream():
+    """Root 0 forks 1 (runs late), 2 (never runs) and 3 (ends early);
+    0 and 3 synchronize on ``m`` while 1 is pending, 0 joins 2 and 3
+    ends, then 1 runs: it races with 3's unsynchronized ``q`` write
+    (and, under DC only, with 0's ``w`` write) and synchronizes on
+    ``m`` and ``v``."""
+    rows = [(0, "begin"), (0, "acq", "m"), (0, "wr", "x"), (0, "rd", "y"),
+            (0, "rel", "m"), (0, "fork", 1), (0, "fork", 2), (0, "fork", 3),
+            (3, "begin"), (3, "wr", "q")]
+    for _ in range(4):
+        rows += [(3, "acq", "m"), (3, "wr", "x"), (3, "rel", "m"),
+                 (0, "acq", "m"), (0, "rd", "x"), (0, "wr", "z"),
+                 (0, "rel", "m"), (0, "vwr", "v")]
+    rows += [(0, "join", 2), (0, "wr", "w"), (3, "vrd", "v"), (3, "end")]
+    for _ in range(3):
+        rows += [(0, "acq", "m"), (0, "wr", "y"), (0, "rel", "m")]
+    rows += [(1, "begin"), (1, "wr", "q"), (1, "acq", "m"), (1, "wr", "x"),
+             (1, "rd", "z"), (1, "rel", "m"), (1, "vrd", "v"),
+             (1, "rd", "w"), (0, "acq", "m"), (0, "wr", "y"),
+             (0, "rel", "m"), (1, "end"), (0, "join", 1), (0, "end")]
+    kinds = {kind.value: kind for kind in EventKind}
+    return [Event(eid, row[0], kinds[row[1]], *row[2:])
+            for eid, row in enumerate(rows)]
 
 
 # ----------------------------------------------------------------------

@@ -1,137 +1,19 @@
-"""Unit and property tests for the dense array-backed clock kernel.
+"""Property tests for the dense list-clock kernels.
 
-:class:`~repro.core.vectorclock_dense.DenseVectorClock` must be a
-drop-in for the dict-backed :class:`~repro.core.vectorclock.VectorClock`
-— same values after any operation sequence, same ``version`` contract
-(``advance`` exempt), same protocol surface — plus the list kernels
-(:func:`join_into_list` etc.) must agree with the object API they
-shortcut.
+The epoch detectors keep every clock as a plain list indexed by thread
+index; :func:`join_into_list`, :func:`join_into_list_changed` and
+:func:`dominates_list` must agree with the component-wise definitions,
+missing trailing components reading as 0.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.vectorclock import VectorClock
-from repro.core.vectorclock_dense import (
-    DenseVectorClock,
-    TidTable,
+from repro.core.kernels import (
     dominates_list,
     join_into_list,
     join_into_list_changed,
 )
-
-TIDS = [1, 2, 3, 4]
-
-
-class TestTidTable:
-    def test_interning_is_stable_and_dense(self):
-        table = TidTable([3, 1])
-        assert table.intern(3) == 0
-        assert table.intern(1) == 1
-        assert table.intern(7) == 2  # new tid gets the next index
-        assert table.intern(7) == 2  # ... and keeps it
-        assert table.tids == [3, 1, 7]
-        assert len(table) == 3
-
-
-class TestDenseBasics:
-    def test_zero_clock(self):
-        clock = DenseVectorClock(TidTable(TIDS))
-        assert clock.get(1) == 0
-        assert clock.get(99) == 0  # unknown tid is implicitly zero
-        assert not clock
-        assert len(clock) == 0
-        assert clock.as_dict() == {}
-
-    def test_set_get_advance_increment(self):
-        clock = DenseVectorClock(TidTable(TIDS))
-        clock.set(1, 5)
-        assert clock.get(1) == 5 and clock.version == 1
-        clock.advance(1, 6)
-        assert clock.get(1) == 6 and clock.version == 1  # no bump
-        assert clock.increment(2) == 1
-        assert clock.get(2) == 1 and clock.version == 2
-
-    def test_late_interned_tid_grows_storage(self):
-        table = TidTable([1])
-        clock = DenseVectorClock(table)
-        table.intern(2)  # another clock's thread appears
-        clock.set(2, 3)
-        assert clock.get(2) == 3
-        assert clock.as_dict() == {2: 3}
-
-    def test_values_list_is_shared_not_copied(self):
-        # Detector-internal views rely on this aliasing.
-        table = TidTable(TIDS)
-        backing = [1, 2, 0, 0]
-        view = DenseVectorClock(table, values=backing)
-        backing[2] = 9
-        assert view.get(3) == 9
-        assert view.copy().get(3) == 9
-        view.copy()._values[2] = 0  # the copy, however, is detached
-        assert view.get(3) == 9
-
-    def test_unhashable(self):
-        with pytest.raises(TypeError):
-            hash(DenseVectorClock(TidTable(TIDS)))
-
-    def test_cross_representation_equality_and_join(self):
-        dense = DenseVectorClock(TidTable(TIDS), clocks={1: 4, 3: 2})
-        sparse = VectorClock({1: 4, 3: 2})
-        assert dense == sparse
-        assert dense.as_dict() == sparse.as_dict()
-        other = DenseVectorClock(TidTable([9]), clocks={9: 1})
-        assert dense.join(other)  # foreign-table join goes via __iter__
-        assert dense.get(9) == 1
-
-
-ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("set"), st.sampled_from(TIDS), st.integers(0, 9)),
-        st.tuples(st.just("advance"), st.sampled_from(TIDS),
-                  st.integers(0, 9)),
-        st.tuples(st.just("increment"), st.sampled_from(TIDS),
-                  st.just(0)),
-        st.tuples(st.just("join"), st.sampled_from(TIDS), st.just(0)),
-    ),
-    max_size=30,
-)
-
-
-class TestDifferentialVsSparse:
-    @settings(max_examples=100, deadline=None)
-    @given(script=ops)
-    def test_same_values_and_versions_after_any_op_sequence(self, script):
-        """Run one random operation script against both representations
-        (per-thread clocks, joins between them) and demand identical
-        values, domination results, and version deltas throughout."""
-        table = TidTable(TIDS)
-        dense = {t: DenseVectorClock(table) for t in TIDS}
-        sparse = {t: VectorClock() for t in TIDS}
-        for op, tid, arg in script:
-            if op == "set":
-                dense[tid].set(tid, arg)
-                sparse[tid].set(tid, arg)
-            elif op == "advance":
-                dense[tid].advance(tid, arg)
-                sparse[tid].advance(tid, arg)
-            elif op == "increment":
-                assert dense[tid].increment(tid) == sparse[tid].increment(tid)
-            else:  # join tid's clock into every other thread's clock
-                for other in TIDS:
-                    if other != tid:
-                        changed_d = dense[other].join(dense[tid])
-                        changed_s = sparse[other].join(sparse[tid])
-                        assert changed_d == changed_s
-            for t in TIDS:
-                assert dense[t] == sparse[t], (op, tid, arg)
-                assert dense[t].version == sparse[t].version
-                assert dict(iter(dense[t])) == dict(iter(sparse[t]))
-                for u in TIDS:
-                    assert (dense[t].dominates(dense[u])
-                            == sparse[t].dominates(sparse[u]))
-
 
 values_lists = st.lists(st.integers(0, 9), min_size=0, max_size=6)
 
