@@ -198,8 +198,6 @@ class Trace:
         #: ``Event`` can carry it; the text format has no such field).
         self.marker_targets: Dict[int, Target] = {}
         self.thread_eids: List[List[int]] = []
-        #: The executing threads' eid lists, by first event.
-        self._thread_events: Dict[Tid, List[int]] = {}
         self._match_rel: Dict[int, int] = {}  # acquire eid -> release eid
         self._match_acq: Dict[int, int] = {}  # release eid -> acquire eid
         self.events = EventView(self)
@@ -252,7 +250,7 @@ class Trace:
         codes, tix, tgt, held = self.codes, self.tix, self.tgt, self.held
         match_rel, match_acq = self._match_rel, self._match_acq
         tid_names, tid_index = self.tid_names, self.tid_index
-        thread_eids, thread_events = self.thread_eids, self._thread_events
+        thread_eids = self.thread_eids
         var_names, lock_names = self.var_names, self.lock_names
         vol_names, marker_targets = self.vol_names, self.marker_targets
         var_ix: Dict[Target, int] = {}
@@ -313,8 +311,6 @@ class Trace:
                     ti = new_thread(tid)
                     grew = True
                 own = thread_eids[ti]
-                if not own:
-                    thread_events[tid] = own
                 own.append(eid)
                 add_local(len(own))
                 add_tix(ti)
@@ -415,8 +411,9 @@ class Trace:
                     f"{e}: access without a target", event_index=e.eid)
         if first is not None:
             raise first
+        thread_eids, tid_index = self.thread_eids, self.tid_index
         for tid, fork_eid in forked.items():
-            eids = self._thread_events.get(tid, [])
+            eids = thread_eids[tid_index[tid]]
             if eids and eids[0] < fork_eid:
                 raise MalformedTraceError(
                     f"thread {tid!r} executes event #{eids[0]} before its fork "
@@ -424,7 +421,7 @@ class Trace:
                     event_index=eids[0],
                 )
         for tid, join_eid in joined.items():
-            eids = self._thread_events.get(tid, [])
+            eids = thread_eids[tid_index[tid]]
             if eids and eids[-1] > join_eid:
                 raise MalformedTraceError(
                     f"thread {tid!r} executes event #{eids[-1]} after its join "
@@ -478,7 +475,7 @@ class Trace:
         acquire = self._match_acq[release.eid]
         return [
             self.events[eid]
-            for eid in self._thread_events[release.tid]
+            for eid in self.thread_eids[self.tix[release.eid]]
             if acquire <= eid <= release.eid
         ]
 
@@ -506,26 +503,22 @@ class Trace:
 
     @property
     def threads(self) -> List[Tid]:
-        """The executing threads' ids, in order of their first event."""
-        return list(self._thread_events)
-
-    def thread_positions(self) -> List[int]:
-        """Per thread index (into ``tid_names``), the thread's position
-        in :attr:`threads`, or -1 for a fork/join target that executes
-        nothing. The two orders differ: ``tid_names`` interns a thread at
-        its first event or at the first fork/join of it, while
-        ``threads`` lists the executing threads by first event."""
-        position = {tid: i for i, tid in enumerate(self._thread_events)}
-        return [position.get(tid, -1) for tid in self.tid_names]
+        """The executing threads' ids, in order of their first event
+        (which need not be ``tid_names``' order: a fork/join target is
+        interned before it runs, or without running at all)."""
+        names = self.tid_names
+        return [names[ti] for _, ti in sorted(
+            (eids[0], ti) for ti, eids in enumerate(self.thread_eids) if eids)]
 
     def events_of(self, tid: Tid) -> List[Event]:
         """All events of thread ``tid``, in program order."""
-        return [self.events[i] for i in self._thread_events.get(tid, [])]
+        return [self.events[i] for i in self.eids_of(tid)]
 
     def eids_of(self, tid: Tid) -> Sequence[int]:
         """The event ids of thread ``tid``, in program order, without
         copying (read-only)."""
-        return self._thread_events.get(tid, ())
+        ti = self.tid_index.get(tid)
+        return () if ti is None else self.thread_eids[ti]
 
     def accesses(self) -> Iterator[Event]:
         """Iterate over the plain read/write events."""
@@ -555,7 +548,7 @@ class Trace:
                         yield e1, e2
 
     def __repr__(self) -> str:
-        return f"Trace({len(self)} events, {len(self._thread_events)} threads)"
+        return f"Trace({len(self)} events, {len(self.threads)} threads)"
 
 
 class TraceBuilder:

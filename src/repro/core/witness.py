@@ -5,10 +5,11 @@ A witness is a correctly reordered trace in which the racing pair
 constructor almost always builds one of a single shape: the observed
 trace restricted to a *cut* — one program-order prefix per thread — and
 then ``first, second``. :class:`CutWitness` stores just that: the prefix
-lengths, in ``trace.threads`` order, and the pair. Its event list is
-built only on demand (:meth:`CutWitness.events`), for rendering and for
-tests. Whatever the constructor reorders comes as a
-:class:`ListedWitness`, an explicit event list.
+lengths, one per thread index (``trace.tid_names``' order), and the
+pair. Its event list is built only on demand
+(:meth:`CutWitness.events`), for rendering and for tests. Whatever the
+constructor reorders comes as a :class:`ListedWitness`, an explicit
+event list.
 
 Both forms share ``first``, ``second``, ``events()`` and ``len()``, so
 callers that only report or render a witness need not know which form
@@ -31,8 +32,9 @@ class CutWitness:
 
     Attributes:
         trace: The observed trace the cut is taken over.
-        cut: Per thread, in ``trace.threads`` order, how many of its
-            first events the witness holds before the racing pair.
+        cut: Per thread index (into ``trace.tid_names``), how many of
+            its first events the witness holds before the racing pair
+            (0 for a fork/join target that never runs).
         first: The racing event placed second to last.
         second: The racing event placed last.
     """
@@ -48,10 +50,9 @@ class CutWitness:
 
     def events(self) -> List[Event]:
         """The witness as an event list (O(|witness|))."""
-        trace = self.trace
-        events = trace.events
-        prefixes = [trace.eids_of(tid)[:count]
-                    for tid, count in zip(trace.threads, self.cut) if count]
+        events = self.trace.events
+        prefixes = [eids[:count] for eids, count
+                    in zip(self.trace.thread_eids, self.cut) if count]
         listed = [events[eid] for eid in merge(*prefixes)]
         listed.append(self.first)
         listed.append(self.second)

@@ -17,10 +17,10 @@ afterwards, leaving ``G`` pristine for the next race (Section 6.1,
 "VindicateRace").
 
 :class:`ConstraintGraph` stores every edge, program order included: the
-reference DC detector and serve sessions build it, one ``prev(e) → e``
-edge per event. The epoch DC detector builds the subclass
-:class:`~repro.graph.program_order.ProgramOrderGraph`, which reads
-program order from the trace and stores only the other edges. Every
+reference DC detector builds it, one ``prev(e) → e`` edge per event.
+The epoch DC detector, which the CLI and serve sessions run, builds the
+subclass :class:`~repro.graph.program_order.ProgramOrderGraph`, which
+reads program order from the trace and stores only the other edges. Every
 query below is written against :meth:`successor_set` /
 :meth:`predecessor_set`, so it serves both.
 

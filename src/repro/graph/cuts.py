@@ -2,17 +2,21 @@
 
 VindicateRace (Algorithm 1) asks ``G`` for the ancestors and
 descendants of event sets and for ``reaches`` probes. ``G`` contains
-every program-order edge ``prev(e) → e``: the production
-:class:`~repro.graph.program_order.ProgramOrderGraph` by construction
-(it reads PO from the trace), a plain
+every program-order edge ``prev(e) → e``: the
+:class:`~repro.graph.program_order.ProgramOrderGraph` that the epoch DC
+detector builds (for the CLI and serve sessions) by construction, as
+it reads PO from the trace; a plain
 :class:`~repro.graph.constraint_graph.ConstraintGraph` because the
-reference DC detector and serve sessions store one per event (checked
-at build; a graph without PO is refused). So a strict ancestor set is
-closed downward in program order: it is a *cut*, one prefix per
-thread, stored as the latest 1-based local time it holds per thread (0
-for none). A descendant set is closed upward: one suffix per thread,
-stored as the earliest local time it holds (``len(trace) + 1`` for
-none).
+reference DC detector stores one per event (checked at build; a graph
+without PO is refused). So a strict ancestor set is closed downward in
+program order: it is a *cut*, one prefix per thread, stored as the
+latest 1-based local time it holds per thread (0 for none). A
+descendant set is closed upward: one suffix per thread, stored as the
+earliest local time it holds (``len(trace) + 1`` for none). A cut has
+one slot per thread index, the trace's own numbering (``trace.tix``,
+``trace.thread_eids``): a fork/join target that never runs keeps its
+slot, 0 in every ancestor cut and ``len(trace) + 1`` in every
+descendant cut.
 
 :class:`CutIndex` keeps two cut tables over the trace, built once by
 one forward and one reverse pass over the graph's *forward* cross-thread
@@ -47,10 +51,10 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.core.events import CODE_ACQUIRE, CODE_RELEASE, Target, Tid
+from repro.core.events import CODE_ACQUIRE, CODE_RELEASE
 from repro.core.trace import Trace
 from repro.graph.constraint_graph import ConstraintGraph
 
@@ -83,17 +87,13 @@ class CutIndex:
         self._desc_cuts: List[List[Cut]] = []
         self._zero: Cut = ()
         self._none: Cut = ()
-        #: Per thread index: the thread's event ids in program order.
-        self._eids: List[Sequence[int]] = []
-        #: Per event: its thread's index, its position in
-        #: ``trace.threads``.
-        self._thread: List[int] = []
-        #: ``(thread index, tid, lock, sorted local times)`` of the
+        #: ``(thread index, lock index, sorted local times)`` of the
         #: thread's acquires (releases) of the lock.
-        self._acquires: List[Tuple[int, Tid, Target, List[int]]] = []
-        self._releases: List[Tuple[int, Tid, Target, List[int]]] = []
-        #: Per lock: ``(thread index, sorted local times)`` of its acquires.
-        self._lock_acquires: Dict[Target, List[Tuple[int, List[int]]]] = {}
+        self._acquires: List[Tuple[int, int, List[int]]] = []
+        self._releases: List[Tuple[int, int, List[int]]] = []
+        #: Per lock index: ``(thread index, sorted local times)`` of its
+        #: acquires.
+        self._lock_acquires: Dict[int, List[Tuple[int, List[int]]]] = {}
         #: Edges the tables do not cover, in insertion order.
         self._overlay: Dict[Edge, None] = {}
         self.hits = 0
@@ -137,19 +137,15 @@ class CutIndex:
         with obs.span("vindicate.cut_index") as span:
             self.misses += 1
             self._overlay = dict.fromkeys(sorted(graph.backward_edges()))
-            threads = trace.threads
-            self._eids = [trace.eids_of(tid) for tid in threads]
-            positions = trace.thread_positions()
-            self._thread = [positions[t] for t in trace.tix]
-            width = len(threads)
+            width = len(trace.tid_names)
             self._zero = (0,) * width
             self._none = (len(trace) + 1,) * width
             self._index_locks()
             if not graph.implicit_program_order:
                 self._check_program_order()
             into, out_of = self._cross_edges()
-            self._forward_pass(into)
-            self._reverse_pass(out_of)
+            self._forward_pass(into, width)
+            self._reverse_pass(out_of, width)
             self._generation = graph.generation
             self._journal_pos = graph.journal_position
             span.annotate("events", len(trace))
@@ -160,7 +156,7 @@ class CutIndex:
     def _check_program_order(self) -> None:
         """Refuse a graph that stores its edges but lacks a PO edge."""
         has_edge = self.graph.has_edge
-        for eids in self._eids:
+        for eids in self.trace.thread_eids:
             for prev, eid in zip(eids, eids[1:]):
                 if not has_edge(prev, eid):
                     raise ValueError(
@@ -174,27 +170,26 @@ class CutIndex:
         and by source. Their sinks are the forward pass's junctions and
         their sources the reverse pass's: every other event's cut is its
         thread neighbour's."""
-        thread_of = self.thread_of
+        tix = self.trace.tix
         into: Dict[int, List[int]] = {}
         out_of: Dict[int, List[int]] = {}
         for src, dst in self.graph.stored_edges():
-            if src < dst and thread_of(src) != thread_of(dst):
+            if src < dst and tix[src] != tix[dst]:
                 into.setdefault(dst, []).append(src)
                 out_of.setdefault(src, []).append(dst)
         return into, out_of
 
-    def _forward_pass(self, into: Dict[int, List[int]]) -> None:
+    def _forward_pass(self, into: Dict[int, List[int]], width: int) -> None:
         """Ancestor cuts of the junctions in eid order: a junction's cut
         joins its thread predecessor's with each cross-thread forward
         predecessor's cut and local time."""
-        local, thread_of = self.trace.local_time, self.thread_of
-        width = len(self._eids)
+        local, tix = self.trace.local_time, self.trace.tix
         self._anc_at = at = [[] for _ in range(width)]
         self._anc_cuts = cuts = [[] for _ in range(width)]
         anc_at = self._anc_at_time
         for eid in sorted(into):
-            t = thread_of(eid)
-            preds = [(thread_of(pred), local[pred]) for pred in into[eid]]
+            t = tix[eid]
+            preds = [(tix[pred], local[pred]) for pred in into[eid]]
             joined = list(map(max, anc_at(t, local[eid] - 1),
                               *[anc_at(tp, time) for tp, time in preds]))
             for tp, time in preds:
@@ -203,17 +198,16 @@ class CutIndex:
             at[t].append(local[eid])
             cuts[t].append(tuple(joined))
 
-    def _reverse_pass(self, out_of: Dict[int, List[int]]) -> None:
+    def _reverse_pass(self, out_of: Dict[int, List[int]], width: int) -> None:
         """Descendant cuts of the junctions in reverse eid order, the
         mirror image of :meth:`_forward_pass`."""
-        local, thread_of = self.trace.local_time, self.thread_of
-        width = len(self._eids)
+        local, tix = self.trace.local_time, self.trace.tix
         self._desc_at = at = [[] for _ in range(width)]
         self._desc_cuts = cuts = [[] for _ in range(width)]
         desc_at = self._desc_at_time
         for eid in sorted(out_of, reverse=True):
-            t = thread_of(eid)
-            succs = [(thread_of(succ), local[succ]) for succ in out_of[eid]]
+            t = tix[eid]
+            succs = [(tix[succ], local[succ]) for succ in out_of[eid]]
             joined = list(map(min, desc_at(t, local[eid] + 1),
                               *[desc_at(ts, time) for ts, time in succs]))
             for ts, time in succs:
@@ -235,35 +229,34 @@ class CutIndex:
         return self._desc_cuts[t][i - 1] if i else self._none
 
     def _anc(self, eid: int) -> Cut:
-        return self._anc_at_time(self.thread_of(eid),
+        return self._anc_at_time(self.trace.tix[eid],
                                  self.trace.local_time[eid])
 
     def _desc(self, eid: int) -> Cut:
-        return self._desc_at_time(self.thread_of(eid),
+        return self._desc_at_time(self.trace.tix[eid],
                                   self.trace.local_time[eid])
 
     def _index_locks(self) -> None:
         """Per (thread, lock): sorted local times of acquires and
         releases, from the trace's columns."""
         trace = self.trace
-        codes, thread, tgt = trace.codes, self._thread, trace.tgt
+        codes, tix, tgt = trace.codes, trace.tix, trace.tgt
         local = trace.local_time
         acquires: Dict[Tuple[int, int], List[int]] = {}
         releases: Dict[Tuple[int, int], List[int]] = {}
         for eid, code in enumerate(codes):
             if code == CODE_ACQUIRE:
-                acquires.setdefault((thread[eid], tgt[eid]), []).append(
+                acquires.setdefault((tix[eid], tgt[eid]), []).append(
                     local[eid])
             elif code == CODE_RELEASE:
-                releases.setdefault((thread[eid], tgt[eid]), []).append(
+                releases.setdefault((tix[eid], tgt[eid]), []).append(
                     local[eid])
-        tids, locks = trace.threads, trace.lock_names
-        self._acquires = [(t, tids[t], locks[lock], times)
+        self._acquires = [(t, lock, times)
                           for (t, lock), times in acquires.items()]
-        self._releases = [(t, tids[t], locks[lock], times)
+        self._releases = [(t, lock, times)
                           for (t, lock), times in releases.items()]
         self._lock_acquires = {}
-        for t, _, lock, times in self._acquires:
+        for t, lock, times in self._acquires:
             self._lock_acquires.setdefault(lock, []).append((t, times))
 
     # ------------------------------------------------------------------
@@ -273,12 +266,12 @@ class CutIndex:
         """The strict ancestor set of ``roots`` as a cut: per thread
         index, the latest local time it holds (0 for none)."""
         self.sync()
-        anc, thread, local = self._anc, self.thread_of, self.trace.local_time
+        anc, thread, local = self._anc, self.trace.tix, self.trace.local_time
         roots = tuple(roots)
         cut = list(self._zero)
         for root in roots:
             cut = list(map(max, cut, anc(root)))
-            t = thread(root)
+            t = thread[root]
             if cut[t] < local[root] - 1:
                 cut[t] = local[root] - 1
         pending = list(self._overlay)
@@ -286,9 +279,9 @@ class CutIndex:
         while pending:
             rest = []
             for src, dst in pending:
-                if dst in roots or local[dst] <= cut[thread(dst)]:
+                if dst in roots or local[dst] <= cut[thread[dst]]:
                     cut = list(map(max, cut, anc(src)))
-                    t = thread(src)
+                    t = thread[src]
                     if cut[t] < local[src]:
                         cut[t] = local[src]
                     joined = True
@@ -305,12 +298,12 @@ class CutIndex:
         index, the earliest local time it holds (``len(trace) + 1`` for
         none)."""
         self.sync()
-        desc, thread, local = self._desc, self.thread_of, self.trace.local_time
+        desc, thread, local = self._desc, self.trace.tix, self.trace.local_time
         roots = tuple(roots)
         cut = list(self._none)
         for root in roots:
             cut = list(map(min, cut, desc(root)))
-            t = thread(root)
+            t = thread[root]
             if cut[t] > local[root] + 1:
                 cut[t] = local[root] + 1
         pending = list(self._overlay)
@@ -318,9 +311,9 @@ class CutIndex:
         while pending:
             rest = []
             for src, dst in pending:
-                if src in roots or local[src] >= cut[thread(src)]:
+                if src in roots or local[src] >= cut[thread[src]]:
                     cut = list(map(min, cut, desc(dst)))
-                    t = thread(dst)
+                    t = thread[dst]
                     if cut[t] > local[dst]:
                         cut[t] = local[dst]
                     joined = True
@@ -340,31 +333,31 @@ class CutIndex:
 
     def holds(self, cut: Cut, eid: int) -> bool:
         """Whether the ancestor cut ``cut`` holds event ``eid``."""
-        return self.trace.local_time[eid] <= cut[self.thread_of(eid)]
-
-    def thread_of(self, eid: int) -> int:
-        """The index of event ``eid``'s thread in the cut tuples."""
-        return self._thread[eid]
+        trace = self.trace
+        return trace.local_time[eid] <= cut[trace.tix[eid]]
 
     def cut_events(self, cut: Cut) -> Set[int]:
         """The event ids an ancestor cut holds."""
         return set(sorted(chain.from_iterable(
-            eids[:count] for eids, count in zip(self._eids, cut) if count)))
+            eids[:count] for eids, count in zip(self.trace.thread_eids, cut)
+            if count)))
 
     def last_event(self, cut: Cut, thread: int) -> int:
         """The eid of the latest event ``cut`` holds of the thread with
         index ``thread``, or -1."""
         count = cut[thread]
-        return self._eids[thread][count - 1] if count else -1
+        return self.trace.thread_eids[thread][count - 1] if count else -1
 
-    def last_acquire(self, cut: Cut, lock: Target) -> int:
-        """The eid of the latest acquire of ``lock`` that the ancestor cut
-        ``cut`` holds, or -1: one bisection per thread that takes it."""
+    def last_acquire(self, cut: Cut, lock: int) -> int:
+        """The eid of the latest acquire of the lock with index ``lock``
+        that the ancestor cut ``cut`` holds, or -1: one bisection per
+        thread that takes it."""
+        thread_eids = self.trace.thread_eids
         latest = -1
         for t, times in self._lock_acquires.get(lock, ()):
             i = bisect_right(times, cut[t])
             if i:
-                latest = max(latest, self._eids[t][times[i - 1] - 1])
+                latest = max(latest, thread_eids[t][times[i - 1] - 1])
         return latest
 
     # ------------------------------------------------------------------
@@ -387,7 +380,8 @@ class CutIndex:
         roots = tuple(roots)
         cut = self.descendant_cut(roots)
         result = set(sorted(chain.from_iterable(
-            eids[start - 1:] for eids, start in zip(self._eids, cut)
+            eids[start - 1:] for eids, start
+            in zip(self.trace.thread_eids, cut)
             if start <= len(eids))))
         if include_roots:
             result.update(roots)
@@ -401,7 +395,7 @@ class CutIndex:
         roots = tuple(roots)
         cut = self.ancestor_cut(roots)
         found = [eid for eid in roots if lo <= eid <= hi]
-        for eids, count in zip(self._eids, cut):
+        for eids, count in zip(self.trace.thread_eids, cut):
             start = bisect_left(eids, lo, 0, count)
             found.extend(eids[start:bisect_right(eids, hi, start, count)])
         return set(sorted(found))
@@ -411,30 +405,34 @@ class CutIndex:
         ``reaches(x, x)`` holds exactly when ``x`` lies on a cycle."""
         return self.holds(self.ancestor_cut((dst,)), src)
 
-    def latest_acquires(self, src: int) -> Dict[Tuple[Tid, Target], int]:
-        """Per (thread, lock), the eid of the latest acquire in
-        ``anc(src) ∪ {src}``."""
+    def latest_acquires(self, src: int) -> Dict[Tuple[int, int], int]:
+        """Per (thread index, lock index), the eid of the latest acquire
+        in ``anc(src) ∪ {src}``."""
+        trace = self.trace
         cut = list(self.ancestor_cut((src,)))
-        own = self.thread_of(src)
-        cut[own] = max(cut[own], self.trace.local_time[src])
-        found: Dict[Tuple[Tid, Target], int] = {}
-        for t, tid, lock, times in self._acquires:
+        own = trace.tix[src]
+        cut[own] = max(cut[own], trace.local_time[src])
+        thread_eids = trace.thread_eids
+        found: Dict[Tuple[int, int], int] = {}
+        for t, lock, times in self._acquires:
             i = bisect_right(times, cut[t])
             if i:
-                found[(tid, lock)] = self._eids[t][times[i - 1] - 1]
+                found[(t, lock)] = thread_eids[t][times[i - 1] - 1]
         return found
 
-    def earliest_releases(self, snk: int) -> Dict[Tuple[Tid, Target], int]:
-        """Per (thread, lock), the eid of the earliest release in
-        ``desc(snk) ∪ {snk}``."""
+    def earliest_releases(self, snk: int) -> Dict[Tuple[int, int], int]:
+        """Per (thread index, lock index), the eid of the earliest
+        release in ``desc(snk) ∪ {snk}``."""
+        trace = self.trace
         cut = list(self.descendant_cut((snk,)))
-        own = self.thread_of(snk)
-        cut[own] = min(cut[own], self.trace.local_time[snk])
-        found: Dict[Tuple[Tid, Target], int] = {}
-        for t, tid, lock, times in self._releases:
+        own = trace.tix[snk]
+        cut[own] = min(cut[own], trace.local_time[snk])
+        thread_eids = trace.thread_eids
+        found: Dict[Tuple[int, int], int] = {}
+        for t, lock, times in self._releases:
             i = bisect_left(times, cut[t])
             if i < len(times):
-                found[(tid, lock)] = self._eids[t][times[i] - 1]
+                found[(t, lock)] = thread_eids[t][times[i] - 1]
         return found
 
     # ------------------------------------------------------------------

@@ -104,8 +104,9 @@ def resume_session(path: str) -> SessionAnalyzer:
     """Rebuild a session from its checkpoint by replay, verifying the
     determinism hash before handing the session back.
 
-    A payload that the decoder or the replay rejects as a malformed
-    trace is a corrupt checkpoint (:class:`CheckpointError`), not a
+    A header config that the session refuses, or a payload that the
+    decoder or the replay rejects as a malformed trace, is a corrupt
+    checkpoint (:class:`CheckpointError`), not a bad request or a
     malformed client stream."""
     try:
         with open(path, "rb") as fh:
@@ -130,7 +131,11 @@ def resume_session(path: str) -> SessionAnalyzer:
         raise CheckpointError(
             f"{path}: header claims {expected_events} events but the "
             f"payload holds {len(packed)}")
-    analyzer = SessionAnalyzer(SessionConfig.from_dict(name, config_doc))
+    try:
+        config = SessionConfig.from_dict(name, config_doc)
+    except ProtocolError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    analyzer = SessionAnalyzer(config)
     # The session's trace indexes each event as it accepts it, straight
     # from the packed columns: no unpacked Trace indexes them a second
     # time, and no Event is built.

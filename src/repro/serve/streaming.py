@@ -97,7 +97,7 @@ class StreamingTrace(Trace):
         table grew, so the detectors must size their tables before they
         handle the event."""
         eid = len(self.codes)
-        tid_index = self.tid_index
+        tid_index, thread_eids = self.tid_index, self.thread_eids
         ti = tid_index.get(tid)
         if ti is not None and ti in self._stopped:
             if ti in self._joined:
@@ -107,8 +107,8 @@ class StreamingTrace(Trace):
             raise MalformedTraceError(
                 f"{_describe(eid, tid, code, target)}: thread {tid!r} "
                 "executes after its end", event_index=eid)
-        new_thread = tid not in self._thread_events
-        if (new_thread and self.require_fork_closed and self._thread_events
+        new_thread = ti is None or not thread_eids[ti]
+        if (new_thread and self.require_fork_closed and eid
                 and (ti is None or ti not in self._forked)):
             raise MalformedTraceError(
                 f"{_describe(eid, tid, code, target)}: thread {tid!r} appears "
@@ -132,11 +132,12 @@ class StreamingTrace(Trace):
                 raise MalformedTraceError(
                     f"{_describe(eid, tid, code, target)}: thread forks "
                     "itself", event_index=eid)
-            if tid_index.get(target) in self._forked:
+            child = tid_index.get(target)
+            if child in self._forked:
                 raise MalformedTraceError(
                     f"{_describe(eid, tid, code, target)}: thread "
                     f"{target!r} forked twice", event_index=eid)
-            if target in self._thread_events:
+            if child is not None and thread_eids[child]:
                 raise MalformedTraceError(
                     f"{_describe(eid, tid, code, target)}: thread "
                     f"{target!r} executes before its fork", event_index=eid)

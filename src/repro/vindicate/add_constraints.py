@@ -36,14 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.events import CODE_ACQUIRE, CODE_RELEASE, Event, Target, Tid
+from repro.core.events import CODE_ACQUIRE, CODE_RELEASE, Event
 from repro.core.trace import Trace
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.graph.cuts import CutIndex
 
-#: Per (thread, lock): the eid of the candidate acquire or release of the
-#: LS search.
-Candidates = Dict[Tuple[Tid, Target], int]
+#: Per (thread index, lock index): the eid of the candidate acquire or
+#: release of the LS search.
+Candidates = Dict[Tuple[int, int], int]
 
 
 @dataclass
@@ -175,22 +175,21 @@ def _windowed_candidates(graph: ConstraintGraph, trace: Trace, src: int,
                          snk: int, bounds: Tuple[int, int]
                          ) -> Tuple[Candidates, Candidates]:
     """The LS candidates of ``(src, snk)`` inside the window: per
-    (thread, lock), the latest acquire among ``src`` and its windowed
-    ancestors, and the earliest release among ``snk`` and its windowed
-    descendants."""
+    (thread index, lock index), the latest acquire among ``src`` and its
+    windowed ancestors, and the earliest release among ``snk`` and its
+    windowed descendants."""
     codes, tix, tgt = trace.codes, trace.tix, trace.tgt
-    tids, locks = trace.tid_names, trace.lock_names
     acquires: Candidates = {}
     for eid in graph.ancestors([src], include_roots=True, within=bounds):
         if codes[eid] == CODE_ACQUIRE:
-            key = (tids[tix[eid]], locks[tgt[eid]])
+            key = (tix[eid], tgt[eid])
             best = acquires.get(key)
             if best is None or eid > best:
                 acquires[key] = eid
     releases: Candidates = {}
     for eid in graph.descendants([snk], include_roots=True, within=bounds):
         if codes[eid] == CODE_RELEASE:
-            key = (tids[tix[eid]], locks[tgt[eid]])
+            key = (tix[eid], tgt[eid])
             best = releases.get(key)
             if best is None or eid < best:
                 releases[key] = eid
@@ -202,14 +201,14 @@ def _ls_pairs(graph: ConstraintGraph, trace: Trace, acquires: Candidates,
               index: CutIndex) -> List[Tuple[int, int]]:
     """LS edges implied by one constraint edge ``(src, snk)``.
 
-    ``acquires`` holds, per (thread, lock), the latest acquire ``a``
-    with ``a ⇝ src`` (or ``a = src``); ``releases`` the earliest release
-    ``r`` with ``snk ⇝ r`` (or ``r = snk``). Program order implies the
-    other pairs' edges. ``a`` and ``r`` on the same lock are partially
-    ordered through the edge; if ``r``'s critical section is needed
-    before the race (``in_race(A(r))``: ``A(r)`` is a racing event or
-    reaches one), the full ordering ``R(a) → A(r)`` is a necessary
-    constraint.
+    ``acquires`` holds, per (thread index, lock index), the latest
+    acquire ``a`` with ``a ⇝ src`` (or ``a = src``); ``releases`` the
+    earliest release ``r`` with ``snk ⇝ r`` (or ``r = snk``). Program
+    order implies the other pairs' edges. ``a`` and ``r`` on the same
+    lock are partially ordered through the edge; if ``r``'s critical
+    section is needed before the race (``in_race(A(r))``: ``A(r)`` is a
+    racing event or reaches one), the full ordering ``R(a) → A(r)`` is a
+    necessary constraint.
     """
     edges: List[Tuple[int, int]] = []
     for (_, lock_a), a in acquires.items():

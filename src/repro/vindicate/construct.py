@@ -141,7 +141,7 @@ def construct_reordered_trace(
             needed.update(index.cut_events(release_cut))
             needed.discard(e1.eid)
             needed.discard(e2.eid)
-            t = index.thread_of(release)
+            t = trace.tix[release]
             release_cut[t] = max(release_cut[t], trace.local_time[release])
             cut = tuple(map(max, cut, release_cut))
             continue
@@ -162,10 +162,11 @@ def _without_pair(index: CutIndex, cut: Cut, e1: Event,
     other. None when it is no cut, because an event after ``e1`` or
     ``e2`` in its thread is needed too."""
     needed = list(cut)
+    trace = index.trace
     for e in (e1, e2):
         if index.holds(cut, e.eid):
-            t = index.thread_of(e.eid)
-            local = index.trace.local_time[e.eid]
+            t = trace.tix[e.eid]
+            local = trace.local_time[e.eid]
             if needed[t] > local:
                 return None
             needed[t] = local - 1
@@ -187,8 +188,7 @@ def _replays_whole_cut(graph: ConstraintGraph, trace: Trace,
     for src, dst in graph.backward_edges():
         if holds(cut, src) and holds(cut, dst):
             return False
-    codes, enclosing = trace.codes, trace.enclosing_acquires
-    locks, tgt = trace.lock_names, trace.tgt
+    codes, enclosing, tgt = trace.codes, trace.enclosing_acquires, trace.tgt
     for t in range(len(cut)):
         last = index.last_event(cut, t)
         if last < 0:
@@ -197,7 +197,7 @@ def _replays_whole_cut(graph: ConstraintGraph, trace: Trace,
             if codes[last] == CODE_RELEASE else -1
         for acquire in enclosing[last]:
             if acquire != closed and \
-                    index.last_acquire(cut, locks[tgt[acquire]]) != acquire:
+                    index.last_acquire(cut, tgt[acquire]) != acquire:
                 return False
     return True
 

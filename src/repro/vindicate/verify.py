@@ -59,8 +59,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.events import (CODE_ACQUIRE, CODE_FORK, CODE_JOIN, CODE_READ,
-                               CODE_WRITE, Event, EventKind, Target, Tid,
-                               conflicts)
+                               CODE_RELEASE, CODE_WRITE, Event, EventKind,
+                               Target, Tid, conflicts)
 from repro.core.exceptions import MalformedReorderingError
 from repro.core.trace import Trace
 from repro.core.witness import CutWitness, ListedWitness, Witness
@@ -81,45 +81,40 @@ class TraceIndex:
     """Immutable per-trace structure the checker reads instead of the trace.
 
     Built in one pass over the trace's ``codes``/``tix``/``tgt`` columns;
-    every field is O(n) ints. The per-thread eid lists and
-    ``local_time`` it also relies on are already on :class:`Trace`.
+    every field is O(n) ints. Threads and locks are the trace's own
+    indices (``tix``, ``tgt``), so cuts index ``requires`` and ``joins``
+    directly. The per-thread eid lists and ``local_time`` it also relies
+    on are already on :class:`Trace`.
 
     Attributes:
         size: Number of events indexed (a changed length forces a rebuild).
-        fork_of: Child thread id -> eid of the fork that creates it.
+        fork_of: Child thread index -> eid of the fork that creates it.
         prev_write: Per event, the eid of the previous plain write to the
             same variable, or -1 (also -1 for non-accesses).
         reads_before: Plain write eid -> eids of the reads of its variable
             since the previous write (omitted when there are none).
-        thread_index: Thread id -> its index in ``trace.threads``.
         requires: Per thread index, the requirement clock of its
             prefixes: what their accesses' immediate conflict
             predecessors need of each other thread.
         joins: Per thread index, what its prefixes' joins need of each
             other thread: the child's length, or one more when a child
             event follows the join in the trace (no cut satisfies it).
-        lock_acquires: Lock -> ``(thread index, acquire eids)`` per
+        lock_acquires: Lock index -> ``(thread index, acquire eids)`` per
             thread that acquires it.
     """
 
     __slots__ = ("size", "fork_of", "prev_write", "reads_before",
-                 "thread_index", "requires", "joins", "lock_acquires")
+                 "requires", "joins", "lock_acquires")
 
     def __init__(self, trace: Trace) -> None:
-        codes, tgt = trace.codes, trace.tgt
-        local = trace.local_time
-        threads = trace.threads
-        # Thread indices as positions in ``threads``, the cut's order.
-        positions = trace.thread_positions()
-        tix = [positions[t] for t in trace.tix]
+        codes, tix, tgt = trace.codes, trace.tix, trace.tgt
+        local, thread_eids = trace.local_time, trace.thread_eids
         self.size = len(codes)
-        self.fork_of: Dict[Tid, int] = {}
+        self.fork_of: Dict[int, int] = {}
         self.prev_write: List[int] = [-1] * self.size
         self.reads_before: Dict[int, List[int]] = {}
-        self.thread_index: Dict[Tid, int] = {
-            tid: i for i, tid in enumerate(threads)}
-        self.requires: List[Requirements] = [{} for _ in threads]
-        self.joins: List[Requirements] = [{} for _ in threads]
+        self.requires: List[Requirements] = [{} for _ in thread_eids]
+        self.joins: List[Requirements] = [{} for _ in thread_eids]
         prev_write, requires = self.prev_write, self.requires
         acquires: Dict[Tuple[int, int], List[int]] = {}
         last_write = [-1] * len(trace.var_names)
@@ -153,18 +148,16 @@ class TraceIndex:
                     held = acquires[key] = []
                 held.append(eid)
             elif code == CODE_FORK:
-                self.fork_of[trace.tid_names[tgt[eid]]] = eid
+                self.fork_of[tgt[eid]] = eid
             elif code == CODE_JOIN:
-                child, ti = positions[tgt[eid]], tix[eid]
-                if child >= 0 and child != ti:
-                    eids = trace.eids_of(threads[child])
+                child, ti = tgt[eid], tix[eid]
+                eids = thread_eids[child]
+                if eids and child != ti:
                     need = len(eids) + (eids[-1] > eid)
                     _require(self.joins[ti], local[eid], child, need)
-        lock_names = trace.lock_names
-        self.lock_acquires: Dict[Target, List[Tuple[int, List[int]]]] = {}
+        self.lock_acquires: Dict[int, List[Tuple[int, List[int]]]] = {}
         for (t, lock), eids in acquires.items():
-            self.lock_acquires.setdefault(lock_names[lock], []).append(
-                (t, eids))
+            self.lock_acquires.setdefault(lock, []).append((t, eids))
 
 
 def _require(points: Requirements, at: int, thread: int, need: int) -> None:
@@ -251,10 +244,9 @@ def check_witness(original: Trace, reordered: Reordering,
         reg.add("vindicate.witness.cut" if cut_form
                 else "vindicate.witness.listed", 1)
     if cut_form:
-        index = _trace_index(original)
-        _check_cut(original, index, reordered)
-        at = _cut_position(original, index, reordered, first)
-        then = _cut_position(original, index, reordered, second)
+        _check_cut(original, _trace_index(original), reordered)
+        at = _cut_position(original, reordered, first)
+        then = _cut_position(original, reordered, second)
     else:
         position = _check_reordering(original, _listed(reordered))
         at = position.get(first.eid)
@@ -311,15 +303,16 @@ def _check_cut(original: Trace, index: TraceIndex,
     whether the pair, placed after the whole cut, may follow it.
     """
     events, local = original.events, original.local_time
-    threads = original.threads
+    tix, thread_eids = original.tix, original.thread_eids
+    tids = original.tid_names
     cut = witness.cut
     first, second = witness.first, witness.second
-    n = len(events)
+    n = len(original)
     # Membership: the cut fits the trace, the pair are trace events
     # outside it, and distinct.
-    if len(cut) != len(threads) or any(
-            not 0 <= count <= len(original.eids_of(tid))
-            for tid, count in zip(threads, cut)):
+    if len(cut) != len(thread_eids) or any(
+            not 0 <= count <= len(eids)
+            for eids, count in zip(thread_eids, cut)):
         raise MalformedReorderingError(
             f"cut {cut} does not fit the trace's threads", rule="EVENTS")
     for e in (first, second):
@@ -327,8 +320,7 @@ def _check_cut(original: Trace, index: TraceIndex,
         if not 0 <= eid < n or events[eid] != e:
             raise MalformedReorderingError(
                 f"{e} is not an event of the original trace", rule="EVENTS")
-    thread_index = index.thread_index
-    t1, t2 = thread_index[first.tid], thread_index[second.tid]
+    t1, t2 = tix[first.eid], tix[second.eid]
     for e, t in ((first, t1), (second, t2)):
         if local[e.eid] <= cut[t]:
             raise MalformedReorderingError(f"{e} appears twice", rule="EVENTS")
@@ -348,13 +340,12 @@ def _check_cut(original: Trace, index: TraceIndex,
         short = _required(requires[t], count, cut)
         if short >= 0:
             raise MalformedReorderingError(
-                f"thread {threads[t]!r}'s first {count} events need "
-                f"more of thread {threads[short]!r} than its "
+                f"thread {tids[t]!r}'s first {count} events need "
+                f"more of thread {tids[short]!r} than its "
                 f"{cut[short]}", rule="CA")
     for e, allowed in ((first, -1), (second, first.eid)):
         for pred in _conflict_predecessors(index, e):
-            if pred != allowed and \
-                    local[pred] > cut[thread_index[events[pred].tid]]:
+            if pred != allowed and local[pred] > cut[tix[pred]]:
                 raise MalformedReorderingError(
                     f"{e} is included but its conflicting predecessor "
                     f"{events[pred]} is not before it", rule="CA")
@@ -362,24 +353,24 @@ def _check_cut(original: Trace, index: TraceIndex,
     # Hard edges: a thread's first included event follows its fork, and
     # a join follows the whole child.
     fork_of = index.fork_of
-    for t, tid in enumerate(threads):
-        if not (cut[t] or t == t1 or t == t2):
+    for t, count in enumerate(cut):
+        if not (count or t == t1 or t == t2):
             continue
-        fork = fork_of.get(tid)
+        fork = fork_of.get(t)
         if fork is None:
             continue
-        if local[fork] > cut[thread_index[events[fork].tid]] or (
-                cut[t] and original.eids_of(tid)[0] < fork):
+        if local[fork] > cut[tix[fork]] or (
+                count and thread_eids[t][0] < fork):
             raise MalformedReorderingError(
-                f"thread {tid!r} executes without (or before) its fork "
+                f"thread {tids[t]!r} executes without (or before) its fork "
                 f"{events[fork]}", rule="PO")
     joins = index.joins
     for t, count in enumerate(cut):
         short = _required(joins[t], count, cut)
         if short >= 0:
             raise MalformedReorderingError(
-                f"thread {threads[t]!r} joins thread "
-                f"{threads[short]!r} before all its events", rule="PO")
+                f"thread {tids[t]!r} joins thread "
+                f"{tids[short]!r} before all its events", rule="PO")
 
 
 def _conflict_predecessors(index: TraceIndex, e: Event) -> List[int]:
@@ -397,28 +388,28 @@ def _check_cut_sections(original: Trace, index: TraceIndex,
     the only overlap is a section the cut leaves open followed by a
     later acquire of its lock that the cut holds. The racing pair are
     accesses, so they open and close nothing."""
-    events = original.events
-    threads = original.threads
-    bounds = [original.eids_of(tid)[count - 1] if count else -1
-              for tid, count in zip(threads, cut)]
+    codes, tgt = original.codes, original.tgt
+    bounds = [eids[count - 1] if count else -1
+              for eids, count in zip(original.thread_eids, cut)]
     for t, last in enumerate(bounds):
         held = original.enclosing_acquires[last] if last >= 0 else ()
         if not held:
             continue
-        closed = original.acquire_of(events[last]).eid \
-            if events[last].kind is EventKind.RELEASE else -1
+        closed = original.acquire_eid(last) \
+            if codes[last] == CODE_RELEASE else -1
         for acquire in held:
             if acquire == closed:
                 continue
-            for u, acquires in index.lock_acquires[events[acquire].target]:
+            for u, acquires in index.lock_acquires[tgt[acquire]]:
                 i = bisect_right(acquires, bounds[u])
                 if u != t and i and acquires[i - 1] > acquire:
                     raise MalformedReorderingError(
-                        f"{events[acquires[i - 1]]} acquires a lock held "
-                        f"by thread {threads[t]!r}", rule="LS")
+                        f"{original.events[acquires[i - 1]]} acquires a "
+                        f"lock held by thread {original.tid_names[t]!r}",
+                        rule="LS")
 
 
-def _cut_position(original: Trace, index: TraceIndex, witness: CutWitness,
+def _cut_position(original: Trace, witness: CutWitness,
                   e: Event) -> Optional[int]:
     """The position of the event with ``e``'s eid in the witness, or
     None: the pair come last, and a cut event follows every cut event
@@ -428,13 +419,12 @@ def _cut_position(original: Trace, index: TraceIndex, witness: CutWitness,
         return len(witness) - 1
     if eid == witness.first.eid:
         return len(witness) - 2
-    if not 0 <= eid < len(original.events):
+    if not 0 <= eid < len(original):
         return None
-    tid = original.events[eid].tid
-    if original.local_time[eid] > witness.cut[index.thread_index[tid]]:
+    if original.local_time[eid] > witness.cut[original.tix[eid]]:
         return None
-    return sum(bisect_left(original.eids_of(u), eid, 0, count)
-               for u, count in zip(original.threads, witness.cut))
+    return sum(bisect_left(eids, eid, 0, count)
+               for eids, count in zip(original.thread_eids, witness.cut))
 
 
 # ----------------------------------------------------------------------
@@ -536,11 +526,11 @@ def _check_thread_edges(original: Trace, index: TraceIndex,
                         reordered: Sequence[Event],
                         position: Dict[int, int],
                         prefix_len: Dict[Tid, int]) -> None:
-    events = original.events
+    events, tix = original.events, original.tix
     fork_of = index.fork_of
     volatiles: List[int] = []
     for here, e in enumerate(reordered):
-        fork = fork_of.get(e.tid)
+        fork = fork_of.get(tix[e.eid])
         if fork is not None:
             at = position.get(fork)
             if at is None or at > here:

@@ -52,6 +52,7 @@ from repro.vindicate.add_constraints import add_constraints
 from repro.vindicate.construct import construct_reordered_trace
 from repro.vindicate.verify import check_witness
 from repro.vindicate.vindicator import Vindicator, vindicate_race
+from test_litmus import late_child
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -154,6 +155,14 @@ class TestLitmus:
     @pytest.mark.parametrize("policy", ["latest", "earliest"])
     def test_agrees(self, litmus_trace, transitive_force, policy):
         _check_races(litmus_trace, transitive_force, policy)
+
+    @pytest.mark.parametrize("transitive_force", [True, False])
+    @pytest.mark.parametrize("policy", ["latest", "earliest"])
+    def test_late_child_agrees(self, transitive_force, policy):
+        """Thread indices that differ from the first-event order, and a
+        thread that never runs, change no outcome."""
+        seen = _check_races(late_child(), transitive_force, policy)
+        assert seen["RACE"] >= 5
 
     def test_suite_reaches_every_outcome(self):
         seen: Counter = Counter()

@@ -34,6 +34,7 @@ from repro.traces.gen import GeneratorConfig, random_trace
 from repro.traces.litmus import figure2
 from repro.vindicate.vindicator import Vindicator
 from test_graph_backward import CORPUS, IDS
+from test_litmus import late_child
 
 _pick = st.integers(0, 10_000)
 _op = st.one_of(
@@ -139,6 +140,24 @@ class TestAgainstBFS:
     def test_random_scripts(self, ops, seed, journal_limit, extra):
         run_script(ops, seed, journal_limit, extra)
 
+    @pytest.mark.parametrize("transitive_force", [True, False])
+    def test_thread_that_never_runs_keeps_its_slot(self, transitive_force):
+        """Cuts have one slot per thread index: T4 of ``late_child`` is
+        forked and joined but never runs, so its slot is 0 in every
+        ancestor cut and ``len(trace) + 1`` in every descendant cut."""
+        trace = late_child()
+        detector = DCDetector()
+        detector.transitive_force = transitive_force
+        detector.analyze(trace)
+        index = CutIndex(detector.graph, trace)
+        assert_sweep(index, detector.graph)
+        n = len(trace)
+        for eid in range(n):
+            ancestors = index.ancestor_cut([eid])
+            descendants = index.descendant_cut([eid])
+            assert len(ancestors) == len(descendants) == 4
+            assert (ancestors[3], descendants[3]) == (0, n + 1)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=_pick)
     def test_pristine_dc_graph(self, seed):
@@ -150,9 +169,10 @@ class TestAgainstBFS:
     @settings(max_examples=60, deadline=None)
     @given(seed=_pick)
     def test_ls_candidates(self, seed):
-        """The bisected candidates are the latest acquire per (thread,
-        lock) in ``anc(src) ∪ {src}`` and the earliest release in
-        ``desc(snk) ∪ {snk}``, found here by scanning the BFS sets."""
+        """The bisected candidates are the latest acquire per (thread
+        index, lock index) in ``anc(src) ∪ {src}`` and the earliest
+        release in ``desc(snk) ∪ {snk}``, found here by scanning the BFS
+        sets."""
         rng = random.Random(seed)
         trace, graph = dc_graph(seed)
         n = len(trace)
@@ -166,12 +186,12 @@ class TestAgainstBFS:
             for x in sorted(graph.ancestors([eid], include_roots=True)):
                 e = trace.events[x]
                 if e.kind is EventKind.ACQUIRE:
-                    acquires[(e.tid, e.target)] = x
+                    acquires[(trace.tix[x], trace.tgt[x])] = x
             for x in sorted(graph.descendants([eid], include_roots=True),
                             reverse=True):
                 e = trace.events[x]
                 if e.kind is EventKind.RELEASE:
-                    releases[(e.tid, e.target)] = x
+                    releases[(trace.tix[x], trace.tgt[x])] = x
             assert index.latest_acquires(eid) == acquires
             assert index.earliest_releases(eid) == releases
             lo, hi = sorted((eid, rng.randrange(n)))
@@ -302,7 +322,7 @@ class TestPipeline:
         assert builds[0] in vindicate[0].children
         counts = builds[0].counts
         assert counts["events"] == len(report.trace)
-        assert counts["threads"] == len(report.trace.threads)
+        assert counts["threads"] == len(report.trace.tid_names)
         assert counts["cuts"] >= 1
         assert report.obs["gauges"]["graph.closure_entries"] == counts["cuts"]
 

@@ -20,6 +20,7 @@ from repro.runtime.workloads import WORKLOADS
 from repro.serve.session import SessionAnalyzer, SessionConfig
 from repro.traces.litmus import ALL as LITMUS
 from repro.vindicate.add_constraints import add_constraints
+from test_litmus import late_child
 
 NODES = 8
 
@@ -81,6 +82,7 @@ def test_self_edge_still_raises():
 def corpus():
     for name in sorted(LITMUS):
         yield f"litmus-{name}", LITMUS[name]()
+    yield "late-child", late_child()
     for name in sorted(WORKLOADS):
         yield name, execute(WORKLOADS[name](scale=1), seed=7)
 

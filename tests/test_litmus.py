@@ -5,7 +5,10 @@ analyses, VindicateRace, and the brute-force oracle."""
 import pytest
 
 from repro.analysis.races import RaceClass
+from repro.core.trace import TraceBuilder
+from repro.core.witness import CutWitness
 from repro.vindicate.oracle import PredictabilityOracle
+from repro.vindicate.verify import check_witness
 from repro.vindicate.vindicator import Verdict, Vindicator
 from repro.traces import litmus
 
@@ -170,3 +173,80 @@ class TestAppendixCIncomplete:
     def test_oracle_confirms_race_is_real(self):
         trace = litmus.appendix_c_incomplete()
         assert PredictabilityOracle(trace).is_predictable(trace[10], trace[11])
+
+
+def late_child():
+    """A trace whose thread indices differ from its first-event order.
+
+    T1 forks T2, T3 and T4, so ``tid_names`` is ``[1, 2, 3, 4]``; T3
+    runs before T2, so ``threads`` is ``[1, 3, 2]``; T4 is forked and
+    joined but never runs. Its races: the figure-2 shape between T3's
+    ``wr(x)`` (event 3) and T1's ``rd(x)`` (event 16), whose witness
+    holds none of T3's events; HB-races, the last (events 28 and 30)
+    after T1 joined T2 and inside T1's section on ``n``, which T2 took
+    before; and, without transitive forcing, the figure-4(b) false race
+    between events 18 and 22."""
+    return (TraceBuilder()
+            .fork(1, 2)
+            .fork(1, 3)
+            .fork(1, 4)     # T4 never runs
+            .wr(3, "x")     # 3: T3, interned after T2, runs first
+            .acq(3, "o")
+            .wr(3, "y")
+            .rel(3, "o")
+            .acq(2, "o")
+            .rd(2, "y")
+            .rel(2, "o")
+            .acq(2, "m")
+            .rel(2, "m")
+            .wr(2, "w")
+            .join(1, 4)
+            .acq(1, "m")
+            .rel(1, "m")
+            .rd(1, "x")     # 16
+            .wr(3, "w")
+            .wr(3, "z")     # 18
+            .rd(2, "z")
+            .rd(2, "v")
+            .wr(1, "v")
+            .rd(1, "z")     # 22
+            .acq(2, "n")
+            .rel(2, "n")
+            .wr(2, "u")
+            .join(1, 2)
+            .acq(1, "n")
+            .wr(1, "q")     # 28
+            .rel(1, "n")
+            .rd(3, "q")     # 30
+            .join(1, 3)
+            .build())
+
+
+class TestInterningOrder:
+    """Cuts are indexed by thread index, not by first-event order."""
+
+    def test_orders_differ(self):
+        trace = late_child()
+        assert trace.tid_names == [1, 2, 3, 4]
+        assert trace.threads == [1, 3, 2]
+        assert trace.thread_eids[3] == []
+
+    @pytest.mark.parametrize("transitive_force", [True, False])
+    def test_verdicts_equal_the_oracle(self, transitive_force):
+        trace = late_child()
+        oracle = PredictabilityOracle(trace)
+        report = run(trace, transitive_force)
+        verdicts = {}
+        for v in report.vindications:
+            first, second = v.race.first, v.race.second
+            predictable = oracle.is_predictable(first, second)
+            assert v.verdict is (Verdict.RACE if predictable
+                                 else Verdict.NO_RACE), (first, second)
+            if v.witness is not None:
+                assert isinstance(v.witness, CutWitness)
+                assert len(v.witness.cut) == 4 and v.witness.cut[3] == 0
+                check_witness(trace, v.witness, first, second)
+            verdicts[(first.eid, second.eid)] = v.verdict
+        assert verdicts[(3, 16)] is Verdict.RACE
+        if not transitive_force:
+            assert verdicts[(18, 22)] is Verdict.NO_RACE

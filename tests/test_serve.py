@@ -352,12 +352,15 @@ class TestCheckpointResume:
         assert excinfo.value.code == "checkpoint"
 
     @pytest.mark.parametrize("damage", ["truncated", "kind-out-of-range",
-                                        "acquire-made-write"])
+                                        "acquire-made-write",
+                                        "config-gc-window"])
     def test_corrupt_columns_are_a_checkpoint_error(self, daemon_factory,
                                                     tmp_path, damage):
-        """A real checkpoint damaged inside its column region answers
-        ``checkpoint`` (not ``malformed-trace``), whether the decoder or
-        the replay rejects it, and the daemon keeps serving."""
+        """A real checkpoint damaged inside its column region, or with a
+        header config the session refuses, answers ``checkpoint`` (not
+        ``malformed-trace`` or ``bad-request``), whether the decoder,
+        the config or the replay rejects it, and the daemon keeps
+        serving."""
         daemon = daemon_factory()
         path = tmp_path / "cut.vckp"
         with connect(daemon) as client:
@@ -375,6 +378,15 @@ class TestCheckpointResume:
                                             "little")
         if damage == "truncated":
             del data[-3:]
+        elif damage == "config-gc-window":
+            # A well-formed header, its length prefix rewritten to match.
+            start = len(CHECKPOINT_MAGIC)
+            length = int.from_bytes(data[start:start + 8], "little")
+            header = json.loads(bytes(data[start + 8:start + 8 + length]))
+            header["config"]["gc_window"] = "lots"
+            rewritten = json.dumps(header).encode("utf-8")
+            data[start:start + 8 + length] = (
+                len(rewritten).to_bytes(8, "little") + rewritten)
         elif damage == "kind-out-of-range":
             data[kinds] = 0xFF
         else:  # decodes, but the replay sees a release of an unheld lock

@@ -5,7 +5,7 @@
   hypothesis-generated traces with comments and blank lines
   interleaved, the file-loaded ``Trace``, ``Trace(events)`` and a fully
   streamed ``StreamingTrace`` have equal columns, tables, lock matching
-  and ``thread_positions()``.
+  and ``threads``.
 * **Positional.** ``list(trace.events)`` equals the per-line parser's
   events, locations included, with begin and end told apart; a
   structural error names the line its event sits on.
@@ -68,7 +68,7 @@ def state(trace):
         "lock_names": trace.lock_names, "vol_names": trace.vol_names,
         "marker_targets": trace.marker_targets,
         "match_rel": trace._match_rel, "match_acq": trace._match_acq,
-        "positions": trace.thread_positions(), "threads": trace.threads,
+        "threads": trace.threads,
     }
 
 

@@ -118,7 +118,7 @@ def _rejected_cuts(trace, witness):
     inside the cut), PO (the first racing event's thread one short) and
     EVENTS (racing pair named in reverse)."""
     cut, first, second = list(witness.cut), witness.first, witness.second
-    t = trace.threads.index(first.tid)
+    t = trace.tid_index[first.tid]
     inside = cut[:t] + [cut[t] + 1] + cut[t + 1:]
     yield CutWitness(trace, inside, first, second), first, second
     if cut[t]:

@@ -27,7 +27,10 @@ then the racing pair) are checked from the cut alone. They must get the
 verdict and rule of the event list they stand for, under both
 event-level checkers — unmutated, and mutated as cuts: one thread's
 prefix moved, a critical section opened or closed, a fork dropped, a
-child cut short of its join, or the racing pair renamed.
+child cut short of its join, or the racing pair renamed. Cut tuples are
+indexed by thread index, so the pinned ``test_litmus.late_child``,
+whose thread indices differ from its first-event order, is mutated
+too.
 """
 
 import random
@@ -48,6 +51,7 @@ from repro.runtime.workloads import WORKLOADS
 from repro.traces.gen import GeneratorConfig, random_trace
 from repro.vindicate import verify
 from repro.vindicate.vindicator import Vindicator
+from test_litmus import late_child
 
 Pair = Optional[Tuple[Event, Event]]
 Candidate = Tuple[List[Event], Pair]
@@ -420,7 +424,7 @@ def _pair_of(witness: CutWitness) -> Pair:
 def cut_perturb(trace, witness, rng):
     """Move one thread's prefix end anywhere in the thread."""
     thread = rng.randrange(len(witness.cut))
-    length = len(trace.eids_of(trace.threads[thread]))
+    length = len(trace.thread_eids[thread])
     return _with(witness, thread, rng.randint(0, length)), _pair_of(witness)
 
 
@@ -432,31 +436,32 @@ def cut_section(trace, witness, rng):
     if not locks:
         return None
     e = rng.choice(locks)
-    return (_with(witness, trace.threads.index(e.tid), trace.local_time[e.eid]),
+    return (_with(witness, trace.tid_index[e.tid], trace.local_time[e.eid]),
             _pair_of(witness))
 
 
 def cut_drop_fork(trace, witness, rng):
     """End the parent's prefix just before a fork whose child runs."""
-    included = {tid for tid, count in zip(trace.threads, witness.cut) if count}
+    included = {tid for tid, count in zip(trace.tid_names, witness.cut)
+                if count}
     included.update((witness.first.tid, witness.second.tid))
     forks = [e for e in trace
              if e.kind is EventKind.FORK and e.target in included]
     if not forks:
         return None
     fork = rng.choice(forks)
-    return (_with(witness, trace.threads.index(fork.tid),
+    return (_with(witness, trace.tid_index[fork.tid],
                   trace.local_time[fork.eid] - 1), _pair_of(witness))
 
 
 def cut_short_child(trace, witness, rng):
     """End a joined child's prefix one event short of its end."""
     joins = [e for e in trace if e.kind is EventKind.JOIN
-             and e.target in trace.threads]
+             and trace.eids_of(e.target)]
     if not joins:
         return None
-    child = trace.threads.index(rng.choice(joins).target)
-    length = len(trace.eids_of(trace.threads[child]))
+    child = trace.tid_index[rng.choice(joins).target]
+    length = len(trace.thread_eids[child])
     return _with(witness, child, length - 1), _pair_of(witness)
 
 
@@ -524,6 +529,24 @@ class TestCutWitnesses:
             mutant = CUT_MUTATORS[strategy](trace, witness, rng)
             if mutant is not None:
                 verdicts[assert_cut_agree(trace, *mutant)] += 1
+        assert CUT_TARGET_RULES[strategy] <= set(verdicts), verdicts
+
+    @pytest.mark.parametrize("strategy", sorted(CUT_MUTATORS))
+    def test_late_child_cut_mutants_agree(self, strategy):
+        """On a trace whose thread indices differ from its first-event
+        order, with a thread that never runs, every cut witness and 25
+        mutants of each get the rule of their event lists."""
+        trace = late_child()
+        witnesses = _cut_witnesses(trace)
+        assert len(witnesses) == 5
+        rng = random.Random(strategy)
+        verdicts: Counter = Counter()
+        for witness in witnesses:
+            assert assert_cut_agree(trace, witness, _pair_of(witness)) == "OK"
+            for _ in range(25):
+                mutant = CUT_MUTATORS[strategy](trace, witness, rng)
+                if mutant is not None:
+                    verdicts[assert_cut_agree(trace, *mutant)] += 1
         assert CUT_TARGET_RULES[strategy] <= set(verdicts), verdicts
 
     @SETTINGS
